@@ -11,9 +11,8 @@
    tensors bit-identical to the reference contents.
 
    Execution is bounded: an all-to-all lowers to O(P^2) statements and
-   the staged engine keeps per-processor inline-cache state sized by
-   the program, so executed memory grows as P^3 — ~5 GB at P = 256
-   and unrunnable at P = 1024.  Past [exec_limit] the sweep therefore
+   every processor walks all of them, so executed time grows as P^3.
+   Past [exec_limit] the sweep therefore
    reports the exact analytic naive bound (Collective.naive_peak:
    every processor posts its whole outgoing volume before anything
    drains) and the planner's certified estimate (est_peak,

@@ -285,8 +285,10 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
       (cost.time_send_init
       +. (float_of_int (Array.length payload) *. cost.time_mem));
     let name = section_name arr box in
-    Trace.emit tr
-      (Trace.Send_init { time = pr.clock; pid = pr.pid; name; kind = "value" });
+    if Trace.enabled tr then
+      Trace.emit tr
+        (Trace.Send_init
+           { time = pr.clock; pid = pr.pid; name; kind = "value" });
     post_send ~time:pr.clock ~src:pr.pid ~name ~kind:Board.Value ~payload
       ~directed
   in
@@ -309,14 +311,15 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
       +. (float_of_int (Array.length payload) *. cost.time_mem));
     let kind = if with_value then Board.Owner_value else Board.Owner in
     let name = section_name arr box in
-    Trace.emit tr
-      (Trace.Send_init
-         {
-           time = pr.clock;
-           pid = pr.pid;
-           name;
-           kind = Board.kind_to_string kind;
-         });
+    if Trace.enabled tr then
+      Trace.emit tr
+        (Trace.Send_init
+           {
+             time = pr.clock;
+             pid = pr.pid;
+             name;
+             kind = Board.kind_to_string kind;
+           });
     post_send ~time:pr.clock ~src:pr.pid ~name ~kind ~payload ~directed:None
   in
   let recv_ownership_core pr ~with_value ~arr ~box =
@@ -335,14 +338,15 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
     inflight.(pr.pid) <- inflight.(pr.pid) + 1;
     charge_pr pr (cost.time_recv_init +. cost.time_owner_admin);
     let name = section_name arr box in
-    Trace.emit tr
-      (Trace.Recv_init
-         {
-           time = pr.clock;
-           pid = pr.pid;
-           name;
-           kind = Board.kind_to_string kind;
-         });
+    if Trace.enabled tr then
+      Trace.emit tr
+        (Trace.Recv_init
+           {
+             time = pr.clock;
+             pid = pr.pid;
+             name;
+             kind = Board.kind_to_string kind;
+           });
     post_recv ~time:pr.clock ~dst:pr.pid ~name ~kind ~token
   in
   let recv_value_core pr ~into:(into_arr, into_box) ~from:(from_arr, from_box)
@@ -364,8 +368,10 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
     inflight.(pr.pid) <- inflight.(pr.pid) + 1;
     charge_pr pr cost.time_recv_init;
     let name = section_name from_arr from_box in
-    Trace.emit tr
-      (Trace.Recv_init { time = pr.clock; pid = pr.pid; name; kind = "value" });
+    if Trace.enabled tr then
+      Trace.emit tr
+        (Trace.Recv_init
+           { time = pr.clock; pid = pr.pid; name; kind = "value" });
     post_recv ~time:pr.clock ~dst:pr.pid ~name ~kind:Board.Value ~token
   in
   let apply_core pr ~fn (k : Xdp.Kernels.t) pairs =
@@ -531,9 +537,10 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
   in
   let block pr name box =
     pr.status <- `Blocked { on_name = name; on_box = box };
-    Trace.emit tr
-      (Trace.Blocked
-         { time = pr.clock; pid = pr.pid; on = section_name name box })
+    if Trace.enabled tr then
+      Trace.emit tr
+        (Trace.Blocked
+           { time = pr.clock; pid = pr.pid; on = section_name name box })
   in
   let count_step pr =
     incr total_steps;
@@ -615,6 +622,62 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
           pr.stack <- Code { codes = cl.Precompile.l_body; ip = 0 } :: pr.stack
         end
   in
+  (* The ready processors, as a binary min-heap of pids ordered by
+     (clock, pid): the root is the processor the scheduler steps next,
+     and pid breaks clock ties exactly as an ascending-pid scan with a
+     strict [<] would.  Only the stepped processor (always the root)
+     and woken ones change key, so each turn costs O(log P), and a
+     stepped processor that stays the earliest costs one or two
+     compares.  (Popping and re-pushing it through {!Heap} instead made
+     the naive P=64 all-to-all 25-35% slower end to end.) *)
+  let ready = Array.init nprocs Fun.id in
+  let nready = ref nprocs in
+  let before a b =
+    let ca = (Array.unsafe_get procs a).clock
+    and cb = (Array.unsafe_get procs b).clock in
+    ca < cb || (ca = cb && a < b)
+  in
+  let rec sift_up i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      let x = ready.(i) and y = ready.(parent) in
+      if before x y then begin
+        ready.(i) <- y;
+        ready.(parent) <- x;
+        sift_up parent
+      end
+    end
+  in
+  let rec sift_down i =
+    let l = (2 * i) + 1 in
+    if l < !nready then begin
+      let r = l + 1 in
+      let c = if r < !nready && before ready.(r) ready.(l) then r else l in
+      let x = ready.(i) and y = ready.(c) in
+      if before y x then begin
+        ready.(i) <- y;
+        ready.(c) <- x;
+        sift_down c
+      end
+    end
+  in
+  let ready_push pid =
+    ready.(!nready) <- pid;
+    incr nready;
+    sift_up (!nready - 1)
+  in
+  (* Step the root processor [pid], then re-key it (a root whose key
+     changed can only sink) or drop it if it blocked or finished. *)
+  let step_ready pid =
+    let pr = procs.(pid) in
+    step_proc pr;
+    match pr.status with
+    | `Ready -> sift_down 0
+    | `Blocked _ | `Done ->
+        decr nready;
+        ready.(0) <- ready.(!nready);
+        sift_down 0
+  in
   let apply_delivery (d : Board.delivery) =
     let pr = procs.(d.dst) in
     let poster, pend =
@@ -635,16 +698,17 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
     | Board.Owner -> Symtab.accept_ownership pr.st arr box None
     | Board.Owner_value ->
         Symtab.accept_ownership pr.st arr box (Some d.payload));
-    Trace.emit tr
-      (Trace.Delivered
-         {
-           time = d.arrival;
-           src = d.src;
-           dst = d.dst;
-           name = d.name;
-           kind = Board.kind_to_string d.kind;
-           bytes = d.bytes;
-         });
+    if Trace.enabled tr then
+      Trace.emit tr
+        (Trace.Delivered
+           {
+             time = d.arrival;
+             src = d.src;
+             dst = d.dst;
+             name = d.name;
+             kind = Board.kind_to_string d.kind;
+             bytes = d.bytes;
+           });
     (* Wake any processor whose blocking condition this satisfies. *)
     Array.iter
       (fun pr ->
@@ -653,33 +717,18 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
           when Symtab.accessible pr.st b.on_name b.on_box ->
             pr.status <- `Ready;
             pr.clock <- Float.max pr.clock d.arrival;
-            Trace.emit tr (Trace.Unblocked { time = pr.clock; pid = pr.pid })
+            ready_push pr.pid;
+            if Trace.enabled tr then
+              Trace.emit tr (Trace.Unblocked { time = pr.clock; pid = pr.pid })
         | _ -> ())
       procs
   in
   (* Main discrete-event loop. *)
-  let np = Array.length procs in
-  (* Smallest (clock, pid) among ready processors, as an index (-1 for
-     none).  Iteration is in ascending pid order and strict [<] keeps
-     the earlier pid on clock ties, so this picks the same
-     lexicographic winner as a (clock, pid) tuple compare — without
-     allocating anything in the scheduler's innermost loop. *)
-  let rec find_ready i bi =
-    if i >= np then bi
-    else
-      let bi =
-        let pr = Array.unsafe_get procs i in
-        match pr.status with
-        | `Ready when bi < 0 || pr.clock < procs.(bi).clock -> i
-        | _ -> bi
-      in
-      find_ready (i + 1) bi
-  in
   let rec loop () =
-    let bi = find_ready 0 (-1) in
+    let bi = if !nready > 0 then Array.unsafe_get ready 0 else -1 in
     if not (has_delivery ()) then
       if bi >= 0 then (
-        step_proc procs.(bi);
+        step_ready bi;
         loop ())
       else finish ()
     else
@@ -691,7 +740,7 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
         apply_delivery d;
         loop ())
       else (
-        step_proc procs.(bi);
+        step_ready bi;
         loop ())
   and finish () =
         (* The waiting (pid, section) set, reported by every stuck-run

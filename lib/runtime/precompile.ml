@@ -44,8 +44,9 @@ type kpiece = {
 (* A site is the per-machine mutable state of one static program
    point: the index scratch buffer of an element access plus an
    inline cache of the backing segment (geometry and storage chunk,
-   valid while the symbol table generation is unchanged), or the
-   memoized box of a statically-resolvable section. *)
+   valid while the symbol table generation is unchanged), the
+   memoized box of a section whose selectors use [mypid]/[nprocs], or
+   the marshalling plan of an inlined kernel call. *)
 type site = {
   s_idx : int array;
   mutable s_gen : int; (* Symtab.generation at fill; min_int = cold *)
@@ -54,14 +55,7 @@ type site = {
   mutable s_hi : int array;
   mutable s_stride : int array;
   mutable s_cnt : int array;
-  mutable s_box : Box.t option; (* memoized constant section *)
-  (* intrinsic-query inline cache: while the symbol table generation
-     is unchanged, an iown/accessible/await on the same box has the
-     same answer and the same descriptor-visit charge *)
-  mutable s_qgen : int; (* generation at cached query; min_int = cold *)
-  mutable s_qbox : Box.t option;
-  mutable s_qstate : State.t;
-  mutable s_qvisits : int;
+  mutable s_box : Box.t option; (* memoized per-processor section *)
   (* kernel marshalling-plan cache (inlined kernel path): the piece
      decomposition of the last applied section, revalidated per call
      against the descriptors themselves *)
@@ -443,10 +437,6 @@ let fresh_site rank =
     s_stride = Array.make rank 1;
     s_cnt = Array.make rank 1;
     s_box = None;
-    s_qgen = min_int;
-    s_qbox = None;
-    s_qstate = State.Unowned;
-    s_qvisits = 0;
     s_kbox = None;
     s_kpieces = [||];
     s_ktotal = 0;
@@ -545,6 +535,54 @@ let vfalse = Value.VBool false
 let read_slot_check v (sl : slot) =
   let ex = Invalid_argument (Printf.sprintf "unbound scalar variable %s" v) in
   fun m -> if Bytes.unsafe_get m.m_bnd sl.v_id = '\000' then raise ex
+
+(* Selectors whose value is fixed for the run ([per_proc:false]:
+   literals only) or per processor ([per_proc:true]: literals, mypid,
+   nprocs). *)
+let rec const_e ~per_proc = function
+  | Int _ | Float _ | Bool _ -> true
+  | Mypid | Nprocs -> per_proc
+  | Bin (_, a, b) -> const_e ~per_proc a && const_e ~per_proc b
+  | Un (_, a) -> const_e ~per_proc a
+  | Var _ | Elem _ | Mylb _ | Myub _ | Iown _ | Accessible _ | Await _ ->
+      false
+
+let const_sel ~per_proc sel =
+  List.for_all
+    (function
+      | All -> true
+      | At e -> const_e ~per_proc e
+      | Slice (a, b, c) ->
+          const_e ~per_proc a && const_e ~per_proc b && const_e ~per_proc c)
+    sel
+
+(* The box of a literal-only section, evaluated once at compile time
+   with the interpreter's Value semantics; [None] when evaluation
+   raises, so the run-time path raises the same diagnostic at the same
+   point. *)
+let literal_box sel shape =
+  let rec lit = function
+    | Int n -> Value.VInt n
+    | Float x -> Value.VFloat x
+    | Bool b -> Value.VBool b
+    | Bin (op, a, b) -> Value.binop op (lit a) (lit b)
+    | Un (op, a) -> Value.unop op (lit a)
+    | _ -> invalid_arg "Precompile.literal_box: not a literal"
+  in
+  let int e = Value.to_int (lit e) in
+  match
+    Box.make
+      (List.map2
+         (fun sel extent ->
+           match sel with
+           | All -> Triplet.range 1 extent
+           | At e -> Triplet.point (int e)
+           | Slice (lo, hi, st) ->
+               Triplet.make ~lo:(int lo) ~hi:(int hi) ~stride:(int st))
+         sel shape)
+  with
+  | b -> Some b
+  | exception _ -> None
 
 let rec ci ctx e : int frag =
   match e with
@@ -741,65 +779,23 @@ and cb ctx e : bool frag =
       tcost ctx Costmodel.tally_int_op c
   | _ -> assert false
 
-(* Intrinsic placement queries, with a per-site inline cache: while
-   the symbol-table generation is unchanged, the same query on the
-   same box scans the same descriptors — same answer, same visit
-   count — so a hit replays the recorded visit charge without
-   rescanning.  A miss queries the table directly and measures the
-   visit delta exactly as the interpreter's charged hooks do. *)
+(* Intrinsic placement queries call the world's descriptor-charged
+   oracles directly, exactly as the interpreter's hooks do.  No
+   per-site cache: a hit needs the same box at the same site with no
+   ownership change in between, which straight-line transfer programs
+   (each guard runs once) and loops (the box moves with the loop
+   variable) almost never produce, while the cache cost one record
+   per query site per processor (DESIGN.md §4c). *)
 and c_query ctx (s : section) which =
   let cs = csec ctx s in
   let arr = s.arr in
-  let k = new_site ctx 0 in
-  let td = ctx.cm.Costmodel.time_desc in
-  let lookup m (box : Box.t) : State.t =
-    let st = m.m_w.w_st in
-    let site = m.m_sites.(k) in
-    let g = Symtab.generation st in
-    let hit =
-      site.s_qgen = g
-      && match site.s_qbox with Some b -> Box.equal b box | None -> false
-    in
-    if hit then Symtab.note_visits st site.s_qvisits
-    else begin
-      let v0 = Symtab.descriptor_visits st in
-      let state =
-        match which with
-        | `Iown ->
-            if Symtab.iown st arr box then State.Accessible
-            else State.Unowned
-        | `Accessible ->
-            if Symtab.accessible st arr box then State.Accessible
-            else State.Unowned
-        | `Await -> Symtab.section_state st arr box
-      in
-      site.s_qgen <- g;
-      site.s_qbox <- Some box;
-      site.s_qstate <- state;
-      site.s_qvisits <- Symtab.descriptor_visits st - v0
-    end;
-    m.m_w.w_charge (float_of_int site.s_qvisits *. td);
-    site.s_qstate
+  let run =
+    match which with
+    | `Iown -> fun m -> m.m_w.w_iown arr (cs.run m)
+    | `Accessible -> fun m -> m.m_w.w_accessible arr (cs.run m)
+    | `Await -> fun m -> m.m_w.w_await arr (cs.run m)
   in
-  match which with
-  | `Await ->
-      {
-        cost = cs.cost;
-        ab = true;
-        run =
-          (fun m ->
-            let box = cs.run m in
-            match lookup m box with
-            | State.Unowned -> false
-            | State.Accessible -> true
-            | State.Transitional -> raise (Evalexpr.Blocked_on (arr, box)));
-      }
-  | `Iown | `Accessible ->
-      {
-        cost = cs.cost;
-        ab = true;
-        run = (fun m -> lookup m (cs.run m) = State.Accessible);
-      }
+  { cost = cs.cost; ab = true; run }
 
 (* Any expression in boolean position (guards, if-conditions, and/or
    operands): statically-bool goes unboxed, everything else through
@@ -990,9 +986,10 @@ and celem ctx arr idxs =
    right; inside a Slice the interpreter's [Triplet.make ~lo ~hi
    ~stride] evaluates its arguments right to left (OCaml argument
    order), so stride, hi, lo — replicated here so charges interleave
-   identically.  Sections whose subscripts are per-processor constants
-   (literals, mypid, nprocs) memoize their box per machine; the
-   resolution cost is still charged on every execution. *)
+   identically.  A literal-only section resolves at compile time to its
+   box; one whose subscripts are per-processor constants (mypid,
+   nprocs) memoizes its box per machine.  Either way the resolution
+   cost is still charged on every execution. *)
 and csec ctx (s : section) : Box.t frag =
   match
     match ctx.shape_of s.arr with
@@ -1030,23 +1027,13 @@ and csec ctx (s : section) : Box.t frag =
             s.sel shape
         in
         let boxed = map Box.make (seq_list ctx dims) in
-        let rec static_e = function
-          | Int _ | Float _ | Bool _ | Mypid | Nprocs -> true
-          | Bin (_, a, b) -> static_e a && static_e b
-          | Un (_, a) -> static_e a
-          | Var _ | Elem _ | Mylb _ | Myub _ | Iown _ | Accessible _
-          | Await _ ->
-              false
-        in
-        let static_sel =
-          List.for_all
-            (function
-              | All -> true
-              | At e -> static_e e
-              | Slice (a, b, c) -> static_e a && static_e b && static_e c)
-            s.sel
-        in
-        if static_sel && not boxed.ab then begin
+        if boxed.ab then boxed
+        else if const_sel ~per_proc:false s.sel then begin
+          match literal_box s.sel shape with
+          | Some b -> { boxed with run = (fun _ -> b) }
+          | None -> boxed
+        end
+        else if const_sel ~per_proc:true s.sel then begin
           let k = new_site ctx 0 in
           {
             boxed with

@@ -16,8 +16,12 @@
       segment (geometry + storage chunk), validated against the symbol
       table's {!Xdp_symtab.Symtab.generation} counter, so steady-state
       reads and writes are array loads/stores;
-    - section resolutions whose subscripts are per-processor constants
-      are memoized per machine;
+    - section resolutions whose subscripts are literals resolve to
+      their box at compile time; those whose subscripts also use
+      [mypid]/[nprocs] are memoized per machine;
+    - intrinsic queries ([iown], [accessible], [await]) call the
+      world's descriptor-charged oracles directly, like the
+      interpreter (no per-site cache: it never hit);
     - cost charging is batched per straight-line region: chargeable op
       counts accumulate into a {!Xdp_sim.Costmodel.tally} at compile
       time and each region charges the model once per execution.

@@ -207,10 +207,11 @@ val descriptor_visits : t -> int
 
 val note_visits : t -> int -> unit
 (** Record [n] descriptor visits without performing them.  Used by the
-    staged engine when it replays a memoized intrinsic query — the
-    table {!generation} is unchanged, so the original scan's answer
-    and visit count still stand — keeping {!descriptor_visits} (and
-    the charges derived from it) engine-independent. *)
+    staged engine when a revalidated kernel marshalling plan stands
+    in for the covering scans it memoizes — the plan's pieces are
+    exactly what a fresh scan would visit — keeping
+    {!descriptor_visits} (and the charges derived from it)
+    engine-independent. *)
 
 (** {1 Rendering} *)
 

@@ -185,6 +185,30 @@ let test_trace_events_recorded () =
     && List.exists (function Xdp_sim.Trace.Recv_init _ -> true | _ -> false) events
     && List.exists (function Xdp_sim.Trace.Delivered _ -> true | _ -> false) events)
 
+(* Heap tripwire: the compiled engine's per-processor state must not
+   grow with processors × program size.  On the naive all-to-all every
+   processor executes every statement's guard, so per-site state that
+   is allocated for every processor shows up here as major-heap words
+   far above the interpreter's.  The counts are deterministic (same
+   program, same allocation sequence), so a 2x bound has no noise to
+   absorb. *)
+let test_compiled_heap_tripwire () =
+  let p = Xdp_apps.Redistflow.build ~n:64 ~nprocs:32 ~m:1 () in
+  let major_words engine =
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    ignore
+      (Exec.run ~engine ~init:Xdp_apps.Redistflow.init ~nprocs:32 p
+        : Exec.result);
+    (Gc.quick_stat ()).Gc.major_words -. before
+  in
+  let interp = major_words `Interp in
+  let compiled = major_words `Compiled in
+  if compiled > 2.0 *. interp then
+    Alcotest.failf
+      "compiled engine allocated %.0f major words vs the interpreter's %.0f \
+       (%.1fx, bound 2x)"
+      compiled interp (compiled /. interp)
+
 let () =
   Alcotest.run "exec"
     [
@@ -211,5 +235,7 @@ let () =
           Alcotest.test_case "step budget" `Quick test_step_budget;
           Alcotest.test_case "trace recorded" `Quick
             test_trace_events_recorded;
+          Alcotest.test_case "compiled heap <= 2x interp (redist P=32)" `Quick
+            test_compiled_heap_tripwire;
         ] );
     ]

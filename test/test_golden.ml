@@ -279,6 +279,29 @@ let test_engine_parity_goldens () =
            ~nprocs:4 ~trace:true farm))
     [ `Interp; `Compiled ]
 
+(* ---- scheduler tie-order golden: a digest over the whole
+   pretty-printed trace (every event, not only deliveries) of the naive
+   all-to-all at P=16, on both engines.  Many processors sit at equal
+   clocks there, so any change in which processor the scheduler steps
+   first reorders Send_init/Recv_init/Blocked/Unblocked events among
+   them and moves this digest, even when every delivery (and so every
+   digest above) stays put. *)
+let test_full_trace_redist_naive () =
+  let p = Xdp_apps.Redistflow.build ~n:32 ~nprocs:16 ~m:1 () in
+  List.iter
+    (fun engine ->
+      let r =
+        Xdp_runtime.Exec.run ~engine ~init:Xdp_apps.Redistflow.init ~nprocs:16
+          ~trace:true p
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "redist naive P=16 full trace (%s)"
+           (match engine with `Interp -> "interp" | `Compiled -> "compiled"))
+        "458fc6e4da2ab2ae34fb58ae9d6fb032"
+        (Digest.to_hex
+           (Digest.string (Format.asprintf "%a" Xdp_sim.Trace.pp r.trace))))
+    [ `Interp; `Compiled ]
+
 (* ---- fusion-statistics golden: the superinstruction pass's region
    analysis is pinned by digest (Precompile.fusion_digest hashes the
    full fusion_stats record: statement counts, run-length histogram,
@@ -431,6 +454,8 @@ let () =
             test_determinism_farm_dynamic;
           Alcotest.test_case "both engines hit the goldens" `Quick
             test_engine_parity_goldens;
+          Alcotest.test_case "redist naive P=16 full-trace tie order" `Quick
+            test_full_trace_redist_naive;
           Alcotest.test_case "fusion statistics digests" `Quick
             test_fusion_digests;
           Alcotest.test_case "fft3d pipelined under faults stats+trace" `Quick
