@@ -232,16 +232,8 @@ let run app stage n nprocs sweeps seg misaligned cost engine dump trace gantt
     let spec =
       match Workload.check_spec spec with Ok s -> s | Error e -> failwith e
     in
-    let fault =
-      if drop = 0.0 && dup = 0.0 && jitter = 0.0 then
-        Xdp_net.Faultplan.none
-      else Xdp_net.Faultplan.make ~seed:fault_seed ~drop ~dup ~jitter ()
-    in
-    let net =
-      match timeout with
-      | None -> Xdp_net.Transport.default_config
-      | Some t -> { Xdp_net.Transport.default_config with timeout = t }
-    in
+    let fault = Workload.fault_plan spec in
+    let net = Workload.transport_config spec in
     let w = Workload.build spec in
     let nic =
       match (w.nic, nic_filter) with

@@ -21,19 +21,6 @@ let ok_or_fail = function Ok v -> v | Error msg -> failwith msg
 let exec ~cache ~engine (s : Manifest.spec) =
   let cost = ok_or_fail (Workload.cost_of_string s.cost) in
   let w = Workload.build s in
-  let fault =
-    if s.drop = 0.0 && s.dup = 0.0 && s.jitter = 0.0 then Xdp_net.Faultplan.none
-    else
-      Xdp_net.Faultplan.make ~seed:s.fault_seed ~drop:s.drop ~dup:s.dup
-        ~jitter:s.jitter ()
-  in
-  let net =
-    let c = Xdp_net.Transport.default_config in
-    let c = match s.timeout with None -> c | Some timeout -> { c with timeout } in
-    match s.max_retries with
-    | None -> c
-    | Some max_retries -> { c with max_retries }
-  in
   let key =
     Cache.digest ~cost ~fuse:Precompile.fuse_default ~scalars:[] w.Workload.prog
   in
@@ -47,7 +34,8 @@ let exec ~cache ~engine (s : Manifest.spec) =
                  w.Workload.prog))
   in
   let res =
-    Exec.run ~engine ?staged ~cost ~init:w.Workload.init ~fault ~net
+    Exec.run ~engine ?staged ~cost ~init:w.Workload.init
+      ~fault:(Workload.fault_plan s) ~net:(Workload.transport_config s)
       ~nic:w.Workload.nic ~redist_stages:w.Workload.redist_stages
       ~nprocs:s.procs w.Workload.prog
   in

@@ -96,6 +96,17 @@ let placement_of_string = function
         (Printf.sprintf "unknown placement '%s' (accepted: naive, hand, search)"
            s)
 
+let fault_plan (s : Manifest.spec) =
+  if s.drop = 0.0 && s.dup = 0.0 && s.jitter = 0.0 then Xdp_net.Faultplan.none
+  else
+    Xdp_net.Faultplan.make ~seed:s.fault_seed ~drop:s.drop ~dup:s.dup
+      ~jitter:s.jitter ()
+
+let transport_config (s : Manifest.spec) =
+  let c = Xdp_net.Transport.default_config in
+  let c = match s.timeout with None -> c | Some timeout -> { c with timeout } in
+  match s.max_retries with None -> c | Some max_retries -> { c with max_retries }
+
 let dlstack_config (s : Manifest.spec) =
   {
     Xdp_search.Space.procs = s.procs;

@@ -41,6 +41,15 @@ val placement_of_string :
 (** Accepts exactly [naive], [hand] and [search] (the [placement]
     manifest field and the [--placement] CLI flag). *)
 
+val fault_plan : Manifest.spec -> Xdp_net.Faultplan.t
+(** The fault plan a spec names: {!Xdp_net.Faultplan.none} when
+    [drop], [dup] and [jitter] are all zero, otherwise a plan seeded by
+    [fault_seed]. *)
+
+val transport_config : Manifest.spec -> Xdp_net.Transport.config
+(** {!Xdp_net.Transport.default_config} with the spec's [timeout] and
+    [max_retries] overrides applied. *)
+
 val dlstack_config : Manifest.spec -> Xdp_search.Space.config
 (** The [dlstack] workload a spec names: [procs], [batch = n], [dim],
     [nlayers = layers]. *)

@@ -172,11 +172,12 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
   let total_steps = ref 0 in
   let fused_turns = ref 0 in
   let fused_stmts = ref 0 in
-  (* Receives in flight per posting processor.  A fused run is only
-     sound while its processor has none: with no pending receive, no
-     delivery can mutate this processor's symbol table mid-run, and
-     fused statements neither post nor consume board state, so the
-     whole run commutes with every other event at its clock. *)
+  (* Receives in flight per posting processor.  A fused run (or a scan
+     over guards that read the symbol table) is only sound while its
+     processor has none: with no pending receive, no delivery can
+     mutate this processor's symbol table mid-run, and fused
+     statements neither post nor consume board state, so the whole run
+     commutes with every other event at its clock. *)
   let inflight = Array.make nprocs 0 in
   let pending : (int, int * pending) Hashtbl.t = Hashtbl.create 64 in
   let token_counter = ref 0 in
@@ -598,6 +599,35 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
                  at a time (an uncounted, uncharged frame push) *)
               c.ip <- c.ip + 1;
               pr.stack <- Code { codes = f.Precompile.fu_slow; ip = 0 } :: pr.stack
+          | Precompile.U_guard g ->
+              (* evaluate this guard and, while guards keep failing,
+                 the ones that follow it; each is counted and charged
+                 in program order.  A false guard has no effect beyond
+                 its clock charge, so only a delivery landing mid-run
+                 could tell the difference — and it can only reach a
+                 guard that reads the symbol table. *)
+              let m = Option.get pr.mach in
+              let codes = c.codes in
+              let rec scan (g : Precompile.guard) k =
+                c.ip <- c.ip + 1;
+                count_step pr;
+                if g.g_test m then begin
+                  pr.stack <- Code { codes = g.g_body; ip = 0 } :: pr.stack;
+                  k
+                end
+                else if c.ip >= Array.length codes then k
+                else
+                  match Array.unsafe_get codes c.ip with
+                  | Precompile.U_guard g'
+                    when g'.g_pure || inflight.(pr.pid) = 0 ->
+                      scan g' (k + 1)
+                  | _ -> k
+              in
+              let k = scan g 1 in
+              if k > 1 then begin
+                incr fused_turns;
+                fused_stmts := !fused_stmts + k
+              end
           | Precompile.U_stmt code -> (
               c.ip <- c.ip + 1;
               count_step pr;

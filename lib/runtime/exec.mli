@@ -56,9 +56,13 @@ val default_engine : engine
 
 type fusion = { fused_turns : int; fused_statements : int }
 (** Dynamic superinstruction accounting of a run: scheduler turns that
-    executed a fused run, and the statements those turns covered.
+    executed several statements at once, and the statements those
+    turns covered.  Such a turn either ran a fused run or scanned two
+    or more owner-computes guards ({!Precompile.guard}; a scan turn
+    counts every guard it evaluated, the one that held included).
     Zero under the interpreter, with fusion disabled, or when every
-    fused unit fell back to statement-at-a-time execution.  Kept out
+    fused unit fell back to statement-at-a-time execution and no scan
+    got past its first guard.  Kept out
     of {!Xdp_sim.Trace.stats} deliberately: the stats record is
     compared field-for-field across engines by the differential
     suite. *)

@@ -86,14 +86,22 @@ and code = machine -> act
    on a transfer, executed by [fu_fast] in a single scheduler turn.
    [fu_slow] is the same run statement-at-a-time; the scheduler falls
    back to it whenever fusing could reorder an observable event (the
-   processor has a receive in flight). *)
-and unit_ = U_stmt of code | U_fuse of fuse
+   processor has a receive in flight).  A [U_guard] is an
+   owner-computes guard whose body blocks: the scheduler may evaluate a
+   run of consecutive false ones in one turn (DESIGN.md §4d). *)
+and unit_ = U_stmt of code | U_fuse of fuse | U_guard of guard
 and units = unit_ array
 
 and fuse = {
   fu_fast : machine -> int;  (** run everything; returns statements executed *)
   fu_slow : units;  (** the same statements, one scheduler turn each *)
   fu_len : int;  (** top-level statements in the run *)
+}
+
+and guard = {
+  g_test : machine -> bool;  (** counted, charged guard evaluation *)
+  g_body : units;  (** pushed when the guard holds *)
+  g_pure : bool;  (** the condition reads no symbol-table state *)
 }
 
 and loop = {
@@ -1092,6 +1100,15 @@ and no_await_sec s =
       | Slice (a, b, c) -> no_await_e a && no_await_e b && no_await_e c)
     s.sel
 
+(* A table-free expression reads nothing a delivery can change: no
+   placement intrinsics, no bounds queries, no element reads.  A guard
+   over one may be evaluated early even while a receive is in flight. *)
+let rec table_free_e = function
+  | Int _ | Float _ | Bool _ | Mypid | Nprocs | Var _ -> true
+  | Elem _ | Iown _ | Accessible _ | Await _ | Mylb _ | Myub _ -> false
+  | Bin (_, a, b) -> table_free_e a && table_free_e b
+  | Un (_, a) -> table_free_e a
+
 (* A fixed-cost expression charges the same static tally on every
    evaluation: no short-circuit operators (data-dependent charges), no
    descriptor intrinsics (run-time descriptor-visit charges).  Only
@@ -1315,11 +1332,13 @@ and block_reason_block kernels stmts =
 (* A compiled statement: the turn-stepped form plus, when fusable, the
    fused form (returning statements executed).  [sc_solo] marks
    statements worth fusing even alone: compound statements and inlined
-   kernels collapse many scheduler turns into one. *)
+   kernels collapse many scheduler turns into one.  [sc_guard] is the
+   scannable form of an await-free guard, used when it is not fusable. *)
 type sc = {
   sc_code : code;
   sc_fast : (machine -> int) option;
   sc_solo : bool;
+  sc_guard : guard option;
 }
 
 type blk = { b_units : units; b_fast : (machine -> int) option }
@@ -1350,7 +1369,9 @@ let rec cstmt ctx (s : stmt) : sc =
   sc
 
 and cstmt_k ctx (s : stmt) : sc =
-  let stmt code = { sc_code = code; sc_fast = None; sc_solo = false } in
+  let stmt code =
+    { sc_code = code; sc_fast = None; sc_solo = false; sc_guard = None }
+  in
   match s with
   | Assign (Lvar v, e) ->
       let sl = slot ctx v in
@@ -1395,6 +1416,7 @@ and cstmt_k ctx (s : stmt) : sc =
                  1)
            else None);
         sc_solo = false;
+        sc_guard = None;
       }
   | Assign (Lelem (a, idxs), e) ->
       let run = compile_elem_assign ctx a idxs e in
@@ -1411,6 +1433,7 @@ and cstmt_k ctx (s : stmt) : sc =
                  1)
            else None);
         sc_solo = false;
+        sc_guard = None;
       }
   | Guard (g, body) ->
       let cg = c_bool ctx g in
@@ -1426,14 +1449,20 @@ and cstmt_k ctx (s : stmt) : sc =
         if b then m.m_w.w_guard_hit ();
         b
       in
+      let scannable = ctx.fuse && no_await_e g in
       {
         sc_code = (fun m -> if test m then A_block bodyb.b_units else A_next);
         sc_fast =
           (match bodyb.b_fast with
-          | Some bf when ctx.fuse && no_await_e g ->
+          | Some bf when scannable ->
               Some (fun m -> if test m then 1 + bf m else 1)
           | _ -> None);
         sc_solo = true;
+        sc_guard =
+          (if scannable then
+             Some
+               { g_test = test; g_body = bodyb.b_units; g_pure = table_free_e g }
+           else None);
       }
   | For { var; lo; hi; step; body; _ } ->
       let cl = c_idx ctx lo and ch = c_idx ctx hi and cs = c_idx ctx step in
@@ -1531,7 +1560,7 @@ and cstmt_k ctx (s : stmt) : sc =
                     !n)
             | _ -> None)
       in
-      { sc_code = code; sc_fast = fast; sc_solo = true }
+      { sc_code = code; sc_fast = fast; sc_solo = true; sc_guard = None }
   | If (c, a, b) ->
       let cc = charged ctx (c_bool ctx c) in
       let run_cond m =
@@ -1551,6 +1580,7 @@ and cstmt_k ctx (s : stmt) : sc =
               Some (fun m -> if run_cond m then 1 + fa m else 1 + fb m)
           | _ -> None);
         sc_solo = true;
+        sc_guard = None;
       }
   | Send_value (s, dest) -> (
       let r = charged ctx (csec ctx s) in
@@ -1714,11 +1744,13 @@ and cstmt_k ctx (s : stmt) : sc =
                         run m;
                         1));
               sc_solo = inlined <> None;
+              sc_guard = None;
             })
 
 (* Group each block's maximal runs of fusable statements into
    superinstructions; a singleton run is only worth the fused unit
-   when the statement collapses turns by itself. *)
+   when the statement collapses turns by itself.  An unfusable
+   await-free guard becomes a scannable [U_guard]. *)
 and cblock ctx stmts : blk =
   let scs = List.map (cstmt ctx) stmts in
   let b_fast =
@@ -1754,7 +1786,11 @@ and cblock ctx stmts : blk =
       | None ->
           flush !pending;
           pending := [];
-          units := U_stmt sc.sc_code :: !units)
+          units :=
+            (match sc.sc_guard with
+            | Some g -> U_guard g
+            | None -> U_stmt sc.sc_code)
+            :: !units)
     scs;
   flush !pending;
   { b_units = Array.of_list (List.rev !units); b_fast }

@@ -48,7 +48,15 @@
     buffers.  The scheduler decides per turn whether running fused is
     sound (no receive in flight for this processor) and otherwise
     falls back to the statement-at-a-time units, so traces, Gantt
-    charts and fault interleavings are bit-identical either way. *)
+    charts and fault interleavings are bit-identical either way.
+
+    Guards that cannot fuse because their body blocks (an
+    owner-computes [iown(S) : send ...] or [mypid = k : recv ...])
+    compile to {e scannable guards} instead: the scheduler evaluates a
+    run of consecutive false ones in a single turn, each still counted
+    and charged on its own, and stops at the first that holds.  SPMD
+    transfer phases are mostly such false guards, so this collapses
+    an all-to-all's per-processor walk to about one turn per hit. *)
 
 open Xdp_util
 
@@ -97,8 +105,9 @@ type act =
 and code = machine -> act
 
 (** One schedulable unit of a compiled block: a single statement (one
-    scheduler turn per act) or a fused superinstruction. *)
-and unit_ = U_stmt of code | U_fuse of fuse
+    scheduler turn per act), a fused superinstruction, or a scannable
+    guard. *)
+and unit_ = U_stmt of code | U_fuse of fuse | U_guard of guard
 
 and units = unit_ array
 
@@ -110,6 +119,29 @@ and fuse = {
           processor has no receive in flight. *)
   fu_slow : units;  (** the same statements, one scheduler turn each *)
   fu_len : int;  (** top-level statements in the run *)
+}
+
+(** A guard whose condition has no [await] and whose body has no fused
+    form (it blocks, typically on a transfer).  Emitted only with
+    fusion on; with it off the same guard is a [U_stmt].  A turn that
+    reaches one evaluates it and, while it is false, the [U_guard]s
+    that directly follow it in the same block, stopping at the first
+    that holds (its body is pushed exactly like [A_block]) or at any
+    other unit.  A false guard posts nothing, consumes nothing and
+    emits no trace event, so evaluating it early is unobservable
+    unless a delivery could change its outcome or its charge mid-run:
+    an impure guard is therefore only scanned while the processor has
+    no receive in flight, a pure one always. *)
+and guard = {
+  g_test : machine -> bool;
+      (** count the evaluation, charge its static head and any
+          descriptor visits, and report whether it holds (counting the
+          hit) — exactly what the statement's turn does *)
+  g_body : units;
+  g_pure : bool;
+      (** the condition reads no symbol-table state: only literals,
+          [mypid], [nprocs] and variables — no [iown]/[accessible]/
+          [mylb]/[myub] queries and no element reads *)
 }
 
 and loop = {

@@ -161,13 +161,132 @@ let test_layout_procs_mismatch () =
        false
      with Invalid_argument _ -> true)
 
+(* The three execution configurations that must stay observably
+   identical, selected explicitly so the checks below hold whatever
+   XDP_ENGINE / XDP_NO_FUSE say. *)
+let configs = [ ("fused", Some true); ("no-fuse", Some false); ("interp", None) ]
+
+let run_config ?max_steps ?(init = fun _ _ -> 0.0) ~nprocs fuse p =
+  match fuse with
+  | None -> Exec.run ~engine:`Interp ?max_steps ~init ~trace:true ~nprocs p
+  | Some fuse ->
+      let staged =
+        Xdp_runtime.Precompile.compile ~fuse
+          ~cost:Xdp_sim.Costmodel.message_passing ~kernels:Xdp.Kernels.default
+          ~scalars:[] p
+      in
+      Exec.run ~engine:`Compiled ~staged ?max_steps ~init ~trace:true ~nprocs p
+
+let trace_digest (r : Exec.result) =
+  Digest.to_hex (Digest.string (Format.asprintf "%a" Xdp_sim.Trace.pp r.trace))
+
+(* [mypid = 3] never holds on two processors; the send body keeps each
+   guard unfusable, so fused runs scan these. *)
+let pad n = List.init n (fun _ -> (mypid =: i 3) @: [ send (sec "A" [ at (i 1) ]) ])
+
 let test_step_budget () =
   let p = prog [ loop "i" (i 1) (i 100000) [ setv "x" iv ] ] in
   Alcotest.(check bool) "budget enforced" true
     (try
        ignore (Exec.run ~max_steps:100 ~nprocs:2 p);
        false
-     with Exec.Xdp_misuse _ -> true)
+     with Exec.Xdp_misuse _ -> true);
+  (* Parity: P1's first turn scans all 100 guards when fused, so a
+     budget of 50 runs out inside that scan; the abort must be the
+     same everywhere, and a run that fits its budget exactly must
+     report the same statement count. *)
+  let outcome ~nprocs ?init fuse max_steps p =
+    match run_config ~max_steps ?init ~nprocs fuse p with
+    | r -> Ok r.stats.statements
+    | exception Exec.Xdp_misuse m -> Error m
+  in
+  let expect name want got =
+    Alcotest.(check (result int string)) name want got
+  in
+  let p = prog (pad 100) in
+  List.iter
+    (fun (name, fuse) ->
+      expect (name ^ ": budget runs out mid-scan")
+        (Error "step budget exceeded (50)")
+        (outcome ~nprocs:2 fuse 50 p);
+      expect (name ^ ": one step short") (Error "step budget exceeded (199)")
+        (outcome ~nprocs:2 fuse 199 p);
+      expect (name ^ ": exactly at the budget") (Ok 200)
+        (outcome ~nprocs:2 fuse 200 p))
+    configs;
+  let redist = Xdp_apps.Redistflow.build ~n:8 ~nprocs:4 ~m:1 () in
+  let init = Xdp_apps.Redistflow.init in
+  let steps =
+    match outcome ~nprocs:4 ~init None 20_000_000 redist with
+    | Ok n -> n
+    | Error m -> Alcotest.fail m
+  in
+  List.iter
+    (fun (name, fuse) ->
+      expect (name ^ ": redist fits its budget") (Ok steps)
+        (outcome ~nprocs:4 ~init fuse steps redist);
+      expect (name ^ ": redist one step short")
+        (Error (Printf.sprintf "step budget exceeded (%d)" (steps - 1)))
+        (outcome ~nprocs:4 ~init fuse (steps - 1) redist))
+    configs
+
+(* The case the in-flight rule exists for.  P2 posts a value receive,
+   then walks 600 pure guards (scanned in one turn even with the
+   receive pending) whose cost carries its clock past the delivery's
+   arrival, then meets [accessible(T[2])], which reads the symbol
+   table.  In the reference the delivery has landed by then, so the
+   guard holds; a scan that ran on past the pending receive would
+   evaluate it before the delivery and skip the body. *)
+let test_delivery_mid_scan () =
+  let t2 = sec "T" [ at mypid ] in
+  let p =
+    prog
+      ([
+         iown (sec "A" [ at (i 1) ]) @: [ send (sec "A" [ at (i 1) ]) ];
+         (mypid =: i 2) @: [ recv ~into:t2 ~from:(sec "A" [ at (i 1) ]) ];
+       ]
+      @ pad 600
+      @ [
+          (accessible t2 &&: (mypid =: i 2))
+          @: [
+               set "A" [ i 5 ] (elem "T" [ mypid ] +: f 1.0);
+               send (sec "A" [ at (i 5) ]);
+             ];
+        ])
+  in
+  let init _ idx = if idx = [ 1 ] then 41.0 else 0.0 in
+  let runs =
+    List.map (fun (name, fuse) -> (name, run_config ~init ~nprocs:2 fuse p)) configs
+  in
+  let ref_ = List.assoc "interp" runs in
+  Alcotest.(check (float 0.0)) "the delivery landed before the guard" 42.0
+    (Xdp_util.Tensor.get (Exec.array ref_ "A") [ 5 ]);
+  Alcotest.(check bool) "fused run scanned" true
+    ((List.assoc "fused" runs).fusion.fused_turns > 0);
+  List.iter
+    (fun (name, (r : Exec.result)) ->
+      Alcotest.(check bool) (name ^ ": arrays") true
+        (Xdp_util.Tensor.equal ~eps:0.0 (Exec.array r "A")
+           (Exec.array ref_ "A"));
+      Alcotest.(check bool) (name ^ ": stats") true (r.stats = ref_.stats);
+      Alcotest.(check string) (name ^ ": trace") (trace_digest ref_)
+        (trace_digest r))
+    runs
+
+(* Turn-count tripwire: on the naive all-to-all almost every statement
+   is a false owner-computes guard, and the fused engine must take
+   them a run per turn rather than one per turn.  Scan turns report
+   through the fusion counters; the count is deterministic, so the
+   bound has no noise to absorb. *)
+let test_guard_scan_tripwire () =
+  let p = Xdp_apps.Redistflow.build ~n:64 ~nprocs:32 ~m:1 () in
+  let r = run_config ~init:Xdp_apps.Redistflow.init ~nprocs:32 (Some true) p in
+  let scanned = r.fusion.fused_statements and total = r.stats.statements in
+  if float_of_int scanned < 0.8 *. float_of_int total then
+    Alcotest.failf
+      "only %d of %d statements ran in multi-statement turns (%.2f, bound 0.8)"
+      scanned total
+      (float_of_int scanned /. float_of_int total)
 
 let test_trace_events_recorded () =
   let p =
@@ -237,5 +356,9 @@ let () =
             test_trace_events_recorded;
           Alcotest.test_case "compiled heap <= 2x interp (redist P=32)" `Quick
             test_compiled_heap_tripwire;
+          Alcotest.test_case "delivery lands mid-scan" `Quick
+            test_delivery_mid_scan;
+          Alcotest.test_case "guard scans >= 0.8 of statements (redist P=32)"
+            `Quick test_guard_scan_tripwire;
         ] );
     ]
