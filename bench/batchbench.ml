@@ -10,8 +10,7 @@
    stream — the service's ordering guarantee — and the run fails on
    any divergence or failed job.
 
-   Results go to stdout and BENCH_batch.json in the working directory.
-   The file records the machine's core count: on a single-core runner
+   BENCH_batch.json records the machine's core count: on a single-core runner
    the multi-worker rows measure scheduling overhead, not speedup, so
    the >= 3x-at-4-workers tripwire only arms where at least 4 cores
    are available (the CI runners).  The cache hit-rate floor and the
@@ -19,6 +18,7 @@
 
 module Manifest = Xdp_batch.Manifest
 module Service = Xdp_batch.Service
+module J = Xdp_util.Jsonw
 
 let specs ~smoke : Manifest.spec list =
   let d = Manifest.default_spec in
@@ -57,17 +57,8 @@ let specs ~smoke : Manifest.spec list =
           [ 16; 32; 64 ];
       ]
 
-type row = {
-  w_workers : int;
-  w_wall : float;
-  w_rate : float;  (* jobs per second *)
-  w_hits : int;
-  w_misses : int;
-  w_compile_s : float;
-  w_failed : int;
-  w_bytes : Digest.t;  (* of the whole JSONL stream *)
-}
-
+(* One campaign at [workers] Domain workers: its summary and a digest
+   of the whole JSONL stream. *)
 let run_at ~jobs workers =
   let buf = Buffer.create (64 * 1024) in
   (* explicitly the staged engine: this bench measures the staging
@@ -76,16 +67,14 @@ let run_at ~jobs workers =
   let s =
     Service.run ~workers ~engine:`Compiled ~write:(Buffer.add_string buf) jobs
   in
-  {
-    w_workers = workers;
-    w_wall = s.Service.wall_seconds;
-    w_rate = float_of_int s.Service.jobs /. Float.max 1e-9 s.Service.wall_seconds;
-    w_hits = s.Service.cache_hits;
-    w_misses = s.Service.cache_misses;
-    w_compile_s = s.Service.compile_seconds;
-    w_failed = s.Service.failed;
-    w_bytes = Digest.string (Buffer.contents buf);
-  }
+  (workers, s, Digest.string (Buffer.contents buf))
+
+let rate (s : Service.summary) =
+  float_of_int s.jobs /. Float.max 1e-9 s.wall_seconds
+
+let hit_rate (s : Service.summary) =
+  float_of_int s.cache_hits
+  /. Float.max 1.0 (float_of_int (s.cache_hits + s.cache_misses))
 
 let run ?(smoke = false) () =
   Printf.printf
@@ -93,105 +82,62 @@ let run ?(smoke = false) () =
   let jobs = Manifest.jobs_of_specs (specs ~smoke) in
   let njobs = Array.length jobs in
   let cores = Domain.recommended_domain_count () in
-  let worker_counts = [ 1; 2; 4; 8 ] in
   Printf.printf "  %d jobs, %d recommended domains\n\n%!" njobs cores;
-  let rows = List.map (run_at ~jobs) worker_counts in
-  let base = List.hd rows in
-  Xdp_util.Table.print
+  let runs = List.map (run_at ~jobs) [ 1; 2; 4; 8 ] in
+  let _, base, base_stream = List.hd runs in
+  let speedup s = rate s /. Float.max 1e-9 (rate base) in
+  let rows =
+    List.map
+      (fun (w, (s : Service.summary), stream) ->
+        Runs.row (Printf.sprintf "workers=%d" w)
+          ~config:[ ("workers", J.Int w) ]
+          ~wall_s:s.wall_seconds ~identical:(stream = base_stream)
+          [
+            ("runs_per_s", J.Fixed (rate s, 1));
+            ("speedup", J.Fixed (speedup s, 3));
+            ("cache_hits", J.Int s.cache_hits);
+            ("cache_misses", J.Int s.cache_misses);
+            ("hit_rate", J.Fixed (hit_rate s, 4));
+            ("staging_s", J.Fixed (s.compile_seconds, 6));
+            ("failed", J.Int s.failed);
+          ])
+      runs
+  in
+  Runs.report ~bench:"batch" ~smoke
     ~title:"campaign throughput vs Domain workers"
-    ~header:
-      [ "workers"; "wall s"; "runs/s"; "speedup"; "cache hits"; "misses";
-        "hit rate"; "staging s"; "identical" ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.w_workers;
-           Printf.sprintf "%.3f" r.w_wall;
-           Printf.sprintf "%.1f" r.w_rate;
-           Printf.sprintf "%.2fx" (r.w_rate /. Float.max 1e-9 base.w_rate);
-           string_of_int r.w_hits;
-           string_of_int r.w_misses;
-           Printf.sprintf "%.0f%%"
-             (100.0 *. float_of_int r.w_hits
-             /. Float.max 1.0 (float_of_int (r.w_hits + r.w_misses)));
-           Printf.sprintf "%.4f" r.w_compile_s;
-           (if r.w_bytes = base.w_bytes then "identical" else "MISMATCH");
-         ])
-       rows);
+    ~config:[ ("jobs", J.Int njobs); ("cores", J.Int cores) ]
+    rows;
   (* staging saved: every cache hit is one compile the campaign did
      not pay; price it at the single-worker mean cost per miss *)
   let per_compile =
-    base.w_compile_s /. Float.max 1.0 (float_of_int base.w_misses)
+    base.compile_seconds /. Float.max 1.0 (float_of_int base.cache_misses)
   in
-  let saved = per_compile *. float_of_int base.w_hits in
   Printf.printf
     "\n  staging: %d of %d runs hit the cache at 1 worker — %.1f ms of \
      staging paid, ~%.1f ms saved vs compile-per-run\n"
-    base.w_hits njobs
-    (1000.0 *. base.w_compile_s)
-    (1000.0 *. saved);
-  let hit_rate =
-    float_of_int base.w_hits
-    /. Float.max 1.0 (float_of_int (base.w_hits + base.w_misses))
-  in
-  let speedup_at w =
+    base.cache_hits njobs
+    (1000.0 *. base.compile_seconds)
+    (1000.0 *. per_compile *. float_of_int base.cache_hits);
+  let s4 =
     List.fold_left
-      (fun acc r ->
-        if r.w_workers = w then r.w_rate /. Float.max 1e-9 base.w_rate else acc)
-      0.0 rows
+      (fun acc (w, s, _) -> if w = 4 then speedup s else acc)
+      0.0 runs
   in
-  let json =
-    let module J = Xdp_util.Jsonw in
-    J.Obj
-      [
-        ("schema", J.Str "xdp-bench-batch/1");
-        ("smoke", J.Bool smoke);
-        ("jobs", J.Int njobs);
-        ("cores", J.Int cores);
-        ("cache_hit_rate", J.Fixed (hit_rate, 4));
-        ("staging_paid_s", J.Fixed (base.w_compile_s, 6));
-        ("staging_saved_s", J.Fixed (saved, 6));
-        ( "workers",
-          J.Arr
-            (List.map
-               (fun r ->
-                 J.Obj
-                   [
-                     ("workers", J.Int r.w_workers);
-                     ("wall_s", J.Fixed (r.w_wall, 6));
-                     ("runs_per_s", J.Fixed (r.w_rate, 1));
-                     ("speedup", J.Fixed (r.w_rate /. Float.max 1e-9 base.w_rate, 3));
-                     ("cache_hits", J.Int r.w_hits);
-                     ("cache_misses", J.Int r.w_misses);
-                     ("staging_s", J.Fixed (r.w_compile_s, 6));
-                     ("identical", J.Bool (r.w_bytes = base.w_bytes));
-                     ("failed", J.Int r.w_failed);
-                   ])
-               rows) );
-      ]
-  in
-  let oc = open_out "BENCH_batch.json" in
-  Xdp_util.Jsonw.to_channel ~indent:2 oc json;
-  close_out oc;
-  Printf.printf "\n  wrote BENCH_batch.json\n%!";
-  if List.exists (fun r -> r.w_failed > 0) rows then
-    failwith "BATCH bench: a job failed (see the JSONL error records)";
-  if List.exists (fun r -> r.w_bytes <> base.w_bytes) rows then
-    failwith
-      "BATCH bench: JSONL streams differ across worker counts — the \
-       ordering guarantee broke";
-  if hit_rate < 0.5 then
-    failwith
-      (Printf.sprintf
-         "BATCH bench: staging-cache hit rate %.0f%% < 50%% on a \
-          sweep-shaped campaign — the digest key is over-splitting"
-         (100.0 *. hit_rate));
-  if (not smoke) && cores >= 4 then begin
-    let s4 = speedup_at 4 in
-    if s4 < 3.0 then
-      failwith
-        (Printf.sprintf
-           "BATCH bench tripwire: %.2fx throughput at 4 workers (floor 3x \
-            on a >= 4-core machine, %d cores here)"
-           s4 cores)
-  end
+  Runs.check ~bench:"batch" rows
+    [
+      ( List.for_all (fun (_, (s : Service.summary), _) -> s.failed = 0) runs,
+        "a job failed (see the JSONL error records)" );
+      ( List.for_all (fun (_, _, stream) -> stream = base_stream) runs,
+        "JSONL streams differ across worker counts — the ordering guarantee \
+         broke" );
+      ( hit_rate base >= 0.5,
+        Printf.sprintf
+          "staging-cache hit rate %.0f%% < 50%% on a sweep-shaped campaign — \
+           the digest key is over-splitting"
+          (100.0 *. hit_rate base) );
+      ( smoke || cores < 4 || s4 >= 3.0,
+        Printf.sprintf
+          "%.2fx throughput at 4 workers (floor 3x on a >= 4-core machine, %d \
+           cores here)"
+          s4 cores );
+    ]

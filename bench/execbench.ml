@@ -4,27 +4,26 @@
    Jacobi with halo exchange, the §4 3-D FFT pipeline) at several
    sizes under both execution engines and measures real statement
    throughput (simulated statements per wall-clock second) and wall
-   time per run.  Every pair is verified observably identical first —
-   same tensors bit for bit, same stats record — so the speedup column
-   never reports a wrong-answer win.  The one-time staging cost
-   (Precompile.compile) is measured per app and reported both as a
-   column and as a fraction of the smallest compiled run's wall clock.
+   time per run.  Both engines are timed in alternation, so a burst of
+   host load lands on both sides of the ratio.  Every pair is verified
+   observably identical first — same tensors bit for bit, same stats
+   record — so the speedup column never reports a wrong-answer win.
+   The one-time staging cost (Precompile.compile) is measured per app
+   and reported both as a column and as a fraction of the smallest
+   compiled run's wall clock.  Each app row carries the
+   superinstruction pass's statistics too (run-length histogram,
+   turns saved by fusion, specialized/batched loops, inlined kernel
+   sites).
 
-   Results go to stdout and BENCH_exec.json in the working directory;
-   each app row carries its compile time plus the superinstruction
-   pass's statistics (run-length histogram, turns saved by fusion,
-   specialized/batched loops, inlined kernel sites).
-
-   In smoke mode (the `exec-smoke` leg of `dune runtest`) the suite is
-   a tripwire: it *fails* if any engine pair diverges, or if the
-   per-app speedups fall below the fused floors — 8x on the large
-   jacobi2d row, 1.5x on the large fft3d row — printing the full
-   per-app speedup table in the failure message.  With fusion disabled
-   (XDP_NO_FUSE) the first staging level is held to its original 2x
-   best-case floor instead. *)
+   Tripwires: any engine pair that diverges fails the run.  In smoke
+   mode (the `exec-smoke` leg of `dune runtest`) so do best per-app
+   speedups below the fused floors — 8x on jacobi2d, 1.5x on fft3d —
+   or, with fusion disabled (XDP_NO_FUSE), a best speedup below the
+   first staging level's original 2x. *)
 
 module Exec = Xdp_runtime.Exec
 module Precompile = Xdp_runtime.Precompile
+module J = Xdp_util.Jsonw
 
 type app = {
   label : string;
@@ -81,227 +80,128 @@ let apps ~smoke =
       vec 64; vec 256; jac 64 3; jac 128 6; jac 192 6; fft 8 4; fft 16 8;
     ]
 
-type row = {
-  r_label : string;
-  r_family : string;
-  r_statements : int;
-  r_makespan : float;
-  r_interp_wall : float;
-  r_compiled_wall : float;
-  r_interp_rate : float; (* statements / second *)
-  r_compiled_rate : float;
-  r_speedup : float;
-  r_compile_s : float; (* one Precompile.compile *)
-  r_fstats : Precompile.fusion_stats;
-  r_fused_turns : int; (* dynamic: scheduler turns that ran fused *)
-  r_fused_stmts : int; (* dynamic: statements those turns covered *)
-  r_parity : bool;
-}
-
-let time_one f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Repeat until the cumulative wall clock crosses [min_time] so tiny
-   configs still give a stable rate; returns (result, best seconds) —
-   the minimum over reps, the standard low-noise throughput figure. *)
-let timed ~min_time f =
-  let r, t = time_one f in
-  let best = ref t and total = ref t in
-  while !total < min_time do
-    let _, t = time_one f in
-    best := Float.min !best t;
-    total := !total +. t
-  done;
-  (r, !best)
-
-let stats_equal (a : Xdp_sim.Trace.stats) (b : Xdp_sim.Trace.stats) = a = b
-
+(* Measure one app: both engines timed in alternation and checked
+   observably identical, plus one staging.  What kept statements out
+   of superinstructions is printed, not guessed: the answer to "why is
+   vecadd's speedup ~1x". *)
 let bench_app ~min_time app =
-  let run engine () = Exec.run ~engine ~init:app.init ~nprocs:app.nprocs app.prog in
-  let ri, interp_wall = timed ~min_time (run `Interp) in
-  let rc, compiled_wall = timed ~min_time (run `Compiled) in
+  let run engine () =
+    Exec.run ~engine ~init:app.init ~nprocs:app.nprocs app.prog
+  in
+  (* at least five reps a side, each after a full major collection, so
+     one side's garbage is not collected on the other's clock *)
+  let (ri, interp_wall), (rc, compiled_wall) =
+    match
+      Runs.time_all ~min_time ~runs:5 ~gc:true [ run `Interp; run `Compiled ]
+    with
+    | [ i; c ] -> (i, c)
+    | _ -> assert false
+  in
   let parity =
-    stats_equal ri.Exec.stats rc.Exec.stats
+    ri.Exec.stats = rc.Exec.stats
     && List.for_all
          (fun (name, t) ->
            Xdp_util.Tensor.equal ~eps:0.0 t (Exec.array rc name))
          ri.Exec.arrays
   in
   let cp, compile_s =
-    timed ~min_time:(min_time /. 4.0) (fun () ->
+    Runs.time ~min_time:(min_time /. 4.0) (fun () ->
         Precompile.compile ~cost:Xdp_sim.Costmodel.message_passing
           ~kernels:Xdp.Kernels.default ~scalars:[] app.prog)
   in
+  let fs = Precompile.fusion_stats cp in
+  if fs.fs_blockers <> [] then
+    Printf.printf "    %-36s %s\n" app.label
+      (String.concat ", "
+         (List.map (fun (reason, n) -> Printf.sprintf "%s x%d" reason n)
+            fs.fs_blockers));
   let stmts = ri.Exec.stats.Xdp_sim.Trace.statements in
   let rate wall = float_of_int stmts /. Float.max wall 1e-9 in
-  {
-    r_label = app.label;
-    r_family = app.family;
-    r_statements = stmts;
-    r_makespan = rc.Exec.stats.Xdp_sim.Trace.makespan;
-    r_interp_wall = interp_wall;
-    r_compiled_wall = compiled_wall;
-    r_interp_rate = rate interp_wall;
-    r_compiled_rate = rate compiled_wall;
-    r_speedup = rate compiled_wall /. rate interp_wall;
-    r_compile_s = compile_s;
-    r_fstats = Precompile.fusion_stats cp;
-    r_fused_turns = rc.Exec.fusion.Exec.fused_turns;
-    r_fused_stmts = rc.Exec.fusion.Exec.fused_statements;
-    r_parity = parity;
-  }
-
-(* Per-app speedup table as a plain string: this is what a failing
-   tripwire prints, so a CI log shows the whole picture, not just the
-   row that tripped. *)
-let speedup_table rows =
-  String.concat "\n"
-    (List.map
-       (fun r ->
-         Printf.sprintf "    %-36s %6.2fx %s" r.r_label r.r_speedup
-           (if r.r_parity then "" else "MISMATCH"))
-       rows)
-
-let family_best rows family =
-  List.fold_left
-    (fun acc r -> if r.r_family = family then Float.max acc r.r_speedup else acc)
-    0.0 rows
+  let speedup = rate compiled_wall /. rate interp_wall in
+  let { Exec.fused_turns; fused_statements } = rc.Exec.fusion in
+  let ints = List.map (fun (k, v) -> (k, J.Int v)) in
+  ( Runs.row app.label ~config:[ ("family", J.Str app.family) ]
+      ~wall_s:compiled_wall ~stats:rc.Exec.stats ~identical:parity
+      [
+        ("statements", J.Int stmts);
+        ("interp_wall_s", J.Fixed (interp_wall, 6));
+        ("interp_stmts_per_s", J.Fixed (rate interp_wall, 0));
+        ("compiled_stmts_per_s", J.Fixed (rate compiled_wall, 0));
+        ("speedup", J.Fixed (speedup, 2));
+        ("compile_s", J.Fixed (compile_s, 6));
+        ("fused_turns", J.Int fused_turns);
+        ("fused_statements", J.Int fused_statements);
+        ("turns_saved", J.Int (fused_statements - fused_turns));
+        ( "fusion",
+          J.Obj
+            (ints
+               [
+                 ("fusable_statements", fs.fs_fusable);
+                 ("fused_units", fs.fs_fused_units);
+                 ("spec_loops", fs.fs_spec_loops);
+                 ("batched_loops", fs.fs_batched_loops);
+                 ("inlined_kernels", fs.fs_inlined_kernels);
+               ]
+            @ [
+                ( "run_length_hist",
+                  J.Arr
+                    (List.map
+                       (fun (len, count) -> J.Arr [ J.Int len; J.Int count ])
+                       fs.fs_run_hist) );
+                (* why the rest never fused: blocking reason per
+                   unfusable statement *)
+                ("blockers", J.Obj (ints fs.fs_blockers));
+              ]) );
+      ],
+    parity,
+    speedup,
+    compile_s,
+    compiled_wall )
 
 let run ?(smoke = false) () =
   Printf.printf
     "\n============ EXEC: staged engine vs interpreter ============\n\n%!";
   let min_time = if smoke then 0.02 else 0.25 in
-  let rows = List.map (bench_app ~min_time) (apps ~smoke) in
-  Xdp_util.Table.print ~title:"statement throughput (simulated stmts per second)"
-    ~header:
-      [ "config"; "stmts"; "interp/s"; "compiled/s"; "speedup"; "compile ms";
-        "fused turns"; "turns saved"; "identical" ]
-    (List.map
-       (fun r ->
-         [
-           r.r_label;
-           string_of_int r.r_statements;
-           Printf.sprintf "%.2fM" (r.r_interp_rate /. 1e6);
-           Printf.sprintf "%.2fM" (r.r_compiled_rate /. 1e6);
-           Printf.sprintf "%.1fx" r.r_speedup;
-           Printf.sprintf "%.2f" (1000.0 *. r.r_compile_s);
-           string_of_int r.r_fused_turns;
-           string_of_int (r.r_fused_stmts - r.r_fused_turns);
-           (if r.r_parity then "identical" else "MISMATCH");
-         ])
-       rows);
+  let apps = apps ~smoke in
+  Printf.printf "  unfused statements by blocking reason:\n";
+  let results = List.map (bench_app ~min_time) apps in
+  let rows = List.map (fun (row, _, _, _, _) -> row) results in
+  Runs.report ~bench:"exec" ~smoke
+    ~title:"statement throughput (simulated stmts per second)"
+    ~config:[ ("fused", J.Bool Precompile.fuse_default) ]
+    rows;
   (* staging budget: one compile against the smallest compiled run *)
-  let small_wall =
-    List.fold_left (fun acc r -> Float.min acc r.r_compiled_wall) infinity rows
+  let least f =
+    List.fold_left (fun acc r -> Float.min acc (f r)) infinity results
   in
-  let compile_s =
-    List.fold_left (fun acc r -> Float.min acc r.r_compile_s) infinity rows
-  in
-  let compile_frac = compile_s /. Float.max small_wall 1e-9 in
+  let compile_s = least (fun (_, _, _, c, _) -> c)
+  and small_wall = least (fun (_, _, _, _, w) -> w) in
   Printf.printf
     "\n  staging cost: %.3f ms per compile = %.1f%% of the smallest \
      compiled run (%.3f ms)\n"
     (1000.0 *. compile_s)
-    (100.0 *. compile_frac)
+    (100.0 *. compile_s /. Float.max small_wall 1e-9)
     (1000.0 *. small_wall);
-  (* what kept statements out of superinstructions, per config: the
-     answer to "why is vecadd's speedup ~1x" is printed, not guessed *)
-  Printf.printf "\n  unfused statements by blocking reason:\n";
-  List.iter
-    (fun r ->
-      match r.r_fstats.Precompile.fs_blockers with
-      | [] -> ()
-      | blockers ->
-          Printf.printf "    %-36s %s\n" r.r_label
-            (String.concat ", "
-               (List.map
-                  (fun (reason, n) -> Printf.sprintf "%s x%d" reason n)
-                  blockers)))
-    rows;
-  let best =
-    List.fold_left (fun acc r -> Float.max acc r.r_speedup) 0.0 rows
+  let best family =
+    List.fold_left2
+      (fun acc app (_, _, speedup, _, _) ->
+        if family = "" || family = app.family then Float.max acc speedup
+        else acc)
+      0.0 apps results
   in
-  let json =
-    let module J = Xdp_util.Jsonw in
-    J.Obj
-      [
-        ("schema", J.Str "xdp-bench-exec/2");
-        ("smoke", J.Bool smoke);
-        ("fused", J.Bool Precompile.fuse_default);
-        ("compile_seconds", J.Fixed (compile_s, 6));
-        ("compile_frac_of_small_run", J.Fixed (compile_frac, 4));
-        ("best_speedup", J.Fixed (best, 2));
-        ( "apps",
-          J.Arr
-            (List.map
-               (fun r ->
-                 let fs = r.r_fstats in
-                 J.Obj
-                   [
-                     ("label", J.Str r.r_label);
-                     ("statements", J.Int r.r_statements);
-                     ("makespan", J.Fixed (r.r_makespan, 1));
-                     ("interp_wall_s", J.Fixed (r.r_interp_wall, 6));
-                     ("compiled_wall_s", J.Fixed (r.r_compiled_wall, 6));
-                     ("interp_stmts_per_s", J.Fixed (r.r_interp_rate, 0));
-                     ("compiled_stmts_per_s", J.Fixed (r.r_compiled_rate, 0));
-                     ("speedup", J.Fixed (r.r_speedup, 2));
-                     ("compile_s", J.Fixed (r.r_compile_s, 6));
-                     ( "fusion",
-                       J.Obj
-                         [
-                           ("fusable_statements", J.Int fs.Precompile.fs_fusable);
-                           ("fused_units", J.Int fs.Precompile.fs_fused_units);
-                           ( "run_length_hist",
-                             J.Arr
-                               (List.map
-                                  (fun (len, count) ->
-                                    J.Arr [ J.Int len; J.Int count ])
-                                  fs.Precompile.fs_run_hist) );
-                           ("spec_loops", J.Int fs.Precompile.fs_spec_loops);
-                           ("batched_loops", J.Int fs.Precompile.fs_batched_loops);
-                           ( "inlined_kernels",
-                             J.Int fs.Precompile.fs_inlined_kernels );
-                           (* why the rest never fused: blocking reason
-                              per unfusable statement *)
-                           ( "blockers",
-                             J.Obj
-                               (List.map
-                                  (fun (reason, count) -> (reason, J.Int count))
-                                  fs.Precompile.fs_blockers) );
-                           ("fused_turns", J.Int r.r_fused_turns);
-                           ("fused_statements", J.Int r.r_fused_stmts);
-                           ("turns_saved", J.Int (r.r_fused_stmts - r.r_fused_turns));
-                         ] );
-                     ("identical", J.Bool r.r_parity);
-                   ])
-               rows) );
-      ]
+  let floor family x =
+    ( best family >= x,
+      Printf.sprintf "best %s speedup %.2fx (floor %gx)"
+        (if family = "" then "compiled" else family)
+        (best family) x )
   in
-  let oc = open_out "BENCH_exec.json" in
-  Xdp_util.Jsonw.to_channel ~indent:2 oc json;
-  close_out oc;
-  Printf.printf "\n  wrote BENCH_exec.json\n%!";
-  if List.exists (fun r -> not r.r_parity) rows then
-    failwith "EXEC bench: engines diverged (see MISMATCH rows)";
-  if smoke then
-    if Precompile.fuse_default then begin
-      let jac = family_best rows "jacobi2d"
-      and fft = family_best rows "fft3d" in
-      if jac < 8.0 || fft < 1.5 then
-        failwith
-          (Printf.sprintf
-             "EXEC bench tripwire: best jacobi2d speedup %.2fx (floor 8x), \
-              best fft3d %.2fx (floor 1.5x) — the superinstruction engine \
-              regressed.  Per-app speedups:\n%s"
-             jac fft (speedup_table rows))
-    end
-    else if best < 2.0 then
-      failwith
-        (Printf.sprintf
-           "EXEC bench: best compiled speedup %.2fx < 2x with fusion \
-            disabled — the first staging level regressed.  Per-app \
-            speedups:\n%s"
-           best (speedup_table rows))
+  Runs.check ~bench:"exec" rows
+    (List.map2
+       (fun app (_, parity, _, _, _) ->
+         (parity, app.label ^ ": engines diverged"))
+       apps results
+    @
+    if not smoke then []
+    else if Precompile.fuse_default then
+      [ floor "jacobi2d" 8.0; floor "fft3d" 1.5 ]
+    else [ floor "" 2.0 ])

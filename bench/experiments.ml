@@ -81,7 +81,7 @@ let t2 () =
     (List.map
        (fun (r, mf) ->
          [
-           r.label;
+           r.variant;
            Table.cell_int r.stats.Trace.messages;
            Table.cell_int r.stats.Trace.guard_evals;
            Table.cell_float ~decimals:1 r.stats.Trace.makespan;
@@ -527,7 +527,7 @@ let t7d () =
          in
          ignore r;
          [
-           row.label;
+           row.variant;
            Table.cell_int row.stats.Trace.messages;
            Table.cell_int row.stats.Trace.bytes;
            Table.cell_float ~decimals:0 row.stats.Trace.makespan;

@@ -76,14 +76,14 @@ let bench_interpreter () =
    Wall-clock and allocation measurements of the two simulator hot
    paths this repo optimized (heap-based message board, offset-based
    extract/blit), each against the preserved seed implementation
-   (Board_reference / Box.iter loops). Results go to stdout and to
-   BENCH_board.json in the working directory so successive PRs can
-   track the trajectory. *)
+   (Board_reference / Box.iter loops), reported as BENCH_board.json
+   rows so the trajectory can be tracked. *)
 
 module Board_reference = Xdp_sim.Board_reference
 module Tensor = Xdp_util.Tensor
 module Box = Xdp_util.Box
 module Triplet = Xdp_util.Triplet
+module J = Xdp_util.Jsonw
 
 module type BOARD = sig
   type t
@@ -137,23 +137,6 @@ let board_workload (type a) (module B : BOARD with type t = a) ~nprocs ~nmsgs
       (Printf.sprintf "board workload: expected %d deliveries, got %d" nmsgs
          !popped)
 
-let time_it f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
-(* best-of-n with one warmup run; a full major collection before each
-   timed run keeps earlier runs' garbage (e.g. 8 MB result buffers)
-   from being collected on someone else's clock *)
-let time_best ?(runs = 3) f =
-  f ();
-  let best = ref infinity in
-  for _ = 1 to runs do
-    Gc.full_major ();
-    best := Float.min !best (time_it f)
-  done;
-  !best
-
 (* Minor-heap words allocated by [f] — the per-element [int list]
    allocations of the old marshalling loops land here. *)
 let minor_words_of f =
@@ -179,20 +162,13 @@ let reference_blit t box buf =
       incr i)
     box
 
-let json_escape = String.map (fun c -> if c = '"' then '\'' else c)
-
 let scaling_run ~smoke =
   let nprocs = if smoke then 4 else 64 in
   let nmsgs = if smoke then 400 else 50_000 in
-  Printf.printf "board matchmaking + delivery queue, %d processors, %d \
-                 messages:\n%!" nprocs nmsgs;
-  let heap_s = time_it (board_workload (module Board) ~nprocs ~nmsgs) in
-  let list_s =
-    time_it (board_workload (module Board_reference) ~nprocs ~nmsgs)
+  let _, heap_s = Runs.time (board_workload (module Board) ~nprocs ~nmsgs) in
+  let _, list_s =
+    Runs.time (board_workload (module Board_reference) ~nprocs ~nmsgs)
   in
-  let speedup = list_s /. Float.max heap_s 1e-9 in
-  Printf.printf "  seed list board:  %8.3f s\n  heap board:       %8.3f s\n\
-                 \  speedup:          %8.1fx\n" list_s heap_s speedup;
   let side = if smoke then 64 else 1024 in
   let t =
     Tensor.init [ side; side ] (function
@@ -205,67 +181,40 @@ let scaling_run ~smoke =
       [ Triplet.make ~lo:1 ~hi:side ~stride:2; Triplet.range 1 side ]
   in
   let elems = Box.count full in
-  Printf.printf "extract/blit of a contiguous %dx%d box (%d elements):\n%!"
-    side side elems;
-  let buf = ref [||] in
-  let fast_extract_s = time_best (fun () -> buf := Tensor.extract t full) in
-  let fast_extract_w = minor_words_of (fun () -> ignore (Tensor.extract t full)) in
-  let ref_extract_s = time_best (fun () -> ignore (reference_extract t full)) in
-  let ref_extract_w =
-    minor_words_of (fun () -> ignore (reference_extract t full))
+  (* best of four, the first doubling as warmup; a full major
+     collection before each timed run keeps earlier runs' garbage
+     (e.g. 8 MB result buffers) off its clock *)
+  let best f = snd (Runs.time ~runs:4 ~gc:true f) in
+  let per f = J.Fixed (minor_words_of f /. float_of_int elems, 6) in
+  let buf = Tensor.extract t full in
+  let versus ?identical label ~fast ~seed =
+    Runs.row label ~config:[ ("elements", J.Int elems) ] ~wall_s:(best fast)
+      ?identical
+      [
+        ("seed_s", J.Fixed (best seed, 6));
+        ("seed_minor_words_per_elem", per seed);
+        ("minor_words_per_elem", per fast);
+      ]
   in
-  let fast_blit_s = time_best (fun () -> Tensor.blit t full !buf) in
-  let fast_blit_w = minor_words_of (fun () -> Tensor.blit t full !buf) in
-  let ref_blit_s = time_best (fun () -> reference_blit t full !buf) in
-  let ref_blit_w = minor_words_of (fun () -> reference_blit t full !buf) in
-  let strided_ok =
-    Tensor.extract t strided = reference_extract t strided
-  in
-  let per x = x /. float_of_int elems in
-  Printf.printf
-    "  extract: seed %.4f s (%.1f minor words/elem) -> fast %.4f s (%.4f \
-     minor words/elem)\n\
-    \  blit:    seed %.4f s (%.1f minor words/elem) -> fast %.4f s (%.4f \
-     minor words/elem)\n\
-    \  strided differential vs seed loop: %s\n%!"
-    ref_extract_s (per ref_extract_w) fast_extract_s (per fast_extract_w)
-    ref_blit_s (per ref_blit_w) fast_blit_s (per fast_blit_w)
-    (if strided_ok then "identical" else "MISMATCH");
-  let oc = open_out "BENCH_board.json" in
-  Printf.fprintf oc
-    {|{
-  "schema": "xdp-bench-board/1",
-  "smoke": %b,
-  "board": {
-    "nprocs": %d,
-    "messages": %d,
-    "list_seconds": %.6f,
-    "heap_seconds": %.6f,
-    "speedup": %.2f
-  },
-  "extract": {
-    "elements": %d,
-    "seed_seconds": %.6f,
-    "seed_minor_words_per_elem": %.4f,
-    "fast_seconds": %.6f,
-    "fast_minor_words_per_elem": %.6f
-  },
-  "blit": {
-    "elements": %d,
-    "seed_seconds": %.6f,
-    "seed_minor_words_per_elem": %.4f,
-    "fast_seconds": %.6f,
-    "fast_minor_words_per_elem": %.6f
-  },
-  "strided_differential": "%s"
-}
-|}
-    smoke nprocs nmsgs list_s heap_s speedup elems ref_extract_s
-    (per ref_extract_w) fast_extract_s (per fast_extract_w) elems ref_blit_s
-    (per ref_blit_w) fast_blit_s (per fast_blit_w)
-    (json_escape (if strided_ok then "identical" else "MISMATCH"));
-  close_out oc;
-  Printf.printf "  wrote BENCH_board.json\n%!"
+  Runs.report ~bench:"board" ~smoke
+    ~title:"hot paths vs seed implementation (wall_s: the optimized one)"
+    [
+      Runs.row "board matchmaking"
+        ~config:[ ("nprocs", J.Int nprocs); ("nmsgs", J.Int nmsgs) ]
+        ~wall_s:heap_s
+        [
+          ("seed_s", J.Fixed (list_s, 6));
+          ("speedup", J.Fixed (list_s /. Float.max heap_s 1e-9, 2));
+        ];
+      (* the strided differential checks extract against the seed loop *)
+      versus "extract"
+        ~identical:(Tensor.extract t strided = reference_extract t strided)
+        ~fast:(fun () -> ignore (Tensor.extract t full))
+        ~seed:(fun () -> ignore (reference_extract t full));
+      versus "blit"
+        ~fast:(fun () -> Tensor.blit t full buf)
+        ~seed:(fun () -> reference_blit t full buf);
+    ]
 
 let all_tests () =
   Test.make_grouped ~name:"xdp" ~fmt:"%s %s"

@@ -7,12 +7,11 @@
    costs: retransmits, ack/retransmit bytes beyond the fault-free
    payload, and the makespan inflation.  Every faulty run is verified
    bit-identical to its fault-free tensors (the transport's headline
-   property) before its numbers are reported.  Results go to stdout
-   and BENCH_net.json in the working directory, alongside
-   BENCH_board.json, so the perf trajectory covers the subsystem. *)
+   property); any divergence fails the run. *)
 
 module Exec = Xdp_runtime.Exec
 module Faultplan = Xdp_net.Faultplan
+module J = Xdp_util.Jsonw
 
 type app = {
   label : string;
@@ -49,16 +48,8 @@ let apps ~smoke =
 
 let drops = [ 0.0; 0.05; 0.1; 0.2; 0.4 ]
 
-type point = {
-  p_drop : float;
-  p_makespan : float;
-  p_retransmits : int;
-  p_acks : int;
-  p_dups : int;
-  p_overhead : int;
-  p_identical : bool;
-}
-
+(* One row per (app, drop rate), and its tripwire: the run must
+   reproduce the fault-free run's tensors. *)
 let sweep_app app =
   let clean = Exec.run ~init:app.init ~nprocs:app.nprocs app.prog in
   List.map
@@ -75,83 +66,26 @@ let sweep_app app =
           app.arrays
         && Exec.ownership_defects r app.prog = (0, 0)
       in
-      {
-        p_drop = drop;
-        p_makespan = r.stats.makespan;
-        p_retransmits = r.stats.retransmits;
-        p_acks = r.stats.acks;
-        p_dups = r.stats.dup_suppressed;
-        p_overhead = r.stats.net_overhead_bytes;
-        p_identical = identical;
-      })
+      let s = r.stats in
+      ( Runs.row app.label ~stats:s ~identical
+          ~config:[ ("drop", J.Fixed (drop, 2)) ]
+          (( "slowdown",
+             J.Fixed (s.makespan /. Float.max clean.stats.makespan 1e-9, 2) )
+          :: Runs.stats_keys s
+               [
+                 "retransmits"; "acks"; "dup_suppressed"; "net_overhead_bytes";
+               ]),
+        ( identical,
+          Printf.sprintf "%s drop=%.2f: faulty run diverged from fault-free run"
+            app.label drop ) ))
     drops
 
 let run ?(smoke = false) () =
   Printf.printf
     "\n============ NET: retransmit overhead vs drop rate ============\n\n%!";
-  let results = List.map (fun app -> (app, sweep_app app)) (apps ~smoke) in
-  List.iter
-    (fun (app, points) ->
-      let base =
-        match points with p :: _ -> p.p_makespan | [] -> 0.0
-      in
-      Xdp_util.Table.print ~title:app.label
-        ~header:
-          [ "drop"; "makespan"; "slowdown"; "rexmit"; "acks"; "dups";
-            "overhead B"; "tensors" ]
-        (List.map
-           (fun p ->
-             [
-               Printf.sprintf "%.0f%%" (100.0 *. p.p_drop);
-               Printf.sprintf "%.0f" p.p_makespan;
-               Printf.sprintf "%.2fx" (p.p_makespan /. Float.max base 1e-9);
-               string_of_int p.p_retransmits;
-               string_of_int p.p_acks;
-               string_of_int p.p_dups;
-               string_of_int p.p_overhead;
-               (if p.p_identical then "identical" else "MISMATCH");
-             ])
-           points))
-    results;
-  let ok =
-    List.for_all
-      (fun (_, points) -> List.for_all (fun p -> p.p_identical) points)
-      results
+  let rows, tripwires =
+    List.split (List.concat_map sweep_app (apps ~smoke))
   in
-  if not ok then failwith "NET sweep: faulty run diverged from fault-free run";
-  let json =
-    let module J = Xdp_util.Jsonw in
-    J.Obj
-      [
-        ("schema", J.Str "xdp-bench-net/1");
-        ("smoke", J.Bool smoke);
-        ( "apps",
-          J.Arr
-            (List.map
-               (fun (app, points) ->
-                 J.Obj
-                   [
-                     ("label", J.Str app.label);
-                     ( "sweep",
-                       J.Arr
-                         (List.map
-                            (fun p ->
-                              J.Obj
-                                [
-                                  ("drop", J.Fixed (p.p_drop, 2));
-                                  ("makespan", J.Fixed (p.p_makespan, 1));
-                                  ("retransmits", J.Int p.p_retransmits);
-                                  ("acks", J.Int p.p_acks);
-                                  ("dup_suppressed", J.Int p.p_dups);
-                                  ("overhead_bytes", J.Int p.p_overhead);
-                                  ("identical", J.Bool p.p_identical);
-                                ])
-                            points) );
-                   ])
-               results) );
-      ]
-  in
-  let oc = open_out "BENCH_net.json" in
-  Xdp_util.Jsonw.to_channel ~indent:2 oc json;
-  close_out oc;
-  Printf.printf "  wrote BENCH_net.json\n%!"
+  Runs.report ~bench:"net" ~smoke ~title:"retransmit overhead vs drop rate"
+    rows;
+  Runs.check ~bench:"net" rows tripwires

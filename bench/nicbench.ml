@@ -14,27 +14,16 @@
    Tripwires (armed in smoke and full runs alike — the simulation is
    deterministic): in-network reduction must deliver strictly fewer
    endpoint messages at every P, and a strictly lower makespan from
-   P = 16 up; any faulty-vs-clean divergence fails outright.  Results
-   go to stdout and BENCH_nic.json in the working directory. *)
+   P = 16 up; any faulty-vs-clean divergence fails outright.  One row
+   per P: the in-network run's shared columns, the endpoint tree's
+   makespan and messages and the fabric counters as own keys. *)
 
 module Exec = Xdp_runtime.Exec
 module Faultplan = Xdp_net.Faultplan
 module Reduce = Xdp_apps.Reduce
+module J = Xdp_util.Jsonw
 
 let arity = 4
-
-type point = {
-  p_procs : int;
-  p_n : int;
-  p_partial_makespan : float;
-  p_partial_msgs : int;
-  p_nic_makespan : float;
-  p_nic_msgs : int;
-  p_absorbed : int;
-  p_emitted : int;
-  p_saved : int;
-  p_faulty_identical : bool;
-}
 
 let run_stage ~n ~nprocs ~fault stage =
   let nic =
@@ -77,101 +66,40 @@ let measure nprocs =
     && faulty.stats.nic_emitted = nic.stats.nic_emitted
     && faulty.stats.nic_fanout_copies = nic.stats.nic_fanout_copies
   in
-  {
-    p_procs = nprocs;
-    p_n = n;
-    p_partial_makespan = partial.stats.makespan;
-    p_partial_msgs = partial.stats.messages;
-    p_nic_makespan = nic.stats.makespan;
-    p_nic_msgs = nic.stats.messages;
-    p_absorbed = nic.stats.nic_aggregated;
-    p_emitted = nic.stats.nic_emitted;
-    p_saved = nic.stats.nic_msgs_saved;
-    p_faulty_identical = identical;
-  }
+  let p = partial.stats and s = nic.stats in
+  ( Runs.row (Printf.sprintf "P=%d" nprocs)
+      ~config:[ ("procs", J.Int nprocs); ("n", J.Int n) ]
+      ~stats:s ~identical
+      ([
+         ("partial_makespan", J.Float p.makespan);
+         ("partial_messages", J.Int p.messages);
+         ("speedup", J.Fixed (p.makespan /. s.makespan, 3));
+       ]
+      @ Runs.stats_keys s
+          [ "nic_aggregated"; "nic_emitted"; "nic_msgs_saved" ]),
+    (* tripwires — deterministic simulation, so they arm everywhere *)
+    [
+      ( identical,
+        Printf.sprintf "P=%d: faulty run diverged from fault-free run" nprocs );
+      ( s.messages < p.messages,
+        Printf.sprintf
+          "P=%d: in-network used %d endpoint messages, endpoint tree %d"
+          nprocs s.messages p.messages );
+      ( nprocs < 16 || s.makespan < p.makespan,
+        Printf.sprintf "P=%d: in-network makespan %.1f not below endpoint %.1f"
+          nprocs s.makespan p.makespan );
+      ( s.messages = nprocs + 1,
+        Printf.sprintf "P=%d: expected P+1 endpoint messages, got %d" nprocs
+          s.messages );
+    ] )
 
 let run ?(smoke = false) () =
   Printf.printf
     "\n============ NIC: in-network vs endpoint reduction ============\n\n%!";
   let procs = if smoke then [ 8; 16 ] else [ 64; 128; 256; 512; 1024 ] in
-  let points = List.map measure procs in
-  Xdp_util.Table.print
+  let rows, tripwires = List.split (List.map measure procs) in
+  Runs.report ~bench:"nic" ~smoke
     ~title:(Printf.sprintf "reduce: partial vs nic (arity=%d)" arity)
-    ~header:
-      [ "P"; "n"; "partial ms"; "nic ms"; "speedup"; "partial msgs";
-        "nic msgs"; "saved"; "faulty" ]
-    (List.map
-       (fun p ->
-         [
-           string_of_int p.p_procs;
-           string_of_int p.p_n;
-           Printf.sprintf "%.0f" p.p_partial_makespan;
-           Printf.sprintf "%.0f" p.p_nic_makespan;
-           Printf.sprintf "%.2fx" (p.p_partial_makespan /. p.p_nic_makespan);
-           string_of_int p.p_partial_msgs;
-           string_of_int p.p_nic_msgs;
-           string_of_int p.p_saved;
-           (if p.p_faulty_identical then "identical" else "MISMATCH");
-         ])
-       points);
-  (* tripwires — deterministic simulation, so they arm everywhere *)
-  List.iter
-    (fun p ->
-      if not p.p_faulty_identical then
-        failwith
-          (Printf.sprintf
-             "NIC sweep: faulty run diverged from fault-free run at P=%d"
-             p.p_procs);
-      if p.p_nic_msgs >= p.p_partial_msgs then
-        failwith
-          (Printf.sprintf
-             "NIC sweep: P=%d: in-network used %d endpoint messages, \
-              endpoint tree %d"
-             p.p_procs p.p_nic_msgs p.p_partial_msgs);
-      if p.p_procs >= 16 && p.p_nic_makespan >= p.p_partial_makespan then
-        failwith
-          (Printf.sprintf
-             "NIC sweep: P=%d: in-network makespan %.1f not below endpoint \
-              %.1f"
-             p.p_procs p.p_nic_makespan p.p_partial_makespan);
-      if p.p_nic_msgs <> p.p_procs + 1 then
-        failwith
-          (Printf.sprintf "NIC sweep: P=%d: expected P+1 endpoint messages, \
-                           got %d"
-             p.p_procs p.p_nic_msgs))
-    points;
-  let json =
-    let module J = Xdp_util.Jsonw in
-    J.Obj
-      [
-        ("schema", J.Str "xdp-bench-nic/1");
-        ("smoke", J.Bool smoke);
-        ("arity", J.Int arity);
-        ("cost", J.Str "message_passing");
-        ( "sweep",
-          J.Arr
-            (List.map
-               (fun p ->
-                 J.Obj
-                   [
-                     ("procs", J.Int p.p_procs);
-                     ("n", J.Int p.p_n);
-                     ("partial_makespan", J.Fixed (p.p_partial_makespan, 1));
-                     ("partial_messages", J.Int p.p_partial_msgs);
-                     ("nic_makespan", J.Fixed (p.p_nic_makespan, 1));
-                     ("nic_messages", J.Int p.p_nic_msgs);
-                     ( "speedup",
-                       J.Fixed (p.p_partial_makespan /. p.p_nic_makespan, 3)
-                     );
-                     ("nic_aggregated", J.Int p.p_absorbed);
-                     ("nic_emitted", J.Int p.p_emitted);
-                     ("nic_msgs_saved", J.Int p.p_saved);
-                     ("faulty_identical", J.Bool p.p_faulty_identical);
-                   ])
-               points) );
-      ]
-  in
-  let oc = open_out "BENCH_nic.json" in
-  Xdp_util.Jsonw.to_channel ~indent:2 oc json;
-  close_out oc;
-  Printf.printf "  wrote BENCH_nic.json\n%!"
+    ~config:[ ("arity", J.Int arity); ("cost", J.Str "message_passing") ]
+    rows;
+  Runs.check ~bench:"nic" rows (List.concat tripwires)

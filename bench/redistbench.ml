@@ -17,8 +17,8 @@
    every processor posts its whole outgoing volume before anything
    drains) and the planner's certified estimate (est_peak,
    est_makespan), both validated against measurement at every size
-   where the runs still execute; starred in the table, null-measured
-   in the JSON.
+   where the runs still execute.  Such rows have mode "analytic" and
+   null measured columns, [identical] included.
 
    Tripwires (deterministic, armed in smoke and full runs alike):
    the planner must report a feasible schedule whose estimated peak
@@ -36,27 +36,10 @@ module Plan_redist = Xdp.Plan_redist
 module Collective = Xdp_dist.Collective
 module Trace = Xdp_sim.Trace
 module Costmodel = Xdp_sim.Costmodel
+module J = Xdp_util.Jsonw
 
 let m = 2
 let exec_limit = 256 (* largest P where runs are executed (see above) *)
-
-type point = {
-  p_procs : int;
-  p_n : int;
-  p_budget : int;
-  p_naive_peak : int; (* analytic; confirmed by measurement when run *)
-  p_naive_makespan : float option;
-  p_naive_peak_meas : int option;
-  p_planned_makespan : float option; (* measured, when executed *)
-  p_planned_peak_meas : int option;
-  p_shape : string;
-  p_window : int;
-  p_stages : int;
-  p_est_peak : int;
-  p_est_makespan : float;
-  p_feasible : bool;
-  p_identical : bool; (* vacuously true when nothing executed *)
-}
 
 let cost = Costmodel.message_passing
 
@@ -84,8 +67,9 @@ let measure ~budget_div nprocs =
             ~src:(Redistflow.layout_before ~n ~m ~nprocs)
             ~dst:(Redistflow.layout_after ~n ~m ~nprocs)))
   in
+  let executed = nprocs <= exec_limit in
   let planned =
-    if nprocs <= exec_limit then
+    if executed then
       Some
         (run_one ~n ~nprocs
            ~strategy:(`Collectives { Plan_redist.peak_budget = budget })
@@ -94,78 +78,90 @@ let measure ~budget_div nprocs =
     else None
   in
   let naive =
-    if nprocs <= exec_limit then
+    if executed then
       Some
         (run_one ~n ~nprocs ~strategy:`Naive ~redist_stages:0
            ~max_steps:(max 20_000_000 (4 * nprocs * nprocs * nprocs)))
     else None
   in
   let identical =
-    match (planned, naive) with
-    | None, None -> true
-    | _ ->
-        let reference = Redistflow.reference ~n ~m () in
-        let ok = function
-          | None -> true
-          | Some (r : Exec.result) ->
-              Xdp_util.Tensor.equal ~eps:0.0 (Exec.array r "A") reference
-        in
-        ok planned && ok naive
+    if not executed then None
+    else
+      let reference = Redistflow.reference ~n ~m () in
+      let ok = function
+        | None -> true
+        | Some (r : Exec.result) ->
+            Xdp_util.Tensor.equal ~eps:0.0 (Exec.array r "A") reference
+      in
+      Some (ok planned && ok naive)
   in
-  {
-    p_procs = nprocs;
-    p_n = n;
-    p_budget = budget;
-    p_naive_peak = naive_peak;
-    p_naive_makespan =
-      Option.map (fun (r : Exec.result) -> r.stats.Trace.makespan) naive;
-    p_naive_peak_meas =
-      Option.map (fun (r : Exec.result) -> Trace.max_peak_inflight r.stats) naive;
-    p_planned_makespan =
-      Option.map (fun (r : Exec.result) -> r.stats.Trace.makespan) planned;
-    p_planned_peak_meas =
-      Option.map
-        (fun (r : Exec.result) -> Trace.max_peak_inflight r.stats)
-        planned;
-    p_shape = Collective.shape_name info.Plan_redist.shape;
-    p_window = info.Plan_redist.window;
-    p_stages = info.Plan_redist.stages;
-    p_est_peak = info.Plan_redist.est_peak;
-    p_est_makespan = info.Plan_redist.est_makespan;
-    p_feasible = info.Plan_redist.feasible;
-    p_identical = identical;
-  }
-
-let check p =
-  let fail fmt = Printf.ksprintf failwith fmt in
-  if not p.p_identical then
-    fail "redist sweep: P=%d: final tensor diverged from reference" p.p_procs;
-  if not p.p_feasible then
-    fail "redist sweep: P=%d: planner found no schedule within %dB" p.p_procs
-      p.p_budget;
-  if p.p_est_peak > p.p_budget then
-    fail "redist sweep: P=%d: estimated peak %dB exceeds budget %dB" p.p_procs
-      p.p_est_peak p.p_budget;
-  (match p.p_planned_peak_meas with
-  | Some meas when meas > p.p_budget ->
-      fail "redist sweep: P=%d: planned peak %dB exceeds budget %dB" p.p_procs
-        meas p.p_budget
-  | _ -> ());
-  if p.p_naive_peak <= p.p_budget then
-    fail "redist sweep: P=%d: naive peak %dB unexpectedly within budget %dB"
-      p.p_procs p.p_naive_peak p.p_budget;
-  (match p.p_naive_peak_meas with
-  | Some meas when meas < p.p_naive_peak ->
-      fail
-        "redist sweep: P=%d: measured naive peak %dB below analytic bound %dB"
-        p.p_procs meas p.p_naive_peak
-  | _ -> ());
-  match (p.p_naive_makespan, p.p_planned_makespan) with
-  | Some naive_ms, Some planned_ms
-    when p.p_procs >= 256 && planned_ms > naive_ms ->
-      fail "redist sweep: P=%d: planned makespan %.1f above naive %.1f"
-        p.p_procs planned_ms naive_ms
-  | _ -> ()
+  let stat f = Option.map (fun (r : Exec.result) -> f r.Exec.stats) in
+  let naive_ms = stat (fun s -> s.Trace.makespan) naive
+  and planned_ms = stat (fun s -> s.Trace.makespan) planned
+  and naive_meas = stat Trace.max_peak_inflight naive
+  and planned_meas = stat Trace.max_peak_inflight planned in
+  let int_opt = Option.fold ~none:J.Null ~some:(fun b -> J.Int b) in
+  let { Plan_redist.est_peak; est_makespan; feasible; stages; window; _ } =
+    info
+  in
+  ( Runs.row (Printf.sprintf "P=%d" nprocs)
+      ~config:
+        [
+          ("procs", J.Int nprocs);
+          ("n", J.Int n);
+          ("mode", J.Str (if executed then "measured" else "analytic"));
+          ("budget", J.Int budget);
+        ]
+      ?stats:(stat Fun.id planned) ?identical
+      [
+        ("naive_peak", J.Int naive_peak);
+        ("naive_peak_measured", int_opt naive_meas);
+        ( "naive_makespan",
+          Option.fold ~none:J.Null ~some:(fun ms -> J.Float ms) naive_ms );
+        ("planned_peak_measured", int_opt planned_meas);
+        ( "peak_ratio",
+          J.Fixed
+            ( float_of_int naive_peak
+              /. float_of_int
+                   (max 1 (Option.value planned_meas ~default:est_peak)),
+              3 ) );
+        ("shape", J.Str (Collective.shape_name info.Plan_redist.shape));
+        ("window", J.Int window);
+        ("stages", J.Int stages);
+        ("est_peak", J.Int est_peak);
+        ("est_makespan", J.Fixed (est_makespan, 1));
+        ("feasible", J.Bool feasible);
+        ( "makespan_ratio",
+          match (naive_ms, planned_ms) with
+          | Some nms, Some pms -> J.Fixed (nms /. pms, 3)
+          | _ -> J.Null );
+      ],
+    let fmt = Printf.sprintf in
+    let meas = Option.value ~default:0 in
+    [
+      ( identical <> Some false,
+        fmt "P=%d: final tensor diverged from reference" nprocs );
+      ( feasible,
+        fmt "P=%d: planner found no schedule within %dB" nprocs budget );
+      ( est_peak <= budget,
+        fmt "P=%d: estimated peak %dB exceeds budget %dB" nprocs est_peak
+          budget );
+      ( Option.fold ~none:true ~some:(fun b -> b <= budget) planned_meas,
+        fmt "P=%d: planned peak %dB exceeds budget %dB" nprocs
+          (meas planned_meas) budget );
+      ( naive_peak > budget,
+        fmt "P=%d: naive peak %dB unexpectedly within budget %dB" nprocs
+          naive_peak budget );
+      ( Option.fold ~none:true ~some:(fun b -> b >= naive_peak) naive_meas,
+        fmt "P=%d: measured naive peak %dB below analytic bound %dB" nprocs
+          (meas naive_meas) naive_peak );
+      ( (match (naive_ms, planned_ms) with
+        | Some nms, Some pms -> nprocs < 256 || pms <= nms
+        | _ -> true),
+        fmt "P=%d: planned makespan %.1f above naive %.1f" nprocs
+          (Option.value planned_ms ~default:0.0)
+          (Option.value naive_ms ~default:0.0) );
+    ] )
 
 let run ?(smoke = false) () =
   Printf.printf
@@ -173,107 +169,18 @@ let run ?(smoke = false) () =
   let procs, budget_div =
     if smoke then ([ 16; 32 ], 2) else ([ 64; 128; 256; 512; 1024 ], 4)
   in
-  let points = List.map (measure ~budget_div) procs in
-  Xdp_util.Table.print
+  let rows, tripwires = List.split (List.map (measure ~budget_div) procs) in
+  Runs.report ~bench:"redist" ~smoke
     ~title:
       (Printf.sprintf "redistflow: naive vs planned (budget = naive_peak/%d)"
          budget_div)
-    ~header:
-      [ "P"; "n"; "budget B"; "naive peak"; "planned peak"; "naive ms";
-        "planned ms"; "plan"; "stages"; "ok" ]
-    (List.map
-       (fun p ->
-         [
-           string_of_int p.p_procs;
-           string_of_int p.p_n;
-           string_of_int p.p_budget;
-           (match p.p_naive_peak_meas with
-           | Some b -> string_of_int b
-           | None -> Printf.sprintf "%d*" p.p_naive_peak);
-           (match p.p_planned_peak_meas with
-           | Some b -> string_of_int b
-           | None -> Printf.sprintf "%d*" p.p_est_peak);
-           (match p.p_naive_makespan with
-           | Some ms -> Printf.sprintf "%.0f" ms
-           | None -> "-");
-           (match p.p_planned_makespan with
-           | Some ms -> Printf.sprintf "%.0f" ms
-           | None -> Printf.sprintf "%.0f*" p.p_est_makespan);
-           Printf.sprintf "%s/w%d" p.p_shape p.p_window;
-           string_of_int p.p_stages;
-           (if p.p_identical then "identical" else "MISMATCH");
-         ])
-       points);
-  Printf.printf
-    "  (* = analytic: exact naive bound / planner estimate; not executed)\n%!";
-  List.iter check points;
-  let json =
-    let module J = Xdp_util.Jsonw in
-    J.Obj
+    ~config:
       [
-        ("schema", J.Str "xdp-bench-redist/1");
-        ("smoke", J.Bool smoke);
         ("app", J.Str "redistflow");
         ("m", J.Int m);
         ("budget_div", J.Int budget_div);
         ("exec_limit", J.Int exec_limit);
         ("cost", J.Str "message_passing");
-        ( "sweep",
-          J.Arr
-            (List.map
-               (fun p ->
-                 J.Obj
-                   ([
-                      ("procs", J.Int p.p_procs);
-                      ("n", J.Int p.p_n);
-                      ( "mode",
-                        J.Str
-                          (if p.p_procs <= exec_limit then "measured"
-                           else "analytic") );
-                      ("budget", J.Int p.p_budget);
-                      ("naive_peak", J.Int p.p_naive_peak);
-                      ( "naive_peak_measured",
-                        match p.p_naive_peak_meas with
-                        | Some b -> J.Int b
-                        | None -> J.Null );
-                      ( "naive_makespan",
-                        match p.p_naive_makespan with
-                        | Some ms -> J.Fixed (ms, 1)
-                        | None -> J.Null );
-                      ( "planned_peak_measured",
-                        match p.p_planned_peak_meas with
-                        | Some b -> J.Int b
-                        | None -> J.Null );
-                      ( "planned_makespan",
-                        match p.p_planned_makespan with
-                        | Some ms -> J.Fixed (ms, 1)
-                        | None -> J.Null );
-                      ( "peak_ratio",
-                        J.Fixed
-                          ( float_of_int p.p_naive_peak
-                            /. float_of_int
-                                 (max 1
-                                    (match p.p_planned_peak_meas with
-                                    | Some b -> b
-                                    | None -> p.p_est_peak)),
-                            3 ) );
-                      ("shape", J.Str p.p_shape);
-                      ("window", J.Int p.p_window);
-                      ("stages", J.Int p.p_stages);
-                      ("est_peak", J.Int p.p_est_peak);
-                      ("est_makespan", J.Fixed (p.p_est_makespan, 1));
-                      ("feasible", J.Bool p.p_feasible);
-                      ("identical", J.Bool p.p_identical);
-                    ]
-                   @
-                   match (p.p_naive_makespan, p.p_planned_makespan) with
-                   | Some nms, Some pms ->
-                       [ ("makespan_ratio", J.Fixed (nms /. pms, 3)) ]
-                   | _ -> []))
-               points) );
       ]
-  in
-  let oc = open_out "BENCH_redist.json" in
-  Xdp_util.Jsonw.to_channel ~indent:2 oc json;
-  close_out oc;
-  Printf.printf "  wrote BENCH_redist.json\n%!"
+    rows;
+  Runs.check ~bench:"redist" rows (List.concat tripwires)

@@ -33,142 +33,154 @@ module Space = Xdp_search.Space
 module Anneal = Xdp_search.Anneal
 module Estimate = Xdp_search.Estimate
 module Trace = Xdp_sim.Trace
-
-type lay = {
-  l_name : string;
-  l_key : string;
-  l_est : Space.summary;
-  l_msgs : int option; (* executed, when within exec_limit *)
-  l_bytes : int option;
-  l_makespan : float option;
-}
-
-type point = {
-  p_cfg : Space.config;
-  p_search_s : float;
-  p_evaluated : int;
-  p_seeded : int;
-  p_est_s : float; (* one Space.estimate call, measured *)
-  p_exec_s : float option; (* one naive build+execute, measured *)
-  p_lays : lay list; (* naive, hand, searched *)
-}
+module J = Xdp_util.Jsonw
 
 let params = Estimate.default_params
 let opts = Anneal.default_options
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
 
 (* Median-of-repeats per-call estimator latency: one call is far below
    the clock's useful resolution, so time a batch and divide. *)
 let estimate_seconds cfg pl =
   let reps = 200 in
   let (), dt =
-    time (fun () ->
+    Runs.time (fun () ->
         for _ = 1 to reps do
           ignore (Space.estimate params cfg pl)
         done)
   in
   dt /. float_of_int reps
 
+(* Build and execute one placement; the verdict of the analytic
+   reference check comes back with the result. *)
 let run_one cfg pl =
   let prog = Dlstack.build cfg pl in
   let r =
     Exec.run ~init:Dlstack.init ~max_steps:40_000_000 ~nprocs:cfg.Space.procs
       prog
   in
-  (match Dlstack.check cfg pl (Exec.array r) with
-  | Ok () -> ()
-  | Error e ->
-      Printf.ksprintf failwith "search sweep: P=%d %s: %s" cfg.Space.procs
-        (Space.key pl) e);
-  r
+  (r.Exec.stats, Dlstack.check cfg pl (Exec.array r))
 
-let measure ~execute cfg =
-  let r, search_s = time (fun () -> Anneal.search ~params cfg opts) in
-  let lays =
-    [
-      ("naive", Space.naive cfg, r.Anneal.naive_summary);
-      ("hand", Space.hand cfg, r.Anneal.hand_summary);
-      ("searched", r.Anneal.best, r.Anneal.best_summary);
-    ]
-  in
-  let exec_s = ref None in
+(* One size: a row per placement (naive, hand, searched) and the
+   size's tripwires.  [speed] arms the estimator-speed tripwire, which
+   runs at the smallest executed size: execution is cheapest there, so
+   the margin only grows with P. *)
+let measure ~execute ~speed cfg =
+  let procs = cfg.Space.procs in
+  let r, search_s = Runs.time (fun () -> Anneal.search ~params cfg opts) in
+  let est_s = estimate_seconds cfg r.Anneal.best in
   let lays =
     List.map
-      (fun (name, pl, est) ->
-        let stats =
-          if not execute then None
-          else begin
-            let res, dt = time (fun () -> run_one cfg pl) in
-            if name = "naive" then exec_s := Some dt;
-            Some res.Exec.stats
-          end
+      (fun (name, pl, (est : Space.summary)) ->
+        let ran =
+          if execute then Some (Runs.time (fun () -> run_one cfg pl)) else None
         in
-        {
-          l_name = name;
-          l_key = Space.key pl;
-          l_est = est;
-          l_msgs = Option.map (fun (s : Trace.stats) -> s.messages) stats;
-          l_bytes = Option.map (fun (s : Trace.stats) -> s.bytes) stats;
-          l_makespan = Option.map (fun (s : Trace.stats) -> s.makespan) stats;
-        })
+        (name, pl, est, ran))
+      [
+        ("naive", Space.naive cfg, r.Anneal.naive_summary);
+        ("hand", Space.hand cfg, r.Anneal.hand_summary);
+        ("searched", r.Anneal.best, r.Anneal.best_summary);
+      ]
+  in
+  let get name = List.find (fun (n, _, _, _) -> n = name) lays in
+  let est_bytes (_, _, (est : Space.summary), _) =
+    est.comm.Estimate.wire_bytes
+  in
+  let ran_bytes (_, _, _, ran) =
+    Option.map (fun (((s : Trace.stats), _), _) -> s.bytes) ran
+  in
+  let naive = get "naive" and hand = get "hand" and searched = get "searched" in
+  let naive_exec_s =
+    match naive with _, _, _, Some (_, dt) -> Some dt | _ -> None
+  in
+  let bytes_ratio =
+    let or_est l = Option.value (ran_bytes l) ~default:(est_bytes l) in
+    float_of_int (or_est naive) /. float_of_int (max 1 (or_est searched))
+  in
+  let config =
+    [
+      ("procs", J.Int procs);
+      ("batch", J.Int cfg.Space.batch);
+      ("dim", J.Int cfg.Space.dim);
+      ("layers", J.Int cfg.Space.nlayers);
+      ("mode", J.Str (if execute then "measured" else "estimated"));
+    ]
+  in
+  let rows =
+    List.map
+      (fun (name, pl, (est : Space.summary), ran) ->
+        Runs.row name ~config
+          ?wall_s:(Option.map snd ran)
+          ?stats:(Option.map (fun ((s, _), _) -> s) ran)
+          ?identical:(Option.map (fun ((_, ok), _) -> ok = Ok ()) ran)
+          ([
+             ("key", J.Str (Space.key pl));
+             ("est_msgs", J.Int est.comm.Estimate.msgs);
+             ("est_bytes", J.Int est.comm.Estimate.wire_bytes);
+             ("est_makespan", J.Fixed (est.est_makespan, 1));
+           ]
+          @
+          if name <> "searched" then []
+          else
+            [
+              ("search_seconds", J.Fixed (search_s, 4));
+              ("candidates", J.Int r.Anneal.evaluated);
+              ("seeds", J.Int r.Anneal.seeded);
+              ( "candidates_per_second",
+                J.Fixed
+                  ( float_of_int r.Anneal.evaluated /. Float.max 1e-9 search_s,
+                    0 ) );
+              ("estimate_microseconds", J.Fixed (1e6 *. est_s, 2));
+              ("bytes_ratio_vs_naive", J.Fixed (bytes_ratio, 3));
+            ]))
       lays
   in
-  {
-    p_cfg = cfg;
-    p_search_s = search_s;
-    p_evaluated = r.Anneal.evaluated;
-    p_seeded = r.Anneal.seeded;
-    p_est_s = estimate_seconds cfg r.Anneal.best;
-    p_exec_s = !exec_s;
-    p_lays = lays;
-  }
-
-let check p =
-  let fail fmt = Printf.ksprintf failwith fmt in
-  let procs = p.p_cfg.Space.procs in
-  let get name = List.find (fun l -> l.l_name = name) p.p_lays in
-  let naive = get "naive" and hand = get "hand" and searched = get "searched" in
-  (* estimator exactness against the executed Stats *)
-  List.iter
-    (fun l ->
-      match (l.l_msgs, l.l_bytes) with
-      | Some m, Some b ->
-          if m <> l.l_est.Space.comm.Estimate.msgs then
-            fail "search sweep: P=%d %s: estimated %d msgs, executed %d"
-              procs l.l_name l.l_est.Space.comm.Estimate.msgs m;
-          if b <> l.l_est.Space.comm.Estimate.wire_bytes then
-            fail "search sweep: P=%d %s: estimated %d bytes, executed %d"
-              procs l.l_name l.l_est.Space.comm.Estimate.wire_bytes b
-      | _ -> ())
-    p.p_lays;
-  (* the searched estimate never loses to either anchor *)
-  let est_bytes l = l.l_est.Space.comm.Estimate.wire_bytes in
-  if est_bytes searched > est_bytes naive then
-    fail "search sweep: P=%d: searched estimate %dB above naive %dB" procs
-      (est_bytes searched) (est_bytes naive);
-  if est_bytes searched > est_bytes hand then
-    fail "search sweep: P=%d: searched estimate %dB above hand %dB" procs
-      (est_bytes searched) (est_bytes hand);
-  (* the headline claim: executed searched bytes undercut naive >= 2x *)
-  match (naive.l_bytes, searched.l_bytes) with
-  | Some nb, Some sb when sb * 2 > nb ->
-      fail "search sweep: P=%d: searched %dB not 2x under naive %dB" procs sb
-        nb
-  | _ -> ()
-
-let check_estimator_speed p =
-  match p.p_exec_s with
-  | None -> ()
-  | Some exec_s ->
-      if exec_s < 100.0 *. p.p_est_s then
-        Printf.ksprintf failwith
-          "search sweep: P=%d: estimator %.1fus per call is not 100x under \
-           the %.1fms naive execution"
-          p.p_cfg.Space.procs (1e6 *. p.p_est_s) (1e3 *. exec_s)
+  let fmt = Printf.sprintf in
+  let executed =
+    List.concat_map
+      (fun (name, _, (est : Space.summary), ran) ->
+        match ran with
+        | None -> []
+        | Some (((s : Trace.stats), ok), _) ->
+            let e = est.comm in
+            [
+              ( ok = Ok (),
+                fmt "P=%d %s: %s" procs name
+                  (match ok with Ok () -> "" | Error e -> e) );
+              (* estimator exactness against the executed Stats *)
+              ( s.messages = e.Estimate.msgs,
+                fmt "P=%d %s: estimated %d msgs, executed %d" procs name
+                  e.Estimate.msgs s.messages );
+              ( s.bytes = e.Estimate.wire_bytes,
+                fmt "P=%d %s: estimated %d bytes, executed %d" procs name
+                  e.Estimate.wire_bytes s.bytes );
+            ])
+      lays
+  in
+  ( rows,
+    executed
+    @ [
+        (* the searched estimate never loses to either anchor *)
+        ( est_bytes searched <= est_bytes naive,
+          fmt "P=%d: searched estimate %dB above naive %dB" procs
+            (est_bytes searched) (est_bytes naive) );
+        ( est_bytes searched <= est_bytes hand,
+          fmt "P=%d: searched estimate %dB above hand %dB" procs
+            (est_bytes searched) (est_bytes hand) );
+        (* the headline claim: executed searched bytes undercut naive >= 2x *)
+        (match (ran_bytes naive, ran_bytes searched) with
+        | Some nb, Some sb ->
+            ( sb * 2 <= nb,
+              fmt "P=%d: searched %dB not 2x under naive %dB" procs sb nb )
+        | _ -> (true, ""));
+        (match naive_exec_s with
+        | Some exec_s when speed ->
+            ( exec_s >= 100.0 *. est_s,
+              fmt
+                "P=%d: estimator %.1fus per call is not 100x under the %.1fms \
+                 naive execution"
+                procs (1e6 *. est_s) (1e3 *. exec_s) )
+        | _ -> (true, ""));
+      ] )
 
 let run ?(smoke = false) () =
   Printf.printf
@@ -185,145 +197,24 @@ let run ?(smoke = false) () =
         (1024, 1024, 64, 6, false);
       ]
   in
-  let points =
-    List.map
-      (fun (procs, batch, dim, nlayers, execute) ->
-        measure ~execute { Space.procs; batch; dim; nlayers })
-      sizes
+  let rows, tripwires =
+    List.split
+      (List.mapi
+         (fun i (procs, batch, dim, nlayers, execute) ->
+           measure ~execute ~speed:(i = 0) { Space.procs; batch; dim; nlayers })
+         sizes)
   in
-  let fmt_opt f = function Some v -> f v | None -> "-" in
-  Xdp_util.Table.print
+  let rows = List.concat rows in
+  Runs.report ~bench:"search" ~smoke
     ~title:"dlstack: estimated vs executed endpoint traffic per placement"
-    ~header:
-      [ "P"; "B"; "placement"; "est msgs"; "est bytes"; "msgs"; "bytes";
-        "makespan"; "key" ]
-    (List.concat_map
-       (fun p ->
-         List.map
-           (fun l ->
-             [
-               string_of_int p.p_cfg.Space.procs;
-               string_of_int p.p_cfg.Space.batch;
-               l.l_name;
-               string_of_int l.l_est.Space.comm.Estimate.msgs;
-               string_of_int l.l_est.Space.comm.Estimate.wire_bytes;
-               fmt_opt string_of_int l.l_msgs;
-               fmt_opt string_of_int l.l_bytes;
-               fmt_opt (Printf.sprintf "%.0f") l.l_makespan;
-               l.l_key;
-             ])
-           p.p_lays)
-       points);
-  Xdp_util.Table.print ~title:"search cost (static estimator, no execution)"
-    ~header:
-      [ "P"; "candidates"; "seeds"; "search s"; "cand/s"; "est us/call";
-        "exec s (naive)" ]
-    (List.map
-       (fun p ->
-         [
-           string_of_int p.p_cfg.Space.procs;
-           string_of_int p.p_evaluated;
-           string_of_int p.p_seeded;
-           Printf.sprintf "%.3f" p.p_search_s;
-           Printf.sprintf "%.0f"
-             (float_of_int p.p_evaluated /. Float.max 1e-9 p.p_search_s);
-           Printf.sprintf "%.1f" (1e6 *. p.p_est_s);
-           fmt_opt (Printf.sprintf "%.3f") p.p_exec_s;
-         ])
-       points);
-  List.iter check points;
-  (* the speed tripwire arms at the smallest executed size: execution
-     is cheapest there, so the margin only grows with P *)
-  (match points with p :: _ -> check_estimator_speed p | [] -> ());
-  let json =
-    let module J = Xdp_util.Jsonw in
-    J.Obj
+    ~config:
       [
-        ("schema", J.Str "xdp-bench-search/1");
-        ("smoke", J.Bool smoke);
         ("app", J.Str "dlstack");
         ("objective", J.Str (Anneal.objective_name opts.Anneal.objective));
         ("seed", J.Int opts.Anneal.seed);
         ("rounds", J.Int opts.Anneal.rounds);
         ("proposals", J.Int opts.Anneal.proposals);
         ("cost", J.Str "message_passing");
-        ( "sweep",
-          J.Arr
-            (List.map
-               (fun p ->
-                 J.Obj
-                   [
-                     ("procs", J.Int p.p_cfg.Space.procs);
-                     ("batch", J.Int p.p_cfg.Space.batch);
-                     ("dim", J.Int p.p_cfg.Space.dim);
-                     ("layers", J.Int p.p_cfg.Space.nlayers);
-                     ( "mode",
-                       J.Str
-                         (if p.p_exec_s <> None then "measured"
-                          else "estimated") );
-                     ("search_seconds", J.Fixed (p.p_search_s, 4));
-                     ("candidates", J.Int p.p_evaluated);
-                     ("seeds", J.Int p.p_seeded);
-                     ( "candidates_per_second",
-                       J.Fixed
-                         ( float_of_int p.p_evaluated
-                           /. Float.max 1e-9 p.p_search_s,
-                           0 ) );
-                     ("estimate_microseconds", J.Fixed (1e6 *. p.p_est_s, 2));
-                     ( "naive_execute_seconds",
-                       match p.p_exec_s with
-                       | Some s -> J.Fixed (s, 4)
-                       | None -> J.Null );
-                     ( "placements",
-                       J.Arr
-                         (List.map
-                            (fun l ->
-                              J.Obj
-                                [
-                                  ("name", J.Str l.l_name);
-                                  ("key", J.Str l.l_key);
-                                  ( "est_msgs",
-                                    J.Int l.l_est.Space.comm.Estimate.msgs );
-                                  ( "est_bytes",
-                                    J.Int
-                                      l.l_est.Space.comm.Estimate.wire_bytes
-                                  );
-                                  ( "est_makespan",
-                                    J.Fixed (l.l_est.Space.est_makespan, 1) );
-                                  ( "msgs",
-                                    match l.l_msgs with
-                                    | Some m -> J.Int m
-                                    | None -> J.Null );
-                                  ( "bytes",
-                                    match l.l_bytes with
-                                    | Some b -> J.Int b
-                                    | None -> J.Null );
-                                  ( "makespan",
-                                    match l.l_makespan with
-                                    | Some ms -> J.Fixed (ms, 1)
-                                    | None -> J.Null );
-                                ])
-                            p.p_lays) );
-                     ( "bytes_ratio_vs_naive",
-                       let est_or_meas l =
-                         match l.l_bytes with
-                         | Some b -> b
-                         | None -> l.l_est.Space.comm.Estimate.wire_bytes
-                       in
-                       let naive =
-                         List.find (fun l -> l.l_name = "naive") p.p_lays
-                       and searched =
-                         List.find (fun l -> l.l_name = "searched") p.p_lays
-                       in
-                       J.Fixed
-                         ( float_of_int (est_or_meas naive)
-                           /. float_of_int (max 1 (est_or_meas searched)),
-                           3 ) );
-                   ])
-               points) );
       ]
-  in
-  let oc = open_out "BENCH_search.json" in
-  Xdp_util.Jsonw.to_channel ~indent:2 oc json;
-  close_out oc;
-  Printf.printf "  wrote BENCH_search.json\n%!"
+    rows;
+  Runs.check ~bench:"search" rows (List.concat tripwires)

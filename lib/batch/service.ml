@@ -56,40 +56,15 @@ let record_fields (job : Manifest.job) ~engine ~outcome : (string * J.t) list =
   match outcome with
   | Error msg -> base @ [ ("ok", J.Bool false); ("error", J.Str msg) ]
   | Ok (key, (res : Exec.result)) ->
-      let st = res.stats in
       base
       @ [
           ("ok", J.Bool true);
           ("ir_digest", J.Str key);
           ( "stats",
             J.Obj
-              [
-                ("makespan", J.Float st.makespan);
-                ("messages", J.Int st.messages);
-                ("bytes", J.Int st.bytes);
-                ("ownership_transfers", J.Int st.ownership_transfers);
-                ("guard_evals", J.Int st.guard_evals);
-                ("guard_hits", J.Int st.guard_hits);
-                ("statements", J.Int st.statements);
-                ("unmatched_sends", J.Int st.unmatched_sends);
-                ("unmatched_recvs", J.Int st.unmatched_recvs);
-                ("retransmits", J.Int st.retransmits);
-                ("acks", J.Int st.acks);
-                ("dup_suppressed", J.Int st.dup_suppressed);
-                ("packets_dropped", J.Int st.packets_dropped);
-                ("net_overhead_bytes", J.Int st.net_overhead_bytes);
-                ("link_failures", J.Int st.link_failures);
-                ("nic_packets", J.Int st.nic_packets);
-                ("nic_filtered", J.Int st.nic_filtered);
-                ("nic_aggregated", J.Int st.nic_aggregated);
-                ("nic_emitted", J.Int st.nic_emitted);
-                ("nic_fanout_copies", J.Int st.nic_fanout_copies);
-                ("nic_msgs_saved", J.Int st.nic_msgs_saved);
-                ("nic_bytes", J.Int st.nic_bytes);
-                ( "peak_inflight_bytes",
-                  J.Int (Xdp_sim.Trace.max_peak_inflight st) );
-                ("redist_stages", J.Int st.redist_stages);
-              ] );
+              (List.map
+                 (fun (k, f) -> (k, f res.stats))
+                 Xdp_sim.Trace.stats_fields) );
           ( "fusion",
             J.Obj
               [

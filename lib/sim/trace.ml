@@ -133,6 +133,36 @@ type stats = {
 
 let max_peak_inflight s = Array.fold_left max 0 s.peak_inflight_bytes
 
+let stats_fields =
+  let module J = Xdp_util.Jsonw in
+  let int f s = J.Int (f s) in
+  [
+    ("makespan", fun s -> J.Float s.makespan);
+    ("messages", int (fun s -> s.messages));
+    ("bytes", int (fun s -> s.bytes));
+    ("ownership_transfers", int (fun s -> s.ownership_transfers));
+    ("guard_evals", int (fun s -> s.guard_evals));
+    ("guard_hits", int (fun s -> s.guard_hits));
+    ("statements", int (fun s -> s.statements));
+    ("unmatched_sends", int (fun s -> s.unmatched_sends));
+    ("unmatched_recvs", int (fun s -> s.unmatched_recvs));
+    ("retransmits", int (fun s -> s.retransmits));
+    ("acks", int (fun s -> s.acks));
+    ("dup_suppressed", int (fun s -> s.dup_suppressed));
+    ("packets_dropped", int (fun s -> s.packets_dropped));
+    ("net_overhead_bytes", int (fun s -> s.net_overhead_bytes));
+    ("link_failures", int (fun s -> s.link_failures));
+    ("nic_packets", int (fun s -> s.nic_packets));
+    ("nic_filtered", int (fun s -> s.nic_filtered));
+    ("nic_aggregated", int (fun s -> s.nic_aggregated));
+    ("nic_emitted", int (fun s -> s.nic_emitted));
+    ("nic_fanout_copies", int (fun s -> s.nic_fanout_copies));
+    ("nic_msgs_saved", int (fun s -> s.nic_msgs_saved));
+    ("nic_bytes", int (fun s -> s.nic_bytes));
+    ("peak_inflight_bytes", int max_peak_inflight);
+    ("redist_stages", int (fun s -> s.redist_stages));
+  ]
+
 let idle_fraction s =
   let n = Array.length s.busy in
   if n = 0 || s.makespan <= 0.0 then 0.0

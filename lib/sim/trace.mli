@@ -116,6 +116,11 @@ type stats = {
 (** Max over processors of [peak_inflight_bytes]. *)
 val max_peak_inflight : stats -> int
 
+(** Every scalar [stats] field, in report order, with its accessor;
+    [peak_inflight_bytes] reports {!max_peak_inflight}.  The one list
+    the batch records and the bench rows read the stats through. *)
+val stats_fields : (string * (stats -> Xdp_util.Jsonw.t)) list
+
 (** Idle fraction: 1 - sum(busy)/(nprocs * makespan). *)
 val idle_fraction : stats -> float
 

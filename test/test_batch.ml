@@ -378,6 +378,61 @@ let test_service_failure () =
   Alcotest.(check int) "2 records" 2
     (List.length (String.split_on_char '\n' (String.trim out)))
 
+(* ---- stats golden: the "stats" object of every record ----
+
+   A digest over the raw "stats" bytes of a fixed campaign covering a
+   plain, a faulty, an in-network, a planned-redistribution and a
+   searched-placement job.  Only the stats are digested: they are
+   identical across engines and fusion settings, while "ir_digest"
+   and "fusion" are not, so the golden holds under XDP_ENGINE=interp
+   and XDP_NO_FUSE too. *)
+
+let stats_object line =
+  let key = {|"stats":{|} in
+  let kl = String.length key and ll = String.length line in
+  let rec find i =
+    if i + kl > ll then Alcotest.failf "no stats object in %s" line
+    else if String.sub line i kl = key then i
+    else find (i + 1)
+  in
+  let start = find 0 in
+  String.sub line start (String.index_from line start '}' - start + 1)
+
+let test_stats_golden () =
+  let d = Manifest.default_spec in
+  let summary, out =
+    run_service
+      [
+        { d with app = "vecadd"; n = 8; procs = 2 };
+        {
+          d with
+          app = "fft3d";
+          stage = "pipelined";
+          n = 4;
+          drop = 0.15;
+          dup = 0.05;
+          jitter = 0.2;
+          fault_seed = 3;
+        };
+        { d with app = "reduce"; stage = "nic"; n = 32; procs = 8 };
+        {
+          d with
+          app = "redist";
+          redist = "collectives";
+          redist_budget = 200;
+          n = 16;
+          procs = 8;
+        };
+        { d with app = "dlstack"; placement = "search"; n = 16; procs = 4 };
+      ]
+  in
+  Alcotest.(check int) "none failed" 0 summary.failed;
+  let stats =
+    List.map stats_object (String.split_on_char '\n' (String.trim out))
+  in
+  Alcotest.(check string) "stats digest" "42c84f7ea900ed5b3ff9ab358f4329d0"
+    (Digest.to_hex (Digest.string (String.concat "\n" stats)))
+
 (* ---- property: cache-hit run bit-identical to fresh-staged ---- *)
 
 type pcfg = {
@@ -526,6 +581,7 @@ let () =
         [
           Alcotest.test_case "records" `Quick test_service_records;
           Alcotest.test_case "failure" `Quick test_service_failure;
+          Alcotest.test_case "stats golden" `Quick test_stats_golden;
         ] );
       ( "properties",
         [
