@@ -17,9 +17,8 @@
 
    Tripwires: any engine pair that diverges fails the run.  In smoke
    mode (the `exec-smoke` leg of `dune runtest`) so do best per-app
-   speedups below the fused floors — 8x on jacobi2d, 1.5x on fft3d —
-   or, with fusion disabled (XDP_NO_FUSE), a best speedup below the
-   first staging level's original 2x. *)
+   speedups below the fused floors — 8x on jacobi2d, 1.5x on
+   fft3d. *)
 
 module Exec = Xdp_runtime.Exec
 module Precompile = Xdp_runtime.Precompile
@@ -167,9 +166,7 @@ let run ?(smoke = false) () =
   let results = List.map (bench_app ~min_time) apps in
   let rows = List.map (fun (row, _, _, _, _) -> row) results in
   Runs.report ~bench:"exec" ~smoke
-    ~title:"statement throughput (simulated stmts per second)"
-    ~config:[ ("fused", J.Bool Precompile.fuse_default) ]
-    rows;
+    ~title:"statement throughput (simulated stmts per second)" rows;
   (* staging budget: one compile against the smallest compiled run *)
   let least f =
     List.fold_left (fun acc r -> Float.min acc (f r)) infinity results
@@ -185,15 +182,13 @@ let run ?(smoke = false) () =
   let best family =
     List.fold_left2
       (fun acc app (_, _, speedup, _, _) ->
-        if family = "" || family = app.family then Float.max acc speedup
-        else acc)
+        if family = app.family then Float.max acc speedup else acc)
       0.0 apps results
   in
   let floor family x =
     ( best family >= x,
-      Printf.sprintf "best %s speedup %.2fx (floor %gx)"
-        (if family = "" then "compiled" else family)
-        (best family) x )
+      Printf.sprintf "best %s speedup %.2fx (floor %gx)" family (best family) x
+    )
   in
   Runs.check ~bench:"exec" rows
     (List.map2
@@ -201,7 +196,4 @@ let run ?(smoke = false) () =
          (parity, app.label ^ ": engines diverged"))
        apps results
     @
-    if not smoke then []
-    else if Precompile.fuse_default then
-      [ floor "jacobi2d" 8.0; floor "fft3d" 1.5 ]
-    else [ floor "" 2.0 ])
+    if smoke then [ floor "jacobi2d" 8.0; floor "fft3d" 1.5 ] else [])

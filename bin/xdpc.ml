@@ -24,10 +24,8 @@ let cost_conv =
 
 let engine_conv =
   Arg.conv
-    ( msg_of_string Workload.engine_of_string,
-      fun ppf (e : Xdp_runtime.Exec.engine) ->
-        Format.fprintf ppf "%s"
-          (match e with `Compiled -> "compiled" | `Interp -> "interp") )
+    ( msg_of_string Xdp_runtime.Exec.engine_of_string,
+      fun ppf e -> Format.pp_print_string ppf (Xdp_runtime.Exec.engine_name e) )
 
 (* --nic-reduce: "off" or a combining-tree arity >= 2.  Strict in the
    --engine style: anything else is rejected at parse time. *)
@@ -194,14 +192,16 @@ let run app stage n nprocs sweeps seg misaligned cost engine dump trace gantt
   try
     (* --nic-reduce forces the in-network reduce stage *)
     let app, stage, nic_arity =
-      match nic_reduce with
-      | None -> (app, stage, Manifest.default_spec.nic_arity)
-      | Some arity ->
-          if app <> "reduce" && app <> "vecadd" (* the --app default *) then
-            failwith
-              (Printf.sprintf "--nic-reduce selects app reduce (got --app %s)"
-                 app);
-          ("reduce", "nic", arity)
+      match (nic_reduce, app) with
+      | None, _ ->
+          ( Option.value app ~default:"vecadd",
+            stage,
+            Manifest.default_spec.nic_arity )
+      | Some arity, (None | Some "reduce") -> ("reduce", "nic", arity)
+      | Some _, Some app ->
+          failwith
+            (Printf.sprintf "--nic-reduce selects app reduce (got --app %s)"
+               app)
     in
     let spec =
       {
@@ -305,7 +305,7 @@ let run app stage n nprocs sweeps seg misaligned cost engine dump trace gantt
       1
 
 let app_t =
-  Arg.(value & opt string "vecadd" & info [ "app"; "a" ] ~doc:"Application: vecadd, fft3d, jacobi, jacobi2d, reduce, farm, redist, dlstack.")
+  Arg.(value & opt (some string) None & info [ "app"; "a" ] ~doc:"Application: vecadd (the default), fft3d, jacobi, jacobi2d, reduce, farm, redist, dlstack.")
 
 let stage_t =
   Arg.(
@@ -336,9 +336,10 @@ let engine_t =
         ~doc:
           "Execution engine: compiled (staged closures, the default) or \
            interp (the reference tree-walker).  Both produce bit-identical \
-           results; the default can also be set with XDP_ENGINE, which \
-           accepts compiled, interp, interpreter, or reference and rejects \
-           anything else at startup.")
+           results.  Also accepted: staged (compiled), interpreter and \
+           reference (interp).  The default can also be set with \
+           XDP_ENGINE, which accepts the same names and rejects anything \
+           else at startup.")
 
 let dump_t = Arg.(value & flag & info [ "dump-ir"; "d" ] ~doc:"Print the IL+XDP program.")
 let trace_t = Arg.(value & flag & info [ "trace"; "t" ] ~doc:"Print the event trace.")

@@ -12,7 +12,6 @@ type summary = {
   wall_seconds : float;
 }
 
-let engine_name = function `Compiled -> "compiled" | `Interp -> "interp"
 let ok_or_fail = function Ok v -> v | Error msg -> failwith msg
 
 (* Build, stage (through the worker's cache) and run one job.  Returns
@@ -89,7 +88,7 @@ let run_job ~cache ~engine:default_engine ~timings (job : Manifest.job) =
       let engine =
         match s.engine with
         | None -> default_engine
-        | Some e -> ok_or_fail (Workload.engine_of_string e)
+        | Some e -> ok_or_fail (Exec.engine_of_string e)
       in
       Ok (engine, exec ~cache ~engine s)
     with
@@ -104,12 +103,12 @@ let run_job ~cache ~engine:default_engine ~timings (job : Manifest.job) =
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   let engine, outcome =
     match outcome with
-    | Ok (eng, r) -> (engine_name eng, Ok r)
+    | Ok (eng, r) -> (Exec.engine_name eng, Ok r)
     | Error msg ->
         let eng =
           match s.engine with
           | Some e -> e
-          | None -> engine_name default_engine
+          | None -> Exec.engine_name default_engine
         in
         (eng, Error msg)
   in

@@ -66,18 +66,6 @@ let cost_of_string = function
             idealized, nic_compute)"
            s)
 
-let engine_of_string = function
-  | "compiled" | "staged" -> Ok `Compiled
-  | "interp" | "interpreter" | "reference" -> Ok `Interp
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown engine '%s' (accepted: compiled, staged, interp, \
-            interpreter, reference)"
-           s)
-
-let engine_name = function `Compiled -> "compiled" | `Interp -> "interp"
-
 let redist_of_string = function
   | "naive" -> Ok `Naive
   | "collectives" -> Ok `Collectives
@@ -206,7 +194,7 @@ let check_spec (s : Manifest.spec) =
           | None ->
               check_dlstack { s with stage; cost = cm.Xdp_sim.Costmodel.name }
           | Some e -> (
-              match engine_of_string e with
+              match Xdp_runtime.Exec.engine_of_string e with
               | Error err -> Error err
               | Ok eng ->
                   check_dlstack
@@ -214,7 +202,7 @@ let check_spec (s : Manifest.spec) =
                       s with
                       stage;
                       cost = cm.Xdp_sim.Costmodel.name;
-                      engine = Some (engine_name eng);
+                      engine = Some (Xdp_runtime.Exec.engine_name eng);
                     }))))
 
 (* squarest grid whose product is nprocs (jacobi2d's processor mesh) *)

@@ -28,9 +28,6 @@ val cost_of_string : string -> (Xdp_sim.Costmodel.t, string) result
 (** Accepts [message_passing]/[mp], [shared_address]/[sa],
     [idealized]/[ideal], [nic_compute]/[nic]. *)
 
-val engine_of_string : string -> (Xdp_runtime.Exec.engine, string) result
-(** Accepts [compiled]/[staged], [interp]/[interpreter]/[reference]. *)
-
 val redist_of_string : string -> ([ `Naive | `Collectives ], string) result
 (** Accepts exactly [naive] and [collectives] (the [redist] manifest
     field and the [--redist] CLI flag; the budget travels separately

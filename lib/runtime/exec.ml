@@ -16,10 +16,21 @@ type engine = [ `Interp | `Compiled ]
 let engine_names =
   [
     ("compiled", `Compiled);
+    ("staged", `Compiled);
     ("interp", `Interp);
     ("interpreter", `Interp);
     ("reference", `Interp);
   ]
+
+let engine_of_string s =
+  match List.assoc_opt s engine_names with
+  | Some e -> Ok e
+  | None ->
+      Error
+        (Printf.sprintf "unknown engine '%s' (accepted: %s)" s
+           (String.concat ", " (List.map fst engine_names)))
+
+let engine_name = function `Compiled -> "compiled" | `Interp -> "interp"
 
 (* The staged engine is the default; XDP_ENGINE=interp selects the
    tree-walking reference interpreter process-wide (what the CI matrix
@@ -29,12 +40,9 @@ let default_engine : engine =
   match Sys.getenv_opt "XDP_ENGINE" with
   | None | Some "" -> `Compiled
   | Some s -> (
-      match List.assoc_opt s engine_names with
-      | Some e -> e
-      | None ->
-          invalid_arg
-            (Printf.sprintf "XDP_ENGINE=%s: unknown engine (accepted: %s)" s
-               (String.concat ", " (List.map fst engine_names))))
+      match engine_of_string s with
+      | Ok e -> e
+      | Error msg -> invalid_arg ("XDP_ENGINE: " ^ msg))
 
 type frame =
   | Stmts of stmt list
@@ -86,10 +94,10 @@ let array r name =
 let section_name arr box = arr ^ Box.to_string box
 
 let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
-    ?(kernels = Xdp.Kernels.default) ?(init = fun _ _ -> 0.0) ?(scalars = [])
-    ?(trace = false) ?(free_on_release = true) ?(max_steps = 20_000_000)
-    ?(fault = Faultplan.none) ?(net = Transport.default_config) ?(nic = [])
-    ?(redist_stages = 0) ~nprocs (p : program) =
+    ?(init = fun _ _ -> 0.0) ?(trace = false) ?(free_on_release = true)
+    ?(max_steps = 20_000_000) ?(fault = Faultplan.none)
+    ?(net = Transport.default_config) ?(nic = []) ?(redist_stages = 0) ~nprocs
+    (p : program) =
   if nprocs <= 0 then invalid_arg "Exec.run: nprocs <= 0";
   if staged <> None && engine = `Interp then
     invalid_arg "Exec.run: ~staged supplied but engine is `Interp";
@@ -209,11 +217,9 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
                       s.seg_box)
               (Symtab.segments st d.arr_name))
           p.decls;
-        let env = Hashtbl.create 16 in
-        List.iter (fun (v, x) -> Hashtbl.replace env v x) scalars;
         {
           pid;
-          env;
+          env = Hashtbl.create 16;
           st;
           stack = [ Stmts p.body ];
           clock = 0.0;
@@ -426,16 +432,16 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
      slot frames and inline caches.  A caller that runs the same
      program many times (the batch service) passes the staged [cprog]
      back in via [?staged] — it must have been compiled from this
-     program with the same cost model, kernel registry and scalar
-     preload, which the batch cache guarantees by keying on a digest
-     of exactly those inputs. *)
+     program with the same cost model, which the batch cache
+     guarantees by keying on a digest of both. *)
   (match engine with
   | `Interp -> ()
   | `Compiled ->
       let cp =
         match staged with
         | Some cp -> cp
-        | None -> Precompile.compile ~cost ~kernels ~scalars p
+        | None ->
+            Precompile.compile ~cost ~kernels:Xdp.Kernels.default ~scalars:[] p
       in
       let codes = Precompile.body cp in
       Array.iter
@@ -527,7 +533,7 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
         let box = Evalexpr.resolve_section h pr.env s in
         recv_ownership_core pr ~with_value:true ~arr:s.arr ~box
     | Apply { fn; args } -> (
-        match Xdp.Kernels.find kernels fn with
+        match Xdp.Kernels.find Xdp.Kernels.default fn with
         | None -> misuse pr "unknown kernel %s" fn
         | Some k ->
             let boxes = List.map (Evalexpr.resolve_section h pr.env) args in

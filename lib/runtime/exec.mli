@@ -46,13 +46,22 @@ type engine = [ `Interp | `Compiled ]
     events and diagnostics — verified per-run by the differential
     suite. *)
 
+val engine_of_string : string -> (engine, string) result
+(** The one engine-name parser (the [XDP_ENGINE] variable, manifest
+    ["engine"] fields and the [--engine] flag): [compiled]/[staged]
+    select [`Compiled], [interp]/[interpreter]/[reference] select
+    [`Interp]; anything else is an [Error] listing the accepted
+    names. *)
+
+val engine_name : engine -> string
+(** The canonical name: ["compiled"] or ["interp"]. *)
+
 val default_engine : engine
-(** [`Compiled], unless the process was started with
-    [XDP_ENGINE=interp] (or [interpreter]/[reference]) in the
-    environment — the switch the CI engine matrix flips.  Any other
-    non-empty value raises [Invalid_argument] at module initialization,
-    listing the accepted names ([compiled], [interp], [interpreter],
-    [reference]) — a typo must not silently select an engine. *)
+(** [`Compiled], unless the process was started with [XDP_ENGINE] set
+    to an interpreter name ({!engine_of_string}) — the switch the CI
+    engine matrix flips.  A value {!engine_of_string} rejects raises
+    [Invalid_argument] at module initialization — a typo must not
+    silently select an engine. *)
 
 type fusion = { fused_turns : int; fused_statements : int }
 (** Dynamic superinstruction accounting of a run: scheduler turns that
@@ -60,9 +69,9 @@ type fusion = { fused_turns : int; fused_statements : int }
     turns covered.  Such a turn either ran a fused run or scanned two
     or more owner-computes guards ({!Precompile.guard}; a scan turn
     counts every guard it evaluated, the one that held included).
-    Zero under the interpreter, with fusion disabled, or when every
-    fused unit fell back to statement-at-a-time execution and no scan
-    got past its first guard.  Kept out
+    Zero under the interpreter, or when every fused unit fell back to
+    statement-at-a-time execution and no scan got past its first
+    guard.  Kept out
     of {!Xdp_sim.Trace.stats} deliberately: the stats record is
     compared field-for-field across engines by the differential
     suite. *)
@@ -79,9 +88,7 @@ val run :
   ?engine:engine ->
   ?staged:Precompile.cprog ->
   ?cost:Xdp_sim.Costmodel.t ->
-  ?kernels:Xdp.Kernels.registry ->
   ?init:(string -> int list -> float) ->
-  ?scalars:(string * Value.t) list ->
   ?trace:bool ->
   ?free_on_release:bool ->
   ?max_steps:int ->
@@ -97,18 +104,19 @@ val run :
     reference interpreter; [staged] skips the one-time
     {!Precompile.compile} and reuses an already-staged program — the
     compile-once/run-many seam the batch service's digest-keyed cache
-    drives.  The caller owns the coherence obligation: the [cprog]
-    must have been compiled from this very program with the same
-    [cost], [kernels] and [scalars] (the cache keys on a digest of all
-    four), and a [cprog] must only be shared {e within} a domain —
-    per-processor mutable state lives in the {!Precompile.machine}s
-    built here, but cross-domain reuse is not part of the contract.
-    Supplying [staged] with [engine = `Interp] is an
-    [Invalid_argument].  A reused staged program is bit-identical to a
-    fresh compile (enforced by the batch qcheck suite).  [init]
-    seeds every owned element (applied identically by {!Seq}, enabling
-    bit-for-bit verification); [scalars] preloads universal scalars on
-    every processor; [trace] records an event log; [free_on_release]
+    drives.  Both engines run with the default kernel registry
+    ({!Xdp.Kernels.default}) and no scalar preload, so the caller's
+    coherence obligation is: same program, same cost.  The [cprog]
+    must have been compiled from this very program with this [cost]
+    (the cache keys on a digest of both), and must only be shared
+    {e within} a domain — per-processor mutable state lives in the
+    {!Precompile.machine}s built here, but cross-domain reuse is not
+    part of the contract.  Supplying [staged] with [engine = `Interp]
+    is an [Invalid_argument].  A reused staged program is
+    bit-identical to a fresh compile (enforced by the batch qcheck
+    suite).  [init] seeds every owned element (applied identically by
+    {!Seq}, enabling bit-for-bit verification); [trace] records an
+    event log; [free_on_release]
     (default true) controls storage reuse on ownership sends
     (experiment T6); [max_steps] bounds total executed statements
     (default 20,000,000); [fault] (default {!Xdp_net.Faultplan.none})
@@ -125,8 +133,6 @@ val run :
     verification failures (ill-typed programs, forwarding cycles,
     forwarding to an unattached processor) raise [Invalid_argument]
     with the positioned diagnostic.
-    @raise Xdp_net.Transport.Link_failed when a message is lost past
-    the transport's retry budget.
     [redist_stages] (default 0) is static planner metadata recorded
     verbatim into [stats.redist_stages]: the caller that lowered a
     collective redistribution schedule ({!Xdp.Plan_redist}) passes the

@@ -280,7 +280,6 @@ type ctx = {
   shape_of : string -> int list;
   mutable nsites : int;
   mutable site_ranks : int list; (* reversed *)
-  fuse : bool; (* superinstruction fusion enabled *)
   (* Quiet compilation: the body of a batch-charged loop compiles with
      every charge diverted into [qtally] at compile time (the body's
      cost structure is statically fixed — enforced by [fixed_cost_e]),
@@ -1290,58 +1289,24 @@ let plan_solid site n =
       | _ -> None)
   | _ -> None
 
-(* Why a statement has no fused form — the per-statement observability
-   the BENCH_exec fusion tables report, so a 1.0x row (e.g. the
-   misaligned vecadd copy loop) names its blocker instead of being
-   silent.  The classification mirrors [cstmt_k]'s fusability
-   conditions exactly: [None] iff the statement gets an [sc_fast].
-   Compound statements propagate the first blocked inner statement's
+(* A compiled statement: the turn-stepped form plus either the fused
+   form (returning statements executed) or why it has none — the
+   blocker the BENCH_exec fusion tables report, so a 1.0x row (e.g. the
+   misaligned vecadd copy loop) names it instead of being silent.  A
+   compound statement carries the first blocked inner statement's
    reason, so a guard whose body receives reports "transfer", not a
-   generic "blocked body". *)
-let rec block_reason kernels (s : stmt) : string option =
-  let awaits es = not (List.for_all no_await_e es) in
-  match s with
-  | Send_value _ | Send_owner _ | Send_owner_value _ | Recv_value _
-  | Recv_owner _ | Recv_owner_value _ ->
-      Some "transfer"
-  | Assign (Lvar _, e) -> if awaits [ e ] then Some "await-in-expr" else None
-  | Assign (Lelem (_, idxs), e) ->
-      if awaits (e :: idxs) then Some "await-in-expr" else None
-  | Guard (g, body) ->
-      if awaits [ g ] then Some "await-in-guard"
-      else block_reason_block kernels body
-  | For { lo; hi; step; body; _ } ->
-      if awaits [ lo; hi; step ] then Some "await-in-bounds"
-      else block_reason_block kernels body
-  | If (c, a, b) -> (
-      if awaits [ c ] then Some "await-in-cond"
-      else
-        match block_reason_block kernels a with
-        | Some r -> Some r
-        | None -> block_reason_block kernels b)
-  | Apply { fn; args } -> (
-      match Xdp.Kernels.find kernels fn with
-      | None -> Some "unknown-kernel"
-      | Some _ ->
-          if not (List.for_all no_await_sec args) then Some "await-in-args"
-          else None)
-
-and block_reason_block kernels stmts =
-  List.find_map (block_reason kernels) stmts
-
-(* A compiled statement: the turn-stepped form plus, when fusable, the
-   fused form (returning statements executed).  [sc_solo] marks
-   statements worth fusing even alone: compound statements and inlined
-   kernels collapse many scheduler turns into one.  [sc_guard] is the
-   scannable form of an await-free guard, used when it is not fusable. *)
+   generic "blocked body".  [sc_solo] marks statements worth fusing
+   even alone: compound statements and inlined kernels collapse many
+   scheduler turns into one.  [sc_guard] is the scannable form of an
+   await-free guard, used when it is not fusable. *)
 type sc = {
   sc_code : code;
-  sc_fast : (machine -> int) option;
+  sc_fast : (machine -> int, string) result;
   sc_solo : bool;
   sc_guard : guard option;
 }
 
-type blk = { b_units : units; b_fast : (machine -> int) option }
+type blk = { b_units : units; b_fast : (machine -> int, string) result }
 
 let compose_fast (fasts : (machine -> int) array) =
   match Array.length fasts with
@@ -1358,19 +1323,34 @@ let compose_fast (fasts : (machine -> int) array) =
 let rec cstmt ctx (s : stmt) : sc =
   let sc = cstmt_k ctx s in
   ctx.fs_total <- ctx.fs_total + 1;
-  if sc.sc_fast <> None then ctx.fs_fusable <- ctx.fs_fusable + 1
-  else if ctx.fuse then
-    (* [block_reason] re-derives exactly the fusability analysis, so a
-       fusable statement can never reach the [None] fallback; "other"
-       would mean the two drifted apart (the blocker-sum invariant in
-       the tests would catch it). *)
-    record_blocker ctx
-      (Option.value ~default:"other" (block_reason ctx.kernels s));
+  (match sc.sc_fast with
+  | Ok _ -> ctx.fs_fusable <- ctx.fs_fusable + 1
+  | Error why -> record_blocker ctx why);
   sc
 
 and cstmt_k ctx (s : stmt) : sc =
-  let stmt code =
-    { sc_code = code; sc_fast = None; sc_solo = false; sc_guard = None }
+  let stmt why code =
+    { sc_code = code; sc_fast = Error why; sc_solo = false; sc_guard = None }
+  in
+  let transfer = stmt "transfer" in
+  (* A one-turn statement running [run]: fusable iff [fusable], else
+     blocked for [why]. *)
+  let plain fusable why run =
+    {
+      sc_code =
+        (fun m ->
+          run m;
+          A_next);
+      sc_fast =
+        (if fusable then
+           Ok
+             (fun m ->
+               run m;
+               1)
+         else Error why);
+      sc_solo = false;
+      sc_guard = None;
+    }
   in
   match s with
   | Assign (Lvar v, e) ->
@@ -1403,38 +1383,12 @@ and cstmt_k ctx (s : stmt) : sc =
               m.m_vals.(off) <- x;
               Bytes.unsafe_set m.m_bnd id '\001'
       in
-      {
-        sc_code =
-          (fun m ->
-            run m;
-            A_next);
-        sc_fast =
-          (if ctx.fuse && no_await_e e then
-             Some
-               (fun m ->
-                 run m;
-                 1)
-           else None);
-        sc_solo = false;
-        sc_guard = None;
-      }
+      plain (no_await_e e) "await-in-expr" run
   | Assign (Lelem (a, idxs), e) ->
-      let run = compile_elem_assign ctx a idxs e in
-      {
-        sc_code =
-          (fun m ->
-            run m;
-            A_next);
-        sc_fast =
-          (if ctx.fuse && List.for_all no_await_e (e :: idxs) then
-             Some
-               (fun m ->
-                 run m;
-                 1)
-           else None);
-        sc_solo = false;
-        sc_guard = None;
-      }
+      plain
+        (List.for_all no_await_e (e :: idxs))
+        "await-in-expr"
+        (compile_elem_assign ctx a idxs e)
   | Guard (g, body) ->
       let cg = c_bool ctx g in
       let head =
@@ -1449,14 +1403,15 @@ and cstmt_k ctx (s : stmt) : sc =
         if b then m.m_w.w_guard_hit ();
         b
       in
-      let scannable = ctx.fuse && no_await_e g in
+      let scannable = no_await_e g in
       {
         sc_code = (fun m -> if test m then A_block bodyb.b_units else A_next);
         sc_fast =
-          (match bodyb.b_fast with
-          | Some bf when scannable ->
-              Some (fun m -> if test m then 1 + bf m else 1)
-          | _ -> None);
+          (if not scannable then Error "await-in-guard"
+           else
+             Result.map
+               (fun bf m -> if test m then 1 + bf m else 1)
+               bodyb.b_fast);
         sc_solo = true;
         sc_guard =
           (if scannable then
@@ -1486,9 +1441,9 @@ and cstmt_k ctx (s : stmt) : sc =
       let int_op = ctx.cm.Costmodel.time_int_op in
       (* The batched specialization compiles the body itself (quietly);
          only the other cases need the generic block. *)
+      let bounds_free = List.for_all no_await_e [ lo; hi; step ] in
       let batched =
-        if not (ctx.fuse && List.for_all no_await_e [ lo; hi; step ]) then
-          None
+        if not bounds_free then None
         else
           match body with
           | [ Assign (Lelem (a, idxs), e) ]
@@ -1537,13 +1492,14 @@ and cstmt_k ctx (s : stmt) : sc =
       in
       let fast =
         match batched with
-        | Some _ -> batched
+        | Some f -> Ok f
+        | None when not bounds_free -> Error "await-in-bounds"
         | None -> (
             match bodyb.b_fast with
-            | Some bf when ctx.fuse && List.for_all no_await_e [ lo; hi; step ]
-              ->
+            | Error why -> Error why
+            | Ok bf ->
                 ctx.fs_loops <- ctx.fs_loops + 1;
-                Some
+                Ok
                   (fun m ->
                     let lo, hi, step = tripr m in
                     if step <= 0 then
@@ -1557,8 +1513,7 @@ and cstmt_k ctx (s : stmt) : sc =
                       m.m_w.w_charge int_op;
                       n := !n + bf m
                     done;
-                    !n)
-            | _ -> None)
+                    !n))
       in
       { sc_code = code; sc_fast = fast; sc_solo = true; sc_guard = None }
   | If (c, a, b) ->
@@ -1576,9 +1531,10 @@ and cstmt_k ctx (s : stmt) : sc =
           (fun m -> A_block (if run_cond m then ca.b_units else cbk.b_units));
         sc_fast =
           (match (ca.b_fast, cbk.b_fast) with
-          | Some fa, Some fb when ctx.fuse && no_await_e c ->
-              Some (fun m -> if run_cond m then 1 + fa m else 1 + fb m)
-          | _ -> None);
+          | _ when not (no_await_e c) -> Error "await-in-cond"
+          | Ok fa, Ok fb ->
+              Ok (fun m -> if run_cond m then 1 + fa m else 1 + fb m)
+          | Error why, _ | Ok _, Error why -> Error why);
         sc_solo = true;
         sc_guard = None;
       }
@@ -1588,13 +1544,13 @@ and cstmt_k ctx (s : stmt) : sc =
       match dest with
       | Unspecified ->
           let none_thunk () = None in
-          stmt (fun m ->
+          transfer (fun m ->
               let box = r m in
               m.m_w.w_send_value ~arr ~box ~dests:none_thunk;
               A_next)
       | Directed es ->
           let cds = List.map (fun e -> charged ctx (c_idx ctx e)) es in
-          stmt (fun m ->
+          transfer (fun m ->
               let box = r m in
               m.m_w.w_send_value ~arr ~box
                 ~dests:(fun () ->
@@ -1614,25 +1570,25 @@ and cstmt_k ctx (s : stmt) : sc =
   | Send_owner s ->
       let r = charged ctx (csec ctx s) in
       let arr = s.arr in
-      stmt (fun m ->
+      transfer (fun m ->
           m.m_w.w_send_owner ~with_value:false ~arr ~box:(r m);
           A_next)
   | Send_owner_value s ->
       let r = charged ctx (csec ctx s) in
       let arr = s.arr in
-      stmt (fun m ->
+      transfer (fun m ->
           m.m_w.w_send_owner ~with_value:true ~arr ~box:(r m);
           A_next)
   | Recv_owner s ->
       let r = charged ctx (csec ctx s) in
       let arr = s.arr in
-      stmt (fun m ->
+      transfer (fun m ->
           m.m_w.w_recv_owner ~with_value:false ~arr ~box:(r m);
           A_next)
   | Recv_owner_value s ->
       let r = charged ctx (csec ctx s) in
       let arr = s.arr in
-      stmt (fun m ->
+      transfer (fun m ->
           m.m_w.w_recv_owner ~with_value:true ~arr ~box:(r m);
           A_next)
   | Recv_value { into; from } ->
@@ -1640,112 +1596,93 @@ and cstmt_k ctx (s : stmt) : sc =
       let both = map2 ctx (fun a b -> (a, b)) cinto cfrom in
       let r = charged ctx both in
       let ia = into.arr and fa = from.arr in
-      stmt (fun m ->
+      transfer (fun m ->
           let ib, fb = r m in
           m.m_w.w_recv_value ~into:(ia, ib) ~from:(fa, fb);
           A_next)
   | Apply { fn; args } -> (
       match Xdp.Kernels.find ctx.kernels fn with
       | None ->
-          stmt (fun m ->
+          stmt "unknown-kernel" (fun m ->
               raise (m.m_w.w_misuse (Printf.sprintf "unknown kernel %s" fn)))
       | Some k ->
           let names = List.map (fun (s : section) -> s.arr) args in
           let r = charged ctx (seq_list ctx (List.map (csec ctx) args)) in
-          let run m =
-            let boxes = r m in
-            m.m_w.w_apply ~fn k (List.combine names boxes)
+          let sc =
+            plain (List.for_all no_await_sec args) "await-in-args" (fun m ->
+                let boxes = r m in
+                m.m_w.w_apply ~fn k (List.combine names boxes))
           in
-          let code m =
-            run m;
-            A_next
-          in
-          if not (ctx.fuse && List.for_all no_await_sec args) then stmt code
-          else
-            let inlined =
-              match args with
-              | [ s ] when k == Xdp.Kernels.fft1d ->
-                  (* inline the Kernels.dht call path: resolve, check
-                     ownership, transform in place over reused machine
-                     buffers, charge the identical flop/mem cost —
-                     replicating Exec's apply_core event for event. *)
-                  let rs = charged ctx (csec ctx s) in
-                  let arr = s.arr in
-                  let flop = ctx.cm.Costmodel.time_flop
-                  and mem = ctx.cm.Costmodel.time_mem in
-                  ctx.fs_kernels <- ctx.fs_kernels + 1;
-                  let ks = new_site ctx 0 in
-                  (* Event-for-event replica of Exec's apply_core:
-                     ownership query, pack (one covering scan), dht,
-                     unpack (one covering scan), then the closed-form
-                     flop/mem charge.  A valid marshalling plan stands
-                     in for all three scans; their descriptor visits
-                     are replayed at the same points so the charge
-                     stream is unchanged even if the kernel raises
-                     between pack and unpack. *)
-                  Some
-                    (fun m ->
-                      let box = rs m in
-                      let st = m.m_w.w_st in
-                      let site = m.m_sites.(ks) in
-                      let n = Box.count box in
-                      let live = Symtab.live_count st arr in
-                      if n > 0 && site.s_ktotal = n && replant site box then begin
-                        Symtab.note_visits st (2 * live);
-                        let tmp = ktmp m n in
-                        (match plan_solid site n with
-                        | Some (data, off) ->
-                            Xdp.Kernels.dht_sub ~buf:data ~tmp ~off ~stride:1
-                              ~n;
-                            Symtab.note_visits st live
-                        | None ->
-                            let buf = kbuf m n in
-                            plan_read site buf;
-                            Xdp.Kernels.dht_sub ~buf ~tmp ~off:0 ~stride:1 ~n;
-                            Symtab.note_visits st live;
-                            plan_write site buf)
-                      end
-                      else begin
-                        if not (Symtab.iown st arr box) then
-                          raise
-                            (m.m_w.w_misuse
-                               (Printf.sprintf
-                                  "kernel %s applied to unowned section %s" fn
-                                  (arr ^ Box.to_string box)));
-                        plant st site arr box;
-                        let buf = kbuf m n and tmp = ktmp m n in
-                        (* a partial cover reads as zeros: transitional
-                           segments without storage contribute nothing,
-                           exactly like the fresh buffer the reference
-                           engine allocates *)
-                        if site.s_ktotal < n then Array.fill buf 0 n 0.0;
-                        plan_read site buf;
-                        Xdp.Kernels.dht_sub ~buf ~tmp ~off:0 ~stride:1 ~n;
-                        Symtab.note_visits st live;
-                        plan_write site buf
-                      end;
-                      let flops =
-                        5.0 *. float_of_int n *. Xdp.Kernels.log2f n
-                      in
-                      m.m_w.w_charge
-                        ((flops *. flop)
-                        +. (2.0 *. float_of_int n *. mem));
-                      1)
-              | _ -> None
-            in
-            {
-              sc_code = code;
-              sc_fast =
-                (match inlined with
-                | Some _ -> inlined
-                | None ->
-                    Some
-                      (fun m ->
-                        run m;
-                        1));
-              sc_solo = inlined <> None;
-              sc_guard = None;
-            })
+          match args with
+          | [ s ] when k == Xdp.Kernels.fft1d && Result.is_ok sc.sc_fast ->
+              (* inline the Kernels.dht call path: resolve, check
+                 ownership, transform in place over reused machine
+                 buffers, charge the identical flop/mem cost —
+                 replicating Exec's apply_core event for event. *)
+              let rs = charged ctx (csec ctx s) in
+              let arr = s.arr in
+              let flop = ctx.cm.Costmodel.time_flop
+              and mem = ctx.cm.Costmodel.time_mem in
+              ctx.fs_kernels <- ctx.fs_kernels + 1;
+              let ks = new_site ctx 0 in
+              (* Event-for-event replica of Exec's apply_core:
+                 ownership query, pack (one covering scan), dht,
+                 unpack (one covering scan), then the closed-form
+                 flop/mem charge.  A valid marshalling plan stands
+                 in for all three scans; their descriptor visits
+                 are replayed at the same points so the charge
+                 stream is unchanged even if the kernel raises
+                 between pack and unpack. *)
+              let fast m =
+                let box = rs m in
+                let st = m.m_w.w_st in
+                let site = m.m_sites.(ks) in
+                let n = Box.count box in
+                let live = Symtab.live_count st arr in
+                if n > 0 && site.s_ktotal = n && replant site box then begin
+                  Symtab.note_visits st (2 * live);
+                  let tmp = ktmp m n in
+                  (match plan_solid site n with
+                  | Some (data, off) ->
+                      Xdp.Kernels.dht_sub ~buf:data ~tmp ~off ~stride:1
+                        ~n;
+                      Symtab.note_visits st live
+                  | None ->
+                      let buf = kbuf m n in
+                      plan_read site buf;
+                      Xdp.Kernels.dht_sub ~buf ~tmp ~off:0 ~stride:1 ~n;
+                      Symtab.note_visits st live;
+                      plan_write site buf)
+                end
+                else begin
+                  if not (Symtab.iown st arr box) then
+                    raise
+                      (m.m_w.w_misuse
+                         (Printf.sprintf
+                            "kernel %s applied to unowned section %s" fn
+                            (arr ^ Box.to_string box)));
+                  plant st site arr box;
+                  let buf = kbuf m n and tmp = ktmp m n in
+                  (* a partial cover reads as zeros: transitional
+                     segments without storage contribute nothing,
+                     exactly like the fresh buffer the reference
+                     engine allocates *)
+                  if site.s_ktotal < n then Array.fill buf 0 n 0.0;
+                  plan_read site buf;
+                  Xdp.Kernels.dht_sub ~buf ~tmp ~off:0 ~stride:1 ~n;
+                  Symtab.note_visits st live;
+                  plan_write site buf
+                end;
+                let flops =
+                  5.0 *. float_of_int n *. Xdp.Kernels.log2f n
+                in
+                m.m_w.w_charge
+                  ((flops *. flop)
+                  +. (2.0 *. float_of_int n *. mem));
+                1
+              in
+              { sc with sc_fast = Ok fast; sc_solo = true }
+          | _ -> sc)
 
 (* Group each block's maximal runs of fusable statements into
    superinstructions; a singleton run is only worth the fused unit
@@ -1754,11 +1691,16 @@ and cstmt_k ctx (s : stmt) : sc =
 and cblock ctx stmts : blk =
   let scs = List.map (cstmt ctx) stmts in
   let b_fast =
-    if ctx.fuse && List.for_all (fun sc -> sc.sc_fast <> None) scs then
-      Some
-        (compose_fast
-           (Array.of_list (List.map (fun sc -> Option.get sc.sc_fast) scs)))
-    else None
+    match
+      List.find_map
+        (fun sc -> match sc.sc_fast with Error why -> Some why | Ok _ -> None)
+        scs
+    with
+    | Some why -> Error why
+    | None ->
+        Ok
+          (compose_fast
+             (Array.of_list (List.map (fun sc -> Result.get_ok sc.sc_fast) scs)))
   in
   let units = ref [] in
   let flush = function
@@ -1767,7 +1709,7 @@ and cblock ctx stmts : blk =
     | rev_run ->
         let run = List.rev rev_run in
         let fasts =
-          Array.of_list (List.map (fun sc -> Option.get sc.sc_fast) run)
+          Array.of_list (List.map (fun sc -> Result.get_ok sc.sc_fast) run)
         in
         let slow =
           Array.of_list (List.map (fun sc -> U_stmt sc.sc_code) run)
@@ -1782,8 +1724,8 @@ and cblock ctx stmts : blk =
   List.iter
     (fun sc ->
       match sc.sc_fast with
-      | Some _ -> pending := sc :: !pending
-      | None ->
+      | Ok _ -> pending := sc :: !pending
+      | Error _ ->
           flush !pending;
           pending := [];
           units :=
@@ -1834,12 +1776,9 @@ let fusion_digest cp =
   List.iter (fun (r, n) -> Printf.bprintf b "%s:%d," r n) s.fs_blockers;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let fuse_default =
-  match Sys.getenv_opt "XDP_NO_FUSE" with
-  | None | Some "" | Some "0" -> true
-  | Some _ -> false
+let fuse_default = true
 
-let compile ?(fuse = fuse_default) ~cost ~kernels ~scalars (p : program) =
+let compile ~cost ~kernels ~scalars (p : program) =
   let vars = collect_vars p scalars in
   let tys = infer_types p scalars vars in
   let slots = Hashtbl.create 32 in
@@ -1871,7 +1810,6 @@ let compile ?(fuse = fuse_default) ~cost ~kernels ~scalars (p : program) =
         (fun name -> Xdp_dist.Layout.shape (decl_of p name).layout);
       nsites = 0;
       site_ranks = [];
-      fuse;
       quiet = false;
       qtally = Costmodel.tally_zero;
       fs_total = 0;

@@ -45,10 +45,11 @@
     native loop over the unboxed slot frame that charges one batched
     trips×tally cost; an [fft1D] [Apply] of the stock kernel inlines
     the {!Xdp.Kernels.dht_sub} call path over reusable machine
-    buffers.  The scheduler decides per turn whether running fused is
-    sound (no receive in flight for this processor) and otherwise
-    falls back to the statement-at-a-time units, so traces, Gantt
-    charts and fault interleavings are bit-identical either way.
+    buffers.  Fusion is always on; the interpreter is the reference it
+    is checked against.  The scheduler decides per turn whether running
+    fused is sound (no receive in flight for this processor) and
+    otherwise falls back to the statement-at-a-time units, so traces,
+    Gantt charts and fault interleavings are bit-identical either way.
 
     Guards that cannot fuse because their body blocks (an
     owner-computes [iown(S) : send ...] or [mypid = k : recv ...])
@@ -122,8 +123,7 @@ and fuse = {
 }
 
 (** A guard whose condition has no [await] and whose body has no fused
-    form (it blocks, typically on a transfer).  Emitted only with
-    fusion on; with it off the same guard is a [U_stmt].  A turn that
+    form (it blocks, typically on a transfer).  A turn that
     reaches one evaluates it and, while it is false, the [U_guard]s
     that directly follow it in the same block, stopping at the first
     that holds (its body is pushed exactly like [A_block]) or at any
@@ -157,17 +157,15 @@ type cprog
     layout needed to build per-processor {!machine}s. *)
 
 val fuse_default : bool
-(** Whether {!compile} fuses by default: true unless the environment
-    sets [XDP_NO_FUSE] to a non-empty value other than ["0"]. *)
+(** Always [true]: {!compile} always fuses.  Kept as a constant for the
+    callers that still pass it to a staging-cache digest. *)
 
-(** [compile ?fuse ~cost ~kernels ~scalars p] — stage [p] once; the
-    result is shared by all processors.  [scalars] must be the same
-    preload list given to {!Exec.run} (it seeds slot types and initial
-    values).  [fuse] (default {!fuse_default}) controls the
-    superinstruction pass; with it off every unit is a [U_stmt] and
-    the engine behaves exactly like the first staging level. *)
+(** [compile ~cost ~kernels ~scalars p] — stage [p] once, with
+    superinstruction fusion; the result is shared by all processors.
+    {!Exec.run} stages with the default kernel registry and no
+    [scalars] preload ([scalars] seeds slot types and initial
+    values). *)
 val compile :
-  ?fuse:bool ->
   cost:Xdp_sim.Costmodel.t ->
   kernels:Xdp.Kernels.registry ->
   scalars:(string * Value.t) list ->
@@ -177,7 +175,7 @@ val compile :
 val body : cprog -> units
 
 (** Static statistics of the superinstruction pass, accumulated at
-    compile time (all zero when fusion is off). *)
+    compile time. *)
 type fusion_stats = {
   fs_statements : int;  (** statements compiled *)
   fs_fusable : int;  (** statements with a fused form *)
@@ -196,9 +194,9 @@ type fusion_stats = {
           the named position), ["unknown-kernel"].  Compound statements
           report the first blocked inner statement's reason, so a
           transfer-bound copy loop (the misaligned vecadd gap) shows
-          up as ["transfer"], not a generic blocked-body.  Empty with
-          fusion off; with fusion on the counts sum to
-          [fs_statements - fs_fusable]. *)
+          up as ["transfer"], not a generic blocked-body.  The same
+          analysis decides fusability and the reason, so the counts
+          sum to [fs_statements - fs_fusable]. *)
 }
 
 val fusion_stats : cprog -> fusion_stats

@@ -11,8 +11,7 @@ let array r name =
   | Some t -> t
   | None -> invalid_arg ("Seq.array: no array " ^ name)
 
-let run ?(kernels = Xdp.Kernels.default) ?(init = fun _ _ -> 0.0)
-    ?(scalars = []) (p : program) =
+let run ?(init = fun _ _ -> 0.0) ?(scalars = []) (p : program) =
   let tensors = Hashtbl.create 8 in
   List.iter
     (fun d ->
@@ -54,7 +53,7 @@ let run ?(kernels = Xdp.Kernels.default) ?(init = fun _ _ -> 0.0)
         if Value.to_bool (Evalexpr.eval hooks env c) then List.iter stmt a
         else List.iter stmt b
     | Apply { fn; args } -> (
-        match Xdp.Kernels.find kernels fn with
+        match Xdp.Kernels.find Xdp.Kernels.default fn with
         | None -> invalid_arg ("Seq: unknown kernel " ^ fn)
         | Some k ->
             let boxes =

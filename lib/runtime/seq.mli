@@ -19,7 +19,6 @@ type result = {
 }
 
 val run :
-  ?kernels:Xdp.Kernels.registry ->
   ?init:(string -> int list -> float) ->
   ?scalars:(string * Value.t) list ->
   Xdp.Ir.program ->

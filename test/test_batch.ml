@@ -252,8 +252,8 @@ let prop_escape_utf8_exact =
 
 (* ---- fusion blockers: full accounting, and vecadd's answer ---- *)
 
-let compile_fused prog =
-  Precompile.compile ~fuse:true ~cost:Xdp_sim.Costmodel.message_passing
+let compile prog =
+  Precompile.compile ~cost:Xdp_sim.Costmodel.message_passing
     ~kernels:Xdp.Kernels.default ~scalars:[] prog
 
 let test_fusion_blockers () =
@@ -267,7 +267,7 @@ let test_fusion_blockers () =
             Workload.build
               { Manifest.default_spec with app; stage; n = 8; procs = 2 }
           in
-          let fs = Precompile.fusion_stats (compile_fused w.prog) in
+          let fs = Precompile.fusion_stats (compile w.prog) in
           let blocked =
             List.fold_left (fun acc (_, n) -> acc + n) 0 fs.fs_blockers
           in
@@ -297,17 +297,9 @@ let test_fusion_blockers () =
         misaligned = true;
       }
   in
-  let fs = Precompile.fusion_stats (compile_fused w.prog) in
+  let fs = Precompile.fusion_stats (compile w.prog) in
   Alcotest.(check bool) "vecadd naive: transfer blockers recorded" true
-    (List.mem_assoc "transfer" fs.fs_blockers);
-  (* and with fusion off the list stays empty *)
-  let fs_off =
-    Precompile.fusion_stats
-      (Precompile.compile ~fuse:false ~cost:Xdp_sim.Costmodel.message_passing
-         ~kernels:Xdp.Kernels.default ~scalars:[] w.prog)
-  in
-  Alcotest.(check (list (pair string int))) "no blockers with fusion off" []
-    fs_off.fs_blockers
+    (List.mem_assoc "transfer" fs.fs_blockers)
 
 (* ---- service basics: records, failures, exit diagnostics ---- *)
 
@@ -383,9 +375,8 @@ let test_service_failure () =
    A digest over the raw "stats" bytes of a fixed campaign covering a
    plain, a faulty, an in-network, a planned-redistribution and a
    searched-placement job.  Only the stats are digested: they are
-   identical across engines and fusion settings, while "ir_digest"
-   and "fusion" are not, so the golden holds under XDP_ENGINE=interp
-   and XDP_NO_FUSE too. *)
+   identical across engines, while "fusion" is not, so the golden
+   holds under XDP_ENGINE=interp too. *)
 
 let stats_object line =
   let key = {|"stats":{|} in

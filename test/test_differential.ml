@@ -484,9 +484,9 @@ let prop_redist_planner =
    their outcome depends on whether a delivery landed mid-run.  Sender
    guards may skip a send ([accessible] on a section still in
    flight), so some programs deadlock or misuse; those must fail with
-   the same diagnostic everywhere.  Fused compiled, unfused compiled
-   and the interpreter must agree on arrays, the stats record, the
-   full trace and any diagnostic text, with and without a fault plan
+   the same diagnostic everywhere.  The compiled engine and the
+   interpreter must agree on arrays, the stats record, the full trace
+   and any diagnostic text, with and without a fault plan
    (drop/dup only: jitter-free plans keep clocks bit-exact). *)
 
 type sguard = S_iown | S_accessible | S_pid
@@ -674,21 +674,12 @@ let print_scfg c =
 
 (* One configuration's observable outcome: everything a caller can
    see, rendered to strings so any difference prints. *)
-let scan_outcome c config =
+let scan_outcome c engine =
   let p = scan_program c in
   let cost = scan_costs.(c.s_cost) in
-  let engine, staged =
-    match config with
-    | `Interp -> (`Interp, None)
-    | `Compiled fuse ->
-        ( `Compiled,
-          Some
-            (Xdp_runtime.Precompile.compile ~fuse ~cost
-               ~kernels:Xdp.Kernels.default ~scalars:[] p) )
-  in
   match
-    Exec.run ~engine ?staged ~cost ~init:scan_init ~fault:(scan_fault c)
-      ~trace:true ~nprocs:c.s_nprocs p
+    Exec.run ~engine ~cost ~init:scan_init ~fault:(scan_fault c) ~trace:true
+      ~nprocs:c.s_nprocs p
   with
   | r ->
       let arrays =
@@ -710,20 +701,18 @@ let scan_outcome c config =
   | exception e -> ("raised " ^ Printexc.to_string e, 0)
 
 let check_scfg c =
-  let fused, _ = scan_outcome c (`Compiled true) in
-  let unfused, _ = scan_outcome c (`Compiled false) in
+  let fused, _ = scan_outcome c `Compiled in
   let interp, _ = scan_outcome c `Interp in
   let differ a b what =
     QCheck.Test.fail_reportf "%s differ:\n--- %s\n+++ %s\n%s" what a b
       (print_scfg c)
   in
   if fused <> interp then differ interp fused "fused compiled vs interp";
-  if unfused <> interp then differ interp unfused "unfused compiled vs interp";
   true
 
 let prop_guard_scans =
   QCheck.Test.make
-    ~name:"guard scans: fused = unfused = interp on guarded transfers"
+    ~name:"guard scans: fused = interp on guarded transfers"
     ~count:300
     (QCheck.make ~print:print_scfg gen_scfg)
     check_scfg
@@ -735,8 +724,7 @@ let test_guard_scans_happen () =
   let rand = Random.State.make [| 0x5CA4 |] in
   let cases = G.generate ~rand ~n:40 gen_scfg in
   let scans =
-    List.fold_left (fun acc c -> acc + snd (scan_outcome c (`Compiled true)))
-      0 cases
+    List.fold_left (fun acc c -> acc + snd (scan_outcome c `Compiled)) 0 cases
   in
   Alcotest.(check bool) "some turns scanned several guards" true (scans > 0);
   List.iter (fun c -> Alcotest.(check bool) "agree" true (check_scfg c)) cases

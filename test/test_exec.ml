@@ -161,21 +161,12 @@ let test_layout_procs_mismatch () =
        false
      with Invalid_argument _ -> true)
 
-(* The three execution configurations that must stay observably
-   identical, selected explicitly so the checks below hold whatever
-   XDP_ENGINE / XDP_NO_FUSE say. *)
-let configs = [ ("fused", Some true); ("no-fuse", Some false); ("interp", None) ]
+(* The two engines, which must stay observably identical, selected
+   explicitly so the checks below hold whatever XDP_ENGINE says. *)
+let configs = [ ("fused", `Compiled); ("interp", `Interp) ]
 
-let run_config ?max_steps ?(init = fun _ _ -> 0.0) ~nprocs fuse p =
-  match fuse with
-  | None -> Exec.run ~engine:`Interp ?max_steps ~init ~trace:true ~nprocs p
-  | Some fuse ->
-      let staged =
-        Xdp_runtime.Precompile.compile ~fuse
-          ~cost:Xdp_sim.Costmodel.message_passing ~kernels:Xdp.Kernels.default
-          ~scalars:[] p
-      in
-      Exec.run ~engine:`Compiled ~staged ?max_steps ~init ~trace:true ~nprocs p
+let run_config ?max_steps ?(init = fun _ _ -> 0.0) ~nprocs engine p =
+  Exec.run ~engine ?max_steps ~init ~trace:true ~nprocs p
 
 let trace_digest (r : Exec.result) =
   Digest.to_hex (Digest.string (Format.asprintf "%a" Xdp_sim.Trace.pp r.trace))
@@ -195,8 +186,8 @@ let test_step_budget () =
      budget of 50 runs out inside that scan; the abort must be the
      same everywhere, and a run that fits its budget exactly must
      report the same statement count. *)
-  let outcome ~nprocs ?init fuse max_steps p =
-    match run_config ~max_steps ?init ~nprocs fuse p with
+  let outcome ~nprocs ?init engine max_steps p =
+    match run_config ~max_steps ?init ~nprocs engine p with
     | r -> Ok r.stats.statements
     | exception Exec.Xdp_misuse m -> Error m
   in
@@ -205,29 +196,29 @@ let test_step_budget () =
   in
   let p = prog (pad 100) in
   List.iter
-    (fun (name, fuse) ->
+    (fun (name, engine) ->
       expect (name ^ ": budget runs out mid-scan")
         (Error "step budget exceeded (50)")
-        (outcome ~nprocs:2 fuse 50 p);
+        (outcome ~nprocs:2 engine 50 p);
       expect (name ^ ": one step short") (Error "step budget exceeded (199)")
-        (outcome ~nprocs:2 fuse 199 p);
+        (outcome ~nprocs:2 engine 199 p);
       expect (name ^ ": exactly at the budget") (Ok 200)
-        (outcome ~nprocs:2 fuse 200 p))
+        (outcome ~nprocs:2 engine 200 p))
     configs;
   let redist = Xdp_apps.Redistflow.build ~n:8 ~nprocs:4 ~m:1 () in
   let init = Xdp_apps.Redistflow.init in
   let steps =
-    match outcome ~nprocs:4 ~init None 20_000_000 redist with
+    match outcome ~nprocs:4 ~init `Interp 20_000_000 redist with
     | Ok n -> n
     | Error m -> Alcotest.fail m
   in
   List.iter
-    (fun (name, fuse) ->
+    (fun (name, engine) ->
       expect (name ^ ": redist fits its budget") (Ok steps)
-        (outcome ~nprocs:4 ~init fuse steps redist);
+        (outcome ~nprocs:4 ~init engine steps redist);
       expect (name ^ ": redist one step short")
         (Error (Printf.sprintf "step budget exceeded (%d)" (steps - 1)))
-        (outcome ~nprocs:4 ~init fuse (steps - 1) redist))
+        (outcome ~nprocs:4 ~init engine (steps - 1) redist))
     configs
 
 (* The case the in-flight rule exists for.  P2 posts a value receive,
@@ -256,7 +247,9 @@ let test_delivery_mid_scan () =
   in
   let init _ idx = if idx = [ 1 ] then 41.0 else 0.0 in
   let runs =
-    List.map (fun (name, fuse) -> (name, run_config ~init ~nprocs:2 fuse p)) configs
+    List.map
+      (fun (name, engine) -> (name, run_config ~init ~nprocs:2 engine p))
+      configs
   in
   let ref_ = List.assoc "interp" runs in
   Alcotest.(check (float 0.0)) "the delivery landed before the guard" 42.0
@@ -280,7 +273,7 @@ let test_delivery_mid_scan () =
    bound has no noise to absorb. *)
 let test_guard_scan_tripwire () =
   let p = Xdp_apps.Redistflow.build ~n:64 ~nprocs:32 ~m:1 () in
-  let r = run_config ~init:Xdp_apps.Redistflow.init ~nprocs:32 (Some true) p in
+  let r = run_config ~init:Xdp_apps.Redistflow.init ~nprocs:32 `Compiled p in
   let scanned = r.fusion.fused_statements and total = r.stats.statements in
   if float_of_int scanned < 0.8 *. float_of_int total then
     Alcotest.failf
@@ -328,6 +321,32 @@ let test_compiled_heap_tripwire () =
        (%.1fx, bound 2x)"
       compiled interp (compiled /. interp)
 
+(* The one engine-name parser: exactly these names are accepted, each
+   maps to its engine, and [engine_name] gives the canonical form. *)
+let test_engine_names () =
+  let accepted =
+    [
+      ("compiled", `Compiled);
+      ("staged", `Compiled);
+      ("interp", `Interp);
+      ("interpreter", `Interp);
+      ("reference", `Interp);
+    ]
+  in
+  let parsed s = Result.map Exec.engine_name (Exec.engine_of_string s) in
+  List.iter
+    (fun (s, e) ->
+      Alcotest.(check (result string string)) s (Ok (Exec.engine_name e))
+        (parsed s))
+    accepted;
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true
+        (Result.is_error (Exec.engine_of_string s)))
+    [ ""; "Compiled"; "fused"; "jit"; "interpreted"; "seq" ];
+  Alcotest.(check (list string)) "canonical names" [ "compiled"; "interp" ]
+    (List.map Exec.engine_name [ `Compiled; `Interp ])
+
 let () =
   Alcotest.run "exec"
     [
@@ -360,5 +379,6 @@ let () =
             test_delivery_mid_scan;
           Alcotest.test_case "guard scans >= 0.8 of statements (redist P=32)"
             `Quick test_guard_scan_tripwire;
+          Alcotest.test_case "engine names" `Quick test_engine_names;
         ] );
     ]

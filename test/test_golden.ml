@@ -305,18 +305,16 @@ let test_full_trace_redist_naive () =
 (* ---- fusion-statistics golden: the superinstruction pass's region
    analysis is pinned by digest (Precompile.fusion_digest hashes the
    full fusion_stats record: statement counts, run-length histogram,
-   specialized/batched loops, inlined kernel sites).  Compiled with
-   [~fuse:true] explicitly, so the pin holds regardless of what
-   XDP_NO_FUSE made the session default.  A drift here means the
-   analysis started classifying abortable boundaries differently —
+   specialized/batched loops, inlined kernel sites).  A drift here
+   means the analysis started classifying abortable boundaries
+   differently —
    exactly the kind of silent change the differential suite might
    survive by accident (both engines agreeing on a *wrong* region). *)
 let test_fusion_digests () =
   let digest prog =
     let cp =
-      Xdp_runtime.Precompile.compile ~fuse:true
-        ~cost:Xdp_sim.Costmodel.message_passing ~kernels:Xdp.Kernels.default
-        ~scalars:[] prog
+      Xdp_runtime.Precompile.compile ~cost:Xdp_sim.Costmodel.message_passing
+        ~kernels:Xdp.Kernels.default ~scalars:[] prog
     in
     (Xdp_runtime.Precompile.fusion_digest cp,
      Xdp_runtime.Precompile.fusion_stats cp)
