@@ -49,8 +49,7 @@ let analytic_naive_peak ~n ~nprocs =
       ~src:(Redistflow.layout_before ~n ~m ~nprocs)
       ~dst:(Redistflow.layout_after ~n ~m ~nprocs)
   in
-  Collective.naive_peak ~nprocs ~elem_bytes:cost.Costmodel.elem_bytes
-    ~header_bytes:cost.Costmodel.header_bytes moves
+  Collective.naive_peak cost ~nprocs moves
 
 let run_one ~n ~nprocs ~strategy ~redist_stages ~max_steps =
   let prog = Redistflow.build ~n ~nprocs ~m ~strategy () in
@@ -62,7 +61,7 @@ let measure ~budget_div nprocs =
   let budget = naive_peak / budget_div in
   let info =
     snd
-      (Plan_redist.plan ~params:Plan_redist.default_params ~nprocs ~budget
+      (Plan_redist.plan ~nprocs ~budget
          (Xdp_dist.Redistribution.plan
             ~src:(Redistflow.layout_before ~n ~m ~nprocs)
             ~dst:(Redistflow.layout_after ~n ~m ~nprocs)))

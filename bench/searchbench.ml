@@ -35,7 +35,6 @@ module Estimate = Xdp_search.Estimate
 module Trace = Xdp_sim.Trace
 module J = Xdp_util.Jsonw
 
-let params = Estimate.default_params
 let opts = Anneal.default_options
 
 (* Median-of-repeats per-call estimator latency: one call is far below
@@ -45,7 +44,7 @@ let estimate_seconds cfg pl =
   let (), dt =
     Runs.time (fun () ->
         for _ = 1 to reps do
-          ignore (Space.estimate params cfg pl)
+          ignore (Space.estimate cfg pl)
         done)
   in
   dt /. float_of_int reps
@@ -66,7 +65,7 @@ let run_one cfg pl =
    the margin only grows with P. *)
 let measure ~execute ~speed cfg =
   let procs = cfg.Space.procs in
-  let r, search_s = Runs.time (fun () -> Anneal.search ~params cfg opts) in
+  let r, search_s = Runs.time (fun () -> Anneal.search cfg opts) in
   let est_s = estimate_seconds cfg r.Anneal.best in
   let lays =
     List.map

@@ -290,19 +290,12 @@ let run app stage n nprocs sweeps seg misaligned cost engine dump trace gantt
           (Xdp_util.Tensor.full_box acc);
         Format.printf "sum(%s) = %.1f@." w.check !sum);
     0
-  with
-  | Failure msg | Invalid_argument msg ->
-      Format.eprintf "xdpc: %s@." msg;
-      1
-  | Xdp_net.Transport.Link_failed msg ->
-      Format.eprintf "xdpc: link failure@.%s@." msg;
-      1
-  | Xdp_nic.Fabric.Nic_misuse msg ->
-      Format.eprintf "xdpc: nic misuse: %s@." msg;
-      1
-  | Xdp_runtime.Exec.Deadlock msg ->
-      Format.eprintf "xdpc: deadlock: %s@." msg;
-      1
+  with e -> (
+    match Xdp_batch.Service.diagnose e with
+    | Some d ->
+        Format.eprintf "xdpc: %s@." d;
+        1
+    | None -> raise e)
 
 let app_t =
   Arg.(value & opt (some string) None & info [ "app"; "a" ] ~doc:"Application: vecadd (the default), fft3d, jacobi, jacobi2d, reduce, farm, redist, dlstack.")
@@ -489,7 +482,6 @@ let search n dim layers nprocs seed rounds proposals objective jobs =
     | Ok () -> ()
     | Error e -> failwith e);
     let opts = { Anneal.seed; rounds; proposals; objective } in
-    let params = Estimate.default_params in
     (* --jobs fans each round's proposal batch over the batch service's
        Domain pool; scoring is pure and order-preserved, so the result
        is identical to the inline path. *)
@@ -502,14 +494,14 @@ let search n dim layers nprocs seed rounds proposals objective jobs =
               Array.map (fun _ -> (None : Space.summary option)) pls
             in
             Xdp_batch.Pool.run ~workers:jobs ~njobs:(Array.length pls)
-              ~f:(fun ~worker:_ i -> Space.estimate params cfg pls.(i))
+              ~f:(fun ~worker:_ i -> Space.estimate cfg pls.(i))
               ~emit:(fun i s -> out.(i) <- Some s);
             Array.map
               (function Some s -> s | None -> assert false)
               out)
     in
     let t0 = Unix.gettimeofday () in
-    let r = Anneal.search ?pscore ~params cfg opts in
+    let r = Anneal.search ?pscore cfg opts in
     let dt = Unix.gettimeofday () -. t0 in
     let pr name (s : Space.summary) key =
       Format.printf "%-8s  %7d msgs  %10d bytes  est makespan %12.0f  %s@."

@@ -30,18 +30,18 @@ let decls ~n ~nprocs ~m =
     };
   ]
 
-let build_info ~n ~nprocs ?(m = 2) ?(strategy = `Naive) ?params () =
+let build_info ~n ~nprocs ?(m = 2) ?(strategy = `Naive) () =
   check ~n ~nprocs ~m;
   let decls = decls ~n ~nprocs ~m in
   let body, info =
     Xdp.Redistribute.gen_info ~decls ~array:"A"
       ~new_layout:(layout_after ~n ~m ~nprocs)
-      ~strategy ?params ()
+      ~strategy ()
   in
   (Xdp.Build.program ~name:"redistflow" ~decls body, info)
 
-let build ~n ~nprocs ?m ?strategy ?params () =
-  fst (build_info ~n ~nprocs ?m ?strategy ?params ())
+let build ~n ~nprocs ?m ?strategy () =
+  fst (build_info ~n ~nprocs ?m ?strategy ())
 
 (* Distinct, exactly-representable value per index. *)
 let init name idx =

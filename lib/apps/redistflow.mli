@@ -22,14 +22,12 @@ val layout_after : n:int -> m:int -> nprocs:int -> Xdp_dist.Layout.t
 
 (** [build ~n ~nprocs ()].  Requires [nprocs >= 1] and [n] a multiple
     of [nprocs]; [m] (default 2) is the slab depth.  [strategy]
-    (default [`Naive]) and [params] pass through to
-    {!Xdp.Redistribute.gen_info}. *)
+    (default [`Naive]) passes through to {!Xdp.Redistribute.gen_info}. *)
 val build :
   n:int ->
   nprocs:int ->
   ?m:int ->
   ?strategy:Xdp.Plan_redist.strategy ->
-  ?params:Xdp.Plan_redist.params ->
   unit ->
   program
 
@@ -40,7 +38,6 @@ val build_info :
   nprocs:int ->
   ?m:int ->
   ?strategy:Xdp.Plan_redist.strategy ->
-  ?params:Xdp.Plan_redist.params ->
   unit ->
   program * Xdp.Plan_redist.info option
 

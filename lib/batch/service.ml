@@ -80,6 +80,15 @@ let record_fields (job : Manifest.job) ~engine ~outcome : (string * J.t) list =
                     (Marshal.to_string res.arrays [ Marshal.No_sharing ]))) );
         ]
 
+let diagnose = function
+  | Failure msg -> Some msg
+  | Invalid_argument msg -> Some ("invalid argument: " ^ msg)
+  | Exec.Deadlock msg -> Some ("deadlock: " ^ msg)
+  | Exec.Xdp_misuse msg -> Some ("xdp misuse: " ^ msg)
+  | Xdp_nic.Fabric.Nic_misuse msg -> Some ("nic misuse: " ^ msg)
+  | Xdp_net.Transport.Link_failed msg -> Some ("link failed: " ^ msg)
+  | _ -> None
+
 let run_job ~cache ~engine:default_engine ~timings (job : Manifest.job) =
   let s = job.spec in
   let t0 = Unix.gettimeofday () in
@@ -91,14 +100,9 @@ let run_job ~cache ~engine:default_engine ~timings (job : Manifest.job) =
         | Some e -> ok_or_fail (Exec.engine_of_string e)
       in
       Ok (engine, exec ~cache ~engine s)
-    with
-    | Failure msg -> Error msg
-    | Invalid_argument msg -> Error ("invalid argument: " ^ msg)
-    | Exec.Deadlock msg -> Error ("deadlock: " ^ msg)
-    | Exec.Xdp_misuse msg -> Error ("xdp misuse: " ^ msg)
-    | Xdp_nic.Fabric.Nic_misuse msg -> Error ("nic misuse: " ^ msg)
-    | Xdp_net.Transport.Link_failed msg -> Error ("link failed: " ^ msg)
-    | e -> Error (Printexc.to_string e)
+    with e ->
+      Error
+        (match diagnose e with Some d -> d | None -> Printexc.to_string e)
   in
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   let engine, outcome =

@@ -28,6 +28,13 @@ type summary = {
   wall_seconds : float;  (** whole-campaign wall clock *)
 }
 
+(** [diagnose e] — the one-line diagnostic for an exception a run can
+    abort with ([Failure], [Invalid_argument], {!Xdp_runtime.Exec.Deadlock},
+    {!Xdp_runtime.Exec.Xdp_misuse}, {!Xdp_nic.Fabric.Nic_misuse},
+    {!Xdp_net.Transport.Link_failed}); [None] for anything else.  Batch
+    records and [xdpc run] both report through it. *)
+val diagnose : exn -> string option
+
 val run :
   ?workers:int ->
   ?engine:Xdp_runtime.Exec.engine ->

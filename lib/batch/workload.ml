@@ -120,8 +120,7 @@ let dlstack_placement (s : Manifest.spec) =
                    and hand placements"
               else
                 let r =
-                  Xdp_search.Anneal.search
-                    ~params:Xdp_search.Estimate.default_params cfg
+                  Xdp_search.Anneal.search cfg
                     Xdp_search.Anneal.default_options
                 in
                 Ok r.Xdp_search.Anneal.best

@@ -2,27 +2,6 @@ open Build
 open Xdp_util
 open Xdp_dist
 
-type params = {
-  elem_bytes : int;
-  header_bytes : int;
-  alpha : float;
-  beta : float;
-  send_init : float;
-  recv_init : float;
-}
-
-(* Mirrors Costmodel.message_passing (lib/core cannot depend on
-   lib/sim); only planning quality depends on these, never results. *)
-let default_params =
-  {
-    elem_bytes = 8;
-    header_bytes = 16;
-    alpha = 2000.0;
-    beta = 0.5;
-    send_init = 200.0;
-    recv_init = 200.0;
-  }
-
 type budget = { peak_budget : int }
 type strategy = [ `Naive | `Collectives of budget ]
 
@@ -39,15 +18,6 @@ type info = {
   feasible : bool;
 }
 
-let pp_info ppf i =
-  Format.fprintf ppf
-    "redist plan: %s window=%d stages=%d moves=%d est_peak=%dB \
-     est_makespan=%.0f naive_peak=%dB budget=%s%s"
-    (Collective.shape_name i.shape)
-    i.window i.stages i.moves i.est_peak i.est_makespan i.naive_peak
-    (if i.budget = 0 then "unbounded" else Printf.sprintf "%dB" i.budget)
-    (if i.feasible then "" else " INFEASIBLE")
-
 (* Window candidates: powers of two up to the round count, plus the
    round count itself (a single all-at-once stage). *)
 let windows ~max_rounds =
@@ -57,12 +27,11 @@ let windows ~max_rounds =
   in
   if max_rounds <= 1 then [ 1 ] else up [] 1
 
-let estimate_of ~params sched =
-  Collective.estimate ~elem_bytes:params.elem_bytes
-    ~header_bytes:params.header_bytes ~alpha:params.alpha ~beta:params.beta
-    ~send_init:params.send_init ~recv_init:params.recv_init sched
+(* Every plan is costed on the message-passing machine; only planning
+   quality depends on the model, never results. *)
+let cm = Xdp_sim.Costmodel.message_passing
 
-let plan ~params ~nprocs ~budget moves =
+let plan ~nprocs ~budget moves =
   if budget < 0 then invalid_arg "Plan_redist.plan: negative budget";
   let limit = if budget = 0 then max_int else budget in
   let nmoves = List.length moves in
@@ -70,14 +39,10 @@ let plan ~params ~nprocs ~budget moves =
     List.fold_left
       (fun acc m ->
         Redistribution.checked_add "plan bytes" acc
-          (Collective.move_bytes ~elem_bytes:params.elem_bytes
-             ~header_bytes:params.header_bytes m))
+          (Collective.move_bytes cm m))
       0 moves
   in
-  let naive_peak =
-    Collective.naive_peak ~nprocs ~elem_bytes:params.elem_bytes
-      ~header_bytes:params.header_bytes moves
-  in
+  let naive_peak = Collective.naive_peak cm ~nprocs moves in
   let mk_info (sched : Collective.schedule) (est : Collective.estimate)
       feasible =
     {
@@ -101,7 +66,7 @@ let plan ~params ~nprocs ~budget moves =
           (fun w ->
             match Collective.build shape ~nprocs ~window:w moves with
             | None -> None
-            | Some sched -> Some (sched, estimate_of ~params sched))
+            | Some sched -> Some (sched, Collective.estimate cm sched))
           (windows ~max_rounds))
       Collective.all_shapes
   in
@@ -149,7 +114,7 @@ let plan ~params ~nprocs ~budget moves =
             let sched =
               { Collective.shape = Ring; window = 1; nprocs; stages = [||] }
             in
-            (sched, estimate_of ~params sched)
+            (sched, Collective.estimate cm sched)
       in
       (sched, mk_info sched est (nmoves = 0))
 

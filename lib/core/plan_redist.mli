@@ -32,26 +32,13 @@
     its source from send post and its destination from match until the
     delivery is consumed.  [peak_budget = 0] means unbounded (plan
     purely for makespan).  Feasibility is judged against the
-    conservative static model in {!Xdp_dist.Collective.estimate}; the
-    differential suite checks measured peaks stay within budget on
-    feasible plans. *)
+    conservative static model in {!Xdp_dist.Collective.estimate},
+    evaluated on the simulator's own {!Xdp_sim.Costmodel.message_passing}
+    (planning with another job's model would only change performance,
+    never results); the differential suite checks measured peaks stay
+    within budget on feasible plans under that model. *)
 
 open Xdp_dist
-
-(** Cost scalars the estimator needs.  {!default_params} mirrors
-    [Costmodel.message_passing]; callers running under a different
-    cost model pass its scalars (planning only affects performance,
-    never results, so a mismatch is benign). *)
-type params = {
-  elem_bytes : int;
-  header_bytes : int;
-  alpha : float;
-  beta : float;
-  send_init : float;
-  recv_init : float;
-}
-
-val default_params : params
 
 type budget = { peak_budget : int }  (** bytes; 0 = unbounded *)
 
@@ -73,16 +60,14 @@ type info = {
           budget is unbounded) *)
 }
 
-val pp_info : Format.formatter -> info -> unit
-
-(** [plan ~params ~nprocs ~budget moves] — search shapes × windows,
-    return the chosen schedule.  When nothing fits the budget, the
-    schedule with the smallest estimated peak is returned with
+(** [plan ~nprocs ~budget moves] — search shapes × windows, costing
+    every candidate on [message_passing], and return the chosen
+    schedule.  When nothing fits the budget, the schedule with the
+    smallest estimated peak is returned with
     [feasible = false] (the caller decides whether that is an error).
     Deterministic: ties break toward fewer stages, then shape order,
     then smaller window. *)
 val plan :
-  params:params ->
   nprocs:int ->
   budget:int ->
   Redistribution.move list ->

@@ -22,7 +22,7 @@ let split_by_segments layout seg_shape src box =
     segs
 
 let gen_info ~decls ~array ~new_layout ?(granularity = `Pairwise)
-    ?(strategy = `Naive) ?(params = Plan_redist.default_params) () =
+    ?(strategy = `Naive) () =
   let d =
     match List.find_opt (fun d -> d.arr_name = array) decls with
     | Some d -> d
@@ -64,15 +64,14 @@ let gen_info ~decls ~array ~new_layout ?(granularity = `Pairwise)
           pieces
       in
       let sched, info =
-        Plan_redist.plan ~params
+        Plan_redist.plan
           ~nprocs:(Xdp_dist.Layout.nprocs new_layout)
           ~budget:peak_budget moves
       in
       (Plan_redist.lower ~array sched, Some info)
 
-let gen ~decls ~array ~new_layout ?granularity ?strategy ?params () =
-  fst
-    (gen_info ~decls ~array ~new_layout ?granularity ?strategy ?params ())
+let gen ~decls ~array ~new_layout ?granularity ?strategy () =
+  fst (gen_info ~decls ~array ~new_layout ?granularity ?strategy ())
 
 (* Nested literal-bound loops copying [src_arr] to [dst_arr] over the
    elements of [box]. *)

@@ -23,9 +23,7 @@
     per-processor peak in-flight bytes stay within [b.peak_budget]
     ([0] = unbounded, plan purely for makespan).  Both lowerings move
     the same pieces, so final array contents are bit-identical; only
-    posting order, peak memory and makespan differ.  [params] feeds
-    the planner's cost estimator (default mirrors
-    [Costmodel.message_passing]). *)
+    posting order, peak memory and makespan differ. *)
 
 open Ir
 
@@ -35,7 +33,6 @@ val gen :
   new_layout:Xdp_dist.Layout.t ->
   ?granularity:[ `Pairwise | `Segment ] ->
   ?strategy:Plan_redist.strategy ->
-  ?params:Plan_redist.params ->
   unit ->
   stmt list
 
@@ -48,7 +45,6 @@ val gen_info :
   new_layout:Xdp_dist.Layout.t ->
   ?granularity:[ `Pairwise | `Segment ] ->
   ?strategy:Plan_redist.strategy ->
-  ?params:Plan_redist.params ->
   unit ->
   stmt list * Plan_redist.info option
 

@@ -87,11 +87,11 @@ let build shape ~nprocs ~window moves =
           Some { shape; window; nprocs;
                  stages = stage_by ~nslots slot_of moves })
 
-let move_bytes ~elem_bytes ~header_bytes (m : Redistribution.move) =
+let move_bytes (cm : Xdp_sim.Costmodel.t) (m : Redistribution.move) =
   let elems = Redistribution.box_elems m.box in
   Redistribution.checked_add "move bytes"
-    (Redistribution.checked_mul "move bytes" elems elem_bytes)
-    header_bytes
+    (Redistribution.checked_mul "move bytes" elems cm.elem_bytes)
+    cm.header_bytes
 
 type estimate = {
   est_peak : int;
@@ -99,8 +99,7 @@ type estimate = {
   est_makespan : float;
 }
 
-let estimate ~elem_bytes ~header_bytes ~alpha ~beta ~send_init ~recv_init
-    sched =
+let estimate (cm : Xdp_sim.Costmodel.t) sched =
   let p = sched.nprocs and s = Array.length sched.stages in
   if s = 0 then
     { est_peak = 0; est_peak_per_proc = Array.make p 0; est_makespan = 0.0 }
@@ -113,7 +112,7 @@ let estimate ~elem_bytes ~header_bytes ~alpha ~beta ~send_init ~recv_init
       (fun st ms ->
         List.iter
           (fun (m : Redistribution.move) ->
-            let b = move_bytes ~elem_bytes ~header_bytes m in
+            let b = move_bytes cm m in
             let si = (m.src * s) + st and di = (m.dst * s) + st in
             out_b.(si) <- add out_b.(si) b;
             in_b.(di) <- add in_b.(di) b;
@@ -159,14 +158,15 @@ let estimate ~elem_bytes ~header_bytes ~alpha ~beta ~send_init ~recv_init
       for q = 0 to p - 1 do
         let k = (q * s) + st in
         let w =
-          (float_of_int out_n.(k) *. send_init)
-          +. (float_of_int in_n.(k) *. recv_init)
+          (float_of_int out_n.(k) *. cm.time_send_init)
+          +. (float_of_int in_n.(k) *. cm.time_recv_init)
         in
         if w > !init then init := w;
         if out_b.(k) > !heavy then heavy := out_b.(k);
         if in_b.(k) > !heavy then heavy := in_b.(k)
       done;
-      makespan := !makespan +. !init +. alpha +. (beta *. float_of_int !heavy)
+      makespan :=
+        !makespan +. !init +. cm.alpha +. (cm.beta *. float_of_int !heavy)
     done;
     {
       est_peak = Array.fold_left max 0 peaks;
@@ -175,13 +175,12 @@ let estimate ~elem_bytes ~header_bytes ~alpha ~beta ~send_init ~recv_init
     }
   end
 
-let naive_peak ~nprocs ~elem_bytes ~header_bytes moves =
+let naive_peak cm ~nprocs moves =
   let out = Array.make (max nprocs 1) 0 in
   List.iter
     (fun (m : Redistribution.move) ->
       out.(m.src) <-
-        Redistribution.checked_add "naive peak" out.(m.src)
-          (move_bytes ~elem_bytes ~header_bytes m))
+        Redistribution.checked_add "naive peak" out.(m.src) (move_bytes cm m))
     moves;
   Array.fold_left max 0 out
 

@@ -55,12 +55,11 @@ val build :
   shape -> nprocs:int -> window:int -> Redistribution.move list ->
   schedule option
 
-(** Wire bytes of one move when lowered to an undirected
-    ownership+value send: payload elements × [elem_bytes] plus
-    [header_bytes] (the name tag travels — the destination is not
-    bound at compile time).  Overflow-checked. *)
-val move_bytes :
-  elem_bytes:int -> header_bytes:int -> Redistribution.move -> int
+(** [move_bytes cm m] — wire bytes of one move when lowered to an
+    undirected ownership+value send under cost model [cm]: payload
+    elements × [elem_bytes] plus [header_bytes] (the name tag travels —
+    the destination is not bound at compile time).  Overflow-checked. *)
+val move_bytes : Xdp_sim.Costmodel.t -> Redistribution.move -> int
 
 type estimate = {
   est_peak : int;
@@ -77,18 +76,12 @@ type estimate = {
     after [s] (one stage of delivery/consumption slack).  Peak bytes
     are the per-processor max over stage times of that window;
     makespan sums per-stage critical paths (initiation + alpha-beta
-    transfer of the heaviest processor).  The peak model is
-    deliberately conservative; the differential suite checks measured
-    peaks against it on feasible plans. *)
-val estimate :
-  elem_bytes:int ->
-  header_bytes:int ->
-  alpha:float ->
-  beta:float ->
-  send_init:float ->
-  recv_init:float ->
-  schedule ->
-  estimate
+    transfer of the heaviest processor).  Bytes, initiation times and
+    alpha/beta all come from the one cost model [cm] the simulator
+    charges.  The peak model is deliberately conservative; the
+    differential suite checks measured peaks against it on feasible
+    plans. *)
+val estimate : Xdp_sim.Costmodel.t -> schedule -> estimate
 
 (** Peak in-flight bytes the naive (unstaged) lowering reaches: the
     maximum over processors of their {e total} outgoing bytes.  Naive
@@ -97,8 +90,7 @@ val estimate :
     patterns every processor's full outgoing volume is simultaneously
     in flight.  Overflow-checked. *)
 val naive_peak :
-  nprocs:int -> elem_bytes:int -> header_bytes:int ->
-  Redistribution.move list -> int
+  Xdp_sim.Costmodel.t -> nprocs:int -> Redistribution.move list -> int
 
 (** Stable textual rendering of a schedule (shape, window, one line
     per move under its stage) — the goldens digest this.  O(moves);

@@ -87,5 +87,3 @@ let segment_map layout ~pid ~seg_shape =
       done;
       Buffer.contents buf
   | _ -> invalid_arg "Segment.segment_map: rank must be 2"
-
-let pp_desc ppf d = Format.fprintf ppf "seg %d: %a" d.id Box.pp d.box

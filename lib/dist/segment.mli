@@ -45,5 +45,3 @@ val find_containing : desc list -> int list -> desc option
     ('0'-'9','a'-..), all other elements show ['.'] (regenerates the
     panels of Figure 3). *)
 val segment_map : Layout.t -> pid:int -> seg_shape:int list -> string
-
-val pp_desc : Format.formatter -> desc -> unit

@@ -156,7 +156,7 @@ let seed_population cfg =
     (Space.meshes cfg);
   List.rev !out
 
-let search ?pscore ~params cfg opts =
+let search ?pscore cfg opts =
   (match Space.validate_config cfg with
   | Ok () -> ()
   | Error e -> invalid_arg ("Anneal.search: " ^ e));
@@ -165,11 +165,11 @@ let search ?pscore ~params cfg opts =
   let pscore =
     match pscore with
     | Some f -> f
-    | None -> Array.map (fun p -> Space.estimate params cfg p)
+    | None -> Array.map (Space.estimate cfg)
   in
   let score = score_of opts.objective in
-  let naive_summary = Space.estimate params cfg (Space.naive cfg) in
-  let hand_summary = Space.estimate params cfg (Space.hand cfg) in
+  let naive_summary = Space.estimate cfg (Space.naive cfg) in
+  let hand_summary = Space.estimate cfg (Space.hand cfg) in
   (* Phase 1: enumerate and score every uniform placement. *)
   let seeds = Array.of_list (seed_population cfg) in
   let seed_summaries = pscore seeds in

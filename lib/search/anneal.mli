@@ -41,16 +41,15 @@ type result = {
   seeded : int;  (** enumeration-phase candidates *)
 }
 
-(** [search ?pscore ~params cfg opts].  [pscore] maps placements to
-    their summaries and defaults to inline {!Space.estimate}; pass a
-    Domain-pool mapper to score each round's proposal batch in
-    parallel (it must be order-preserving and pure, which
-    [Space.estimate] is).
+(** [search ?pscore cfg opts].  [pscore] maps placements to their
+    summaries and defaults to inline {!Space.estimate}, which prices on
+    {!Xdp_sim.Costmodel.message_passing}; pass a Domain-pool mapper to
+    score each round's proposal batch in parallel (it must be
+    order-preserving and pure, which [Space.estimate] is).
     @raise Invalid_argument on an invalid config or non-positive
     [rounds]/[proposals]. *)
 val search :
   ?pscore:(Space.placement array -> Space.summary array) ->
-  params:Estimate.params ->
   Space.config ->
   options ->
   result

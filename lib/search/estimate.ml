@@ -1,30 +1,5 @@
 open Xdp_dist
 
-type params = {
-  elem_bytes : int;
-  header_bytes : int;
-  alpha : float;
-  beta : float;
-  send_init : float;
-  recv_init : float;
-  time_flop : float;
-  time_mem : float;
-}
-
-(* Mirrors Costmodel.message_passing; kept literal because this
-   library sits below xdp_sim in the dependency order. *)
-let default_params =
-  {
-    elem_bytes = 8;
-    header_bytes = 16;
-    alpha = 2000.0;
-    beta = 0.5;
-    send_init = 200.0;
-    recv_init = 200.0;
-    time_flop = 1.0;
-    time_mem = 1.0;
-  }
-
 type t = { msgs : int; payload_elems : int; wire_bytes : int }
 
 let zero = { msgs = 0; payload_elems = 0; wire_bytes = 0 }
@@ -46,16 +21,16 @@ let scale k t =
     wire_bytes = cmul "estimate wire bytes" k t.wire_bytes;
   }
 
-let messages ?(directed = true) p ~count ~elems =
+let messages ?(directed = true) (cm : Xdp_sim.Costmodel.t) ~count ~elems =
   if count < 0 || elems < 0 then
     invalid_arg "Estimate.messages: negative count or payload";
   let payload = cmul "estimate payload elements" count elems in
-  let payload_bytes = cmul "estimate wire bytes" payload p.elem_bytes in
+  let payload_bytes = cmul "estimate wire bytes" payload cm.elem_bytes in
   (* directed sends are bound at compile time: no name tag travels,
      so the board charges no header (the exactness contract with the
      executed Stats of all-directed elaborations hangs on this) *)
   let header_bytes =
-    if directed then 0 else cmul "estimate wire bytes" count p.header_bytes
+    if directed then 0 else cmul "estimate wire bytes" count cm.header_bytes
   in
   {
     msgs = count;
@@ -63,33 +38,7 @@ let messages ?(directed = true) p ~count ~elems =
     wire_bytes = cadd "estimate wire bytes" payload_bytes header_bytes;
   }
 
-let of_moves p moves =
-  let bytes =
-    List.fold_left
-      (fun acc m ->
-        cadd "estimate wire bytes" acc
-          (Collective.move_bytes ~elem_bytes:p.elem_bytes
-             ~header_bytes:p.header_bytes m))
-      0 moves
-  in
-  {
-    msgs = List.length moves;
-    payload_elems = Redistribution.volume moves;
-    wire_bytes = bytes;
-  }
-
-let of_schedule p (s : Collective.schedule) =
-  let total =
-    Array.fold_left (fun acc stage -> add acc (of_moves p stage)) zero
-      s.Collective.stages
-  in
-  let est =
-    Collective.estimate ~elem_bytes:p.elem_bytes ~header_bytes:p.header_bytes
-      ~alpha:p.alpha ~beta:p.beta ~send_init:p.send_init
-      ~recv_init:p.recv_init s
-  in
-  (total, est)
-
-let transfer_time p t =
-  (float_of_int t.msgs *. (p.send_init +. p.recv_init +. p.alpha))
-  +. (float_of_int t.wire_bytes *. p.beta)
+let transfer_time (cm : Xdp_sim.Costmodel.t) t =
+  (float_of_int t.msgs
+  *. (cm.time_send_init +. cm.time_recv_init +. cm.alpha))
+  +. (float_of_int t.wire_bytes *. cm.beta)

@@ -8,33 +8,16 @@
     [payload elements * elem_bytes] wire bytes, plus [header_bytes]
     only when undirected — directed sends are bound at compile time,
     so no name tag travels (the board charges them no header, and
-    every message a placement elaborates to is directed).
+    every message a placement elaborates to is directed).  The
+    constants are read from the simulator's own
+    {!Xdp_sim.Costmodel.t}; placement search prices on
+    [Costmodel.message_passing].
 
     All totals are overflow-checked in the
     {!Xdp_dist.Redistribution.checked_add} style: counting past
     [max_int] raises [Invalid_argument] naming the quantity instead of
     silently wrapping — placements are scored at P in the thousands
     where naive byte products approach the 2^61 boundary. *)
-
-open Xdp_dist
-
-(** The constants a static estimate depends on — a slice of
-    {!Xdp_sim.Costmodel.t} (this library sits below the simulator, so
-    callers that have a cost model convert it; everyone else uses
-    {!default_params}, which mirrors [message_passing]). *)
-type params = {
-  elem_bytes : int;
-  header_bytes : int;
-  alpha : float;  (** per-message wire latency *)
-  beta : float;  (** per-byte wire cost *)
-  send_init : float;
-  recv_init : float;
-  time_flop : float;
-  time_mem : float;
-}
-
-(** Mirrors [Costmodel.message_passing]. *)
-val default_params : params
 
 (** A communication total: endpoint messages, payload elements and
     wire bytes (payload + per-message headers). *)
@@ -48,23 +31,13 @@ val add : t -> t -> t
 (** [scale k t] — [k] repetitions of [t]; overflow-checked. *)
 val scale : int -> t -> t
 
-(** [messages p ~count ~elems] — [count] messages of [elems] payload
-    elements each; [directed] (default [true]) controls whether the
-    per-message header travels.  @raise Invalid_argument on negative
-    inputs or overflow. *)
-val messages : ?directed:bool -> params -> count:int -> elems:int -> t
-
-(** Account a redistribution move list: one message per move, bytes
-    via {!Collective.move_bytes}, elements via
-    {!Redistribution.volume}. *)
-val of_moves : params -> Redistribution.move list -> t
-
-(** Account a staged collective schedule (all its stages) and expose
-    the planner's own peak/makespan model alongside — search callers
-    rank with the same {!Collective.estimate} the redistribution
-    planner certifies against measurement. *)
-val of_schedule : params -> Collective.schedule -> t * Collective.estimate
+(** [messages cm ~count ~elems] — [count] messages of [elems] payload
+    elements each under cost model [cm]; [directed] (default [true])
+    controls whether the per-message header travels.
+    @raise Invalid_argument on negative inputs or overflow. *)
+val messages :
+  ?directed:bool -> Xdp_sim.Costmodel.t -> count:int -> elems:int -> t
 
 (** Coarse alpha-beta transfer time of a total, serialized:
     [msgs * (send_init + recv_init + alpha) + wire_bytes * beta]. *)
-val transfer_time : params -> t -> float
+val transfer_time : Xdp_sim.Costmodel.t -> t -> float

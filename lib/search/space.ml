@@ -27,14 +27,6 @@ let wgt_of_string = function
 
 let gsum_name = function Tree -> "tree" | Allgather -> "allgather"
 
-let gsum_of_string = function
-  | "tree" -> Ok Tree
-  | "allgather" -> Ok Allgather
-  | s ->
-      Error
-        (Printf.sprintf
-           "unknown gradient rule '%s' (accepted: tree, allgather)" s)
-
 let act_char = function Row -> 'r' | Col -> 'c' | Repl -> 'R'
 let wgt_char = function Wshard -> 's' | Wrepl -> 'w'
 let gsum_char = function Tree -> 't' | Allgather -> 'g'
@@ -278,21 +270,21 @@ let compute_elems cfg p =
       acc + (2 * fwd) + upd)
     0 p.layers
 
-let estimate params cfg p =
+let estimate cfg p =
+  let cm = Xdp_sim.Costmodel.message_passing in
   (match validate cfg p with
   | Ok () -> ()
   | Error e -> invalid_arg ("Space.estimate: " ^ e));
   let comm =
     List.fold_left
       (fun acc (count, elems) ->
-        Estimate.add acc (Estimate.messages params ~count ~elems))
+        Estimate.add acc (Estimate.messages cm ~count ~elems))
       Estimate.zero (comm_ops cfg p)
   in
   let ce = compute_elems cfg p in
   let est_makespan =
     (float_of_int ce
-    *. ((2.0 *. params.Estimate.time_flop)
-       +. (3.0 *. params.Estimate.time_mem)))
-    +. (Estimate.transfer_time params comm /. float_of_int p.dp)
+    *. ((2.0 *. cm.time_flop) +. (3.0 *. cm.time_mem)))
+    +. (Estimate.transfer_time cm comm /. float_of_int p.dp)
   in
   { comm; compute_elems = ce; est_makespan }

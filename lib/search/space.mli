@@ -45,7 +45,6 @@ val act_of_string : string -> (act, string) result
 val act_name : act -> string
 val wgt_of_string : string -> (wgt, string) result
 val wgt_name : wgt -> string
-val gsum_of_string : string -> (gsum, string) result
 val gsum_name : gsum -> string
 
 (** Canonical compact rendering, e.g. ["dp4xpp2[r/W.t|0 c/S.t|1]"];
@@ -119,9 +118,10 @@ type summary = {
   est_makespan : float;  (** coarse alpha-beta + compute ranking metric *)
 }
 
-(** Price a placement statically in O(layers) — no IR, no simulator.
-    Exact by construction: [comm.msgs] and [comm.wire_bytes] equal the
-    executed [Stats.messages]/[Stats.bytes] of the elaborated program
-    under the same cost constants.
+(** Price a placement statically in O(layers) — no IR, no simulator —
+    on {!Xdp_sim.Costmodel.message_passing}.  Exact by construction:
+    [comm.msgs] and [comm.wire_bytes] equal the executed
+    [Stats.messages]/[Stats.bytes] of the elaborated program under
+    that cost model.
     @raise Invalid_argument if {!validate} would reject. *)
-val estimate : Estimate.params -> config -> placement -> summary
+val estimate : config -> placement -> summary

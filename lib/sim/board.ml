@@ -119,9 +119,10 @@ let occ_add t pid bytes =
 let occ_sub t pid bytes =
   if pid < Array.length t.occ then t.occ.(pid) <- t.occ.(pid) - bytes
 
-(* Wire bytes of a send, known at post time: the destination decides
-   the header (footnote 2) and the kind decides the payload — the
-   same formula [make_delivery] uses. *)
+(* Wire bytes of a send, known at post time and charged again at
+   match by [make_delivery].  Directed sends were bound at compile
+   time, so the name tag need not travel (paper, footnote 2): the
+   destination decides the header, the kind decides the payload. *)
 let send_bytes (cost : Costmodel.t) ~kind ~payload ~dst =
   let header =
     match dst with Some _ -> 0 | None -> cost.Costmodel.header_bytes
@@ -225,16 +226,9 @@ let insert_delivery t d = Heap.push t.deliveries d
 
 let make_delivery t ~name (s : send) (r : recv) =
   check_kind name s.s_kind r.r_kind;
-  let elems = Array.length s.s_payload in
-  (* Directed sends were bound at compile time, so the name tag need
-     not travel (paper, footnote 2): no header on the wire. *)
-  let header =
-    match s.s_dst with
-    | Some _ -> 0
-    | None -> t.cost.Costmodel.header_bytes
+  let bytes =
+    send_bytes t.cost ~kind:s.s_kind ~payload:s.s_payload ~dst:s.s_dst
   in
-  let payload = if s.s_kind = Owner then 0 else elems * t.cost.Costmodel.elem_bytes in
-  let bytes = payload + header in
   let arrival =
     Float.max (s.s_time +. Costmodel.transfer_time t.cost ~bytes) r.r_time
   in

@@ -370,6 +370,24 @@ let test_service_failure () =
   Alcotest.(check int) "2 records" 2
     (List.length (String.split_on_char '\n' (String.trim out)))
 
+(* One mapping from abort exceptions to diagnostics, shared by batch
+   records and [xdpc run]; anything else is not a run diagnosis. *)
+let test_service_diagnose () =
+  List.iter
+    (fun (e, want) ->
+      Alcotest.(check (option string)) want (Some want) (Service.diagnose e))
+    [
+      (Failure "boom", "boom");
+      (Invalid_argument "n < 1", "invalid argument: n < 1");
+      (Exec.Deadlock "P1 waits", "deadlock: P1 waits");
+      ( Exec.Xdp_misuse "step budget exceeded (10)",
+        "xdp misuse: step budget exceeded (10)" );
+      (Xdp_nic.Fabric.Nic_misuse "no program", "nic misuse: no program");
+      (Xdp_net.Transport.Link_failed "P1->P2", "link failed: P1->P2");
+    ];
+  Alcotest.(check (option string)) "other exceptions" None
+    (Service.diagnose Not_found)
+
 (* ---- stats golden: the "stats" object of every record ----
 
    A digest over the raw "stats" bytes of a fixed campaign covering a
@@ -572,6 +590,7 @@ let () =
         [
           Alcotest.test_case "records" `Quick test_service_records;
           Alcotest.test_case "failure" `Quick test_service_failure;
+          Alcotest.test_case "diagnose" `Quick test_service_diagnose;
           Alcotest.test_case "stats golden" `Quick test_stats_golden;
         ] );
       ( "properties",

@@ -384,16 +384,14 @@ let gen_rcfg =
 let rcfg_budget c =
   if c.r_div = 0 then 0
   else
-    let mp = Xdp_sim.Costmodel.message_passing in
     let moves =
       Xdp_dist.Redistribution.plan
         ~src:(Redistflow.layout_before ~n:c.r_n ~m:c.r_m ~nprocs:c.r_nprocs)
         ~dst:(Redistflow.layout_after ~n:c.r_n ~m:c.r_m ~nprocs:c.r_nprocs)
     in
     max 1
-      (Collective.naive_peak ~nprocs:c.r_nprocs
-         ~elem_bytes:mp.Xdp_sim.Costmodel.elem_bytes
-         ~header_bytes:mp.Xdp_sim.Costmodel.header_bytes moves
+      (Collective.naive_peak Xdp_sim.Costmodel.message_passing
+         ~nprocs:c.r_nprocs moves
       / c.r_div)
 
 let check_rcfg c =
@@ -434,7 +432,7 @@ let check_rcfg c =
           in
           check_identical (Printf.sprintf "planned %s %s" elabel clabel) r;
           (* the budget invariant is judged under the cost model the
-             planner's default params mirror *)
+             planner costs plans on *)
           if
             clabel = "mp" && info.Plan_redist.feasible && budget > 0
             && Xdp_sim.Trace.max_peak_inflight r.Exec.stats > budget

@@ -423,8 +423,7 @@ let test_redist_schedule_digest () =
       ~dst:(Xdp_apps.Redistflow.layout_after ~n:16 ~m:2 ~nprocs:8)
   in
   let sched, info =
-    Xdp.Plan_redist.plan ~params:Xdp.Plan_redist.default_params ~nprocs:8
-      ~budget:400 moves
+    Xdp.Plan_redist.plan ~nprocs:8 ~budget:400 moves
   in
   Alcotest.(check string) "schedule digest" "04603e110ebe5db3c87d2abc22854f95"
     (Digest.to_hex (Digest.string (Xdp_dist.Collective.describe sched)));

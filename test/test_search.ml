@@ -24,7 +24,7 @@ module Exec = Xdp_runtime.Exec
 module Trace = Xdp_sim.Trace
 module G = QCheck.Gen
 
-let params = Estimate.default_params
+let mp = Xdp_sim.Costmodel.message_passing
 
 let run_checked ?engine ?cost ?fault cfg pl =
   let prog = Dlstack.build cfg pl in
@@ -45,7 +45,7 @@ let exec_comm cfg pl =
   (r.Exec.stats.Trace.messages, r.Exec.stats.Trace.bytes)
 
 let check_exact cfg pl =
-  let est = Space.estimate params cfg pl in
+  let est = Space.estimate cfg pl in
   let msgs, bytes = exec_comm cfg pl in
   Alcotest.(check int)
     (Space.key pl ^ ": estimated messages = executed")
@@ -158,7 +158,7 @@ let prop_searched_beats_anchors =
          let* obj = oneofl [ Anneal.Bytes; Anneal.Makespan ] in
          return (cfg, seed, obj)))
     (fun (cfg, seed, obj) ->
-      let r = Anneal.search ~params cfg (quick_opts seed obj) in
+      let r = Anneal.search cfg (quick_opts seed obj) in
       (* the search's own order (Anneal.better): the objective, then
          endpoint messages; its final tie-break, the canonical key,
          only orders placements equal on both *)
@@ -190,7 +190,7 @@ let prop_searched_bit_identical =
          let* seed = int_range 1 1000 in
          return (cfg, seed)))
     (fun (cfg, seed) ->
-      let r = Anneal.search ~params cfg (quick_opts seed Anneal.Bytes) in
+      let r = Anneal.search cfg (quick_opts seed Anneal.Bytes) in
       let pl = r.Anneal.best in
       let faulty =
         Xdp_net.Faultplan.make ~seed ~drop:0.15 ~dup:0.1 ~jitter:0.25 ()
@@ -220,7 +220,7 @@ let prop_rank_agreement =
          let* b = gen_placement cfg in
          return (cfg, a, b)))
     (fun (cfg, a, b) ->
-      let est pl = (Space.estimate params cfg pl).Space.comm in
+      let est pl = (Space.estimate cfg pl).Space.comm in
       let ea = est a and eb = est b in
       let xa = exec_comm cfg a and xb = exec_comm cfg b in
       let order (m, by) (m', by') = compare (by, m) (by', m') in
@@ -240,8 +240,8 @@ let prop_rank_agreement =
 let test_deterministic () =
   let cfg = { Space.procs = 8; batch = 16; dim = 8; nlayers = 3 } in
   let opts = Anneal.default_options in
-  let r1 = Anneal.search ~params cfg opts in
-  let r2 = Anneal.search ~params cfg opts in
+  let r1 = Anneal.search cfg opts in
+  let r2 = Anneal.search cfg opts in
   Alcotest.(check string)
     "same seed, same winner" (Space.key r1.Anneal.best)
     (Space.key r2.Anneal.best);
@@ -251,11 +251,11 @@ let test_deterministic () =
     let pscore pls =
       let out = Array.map (fun _ -> (None : Space.summary option)) pls in
       Xdp_batch.Pool.run ~workers:4 ~njobs:(Array.length pls)
-        ~f:(fun ~worker:_ i -> Space.estimate params cfg pls.(i))
+        ~f:(fun ~worker:_ i -> Space.estimate cfg pls.(i))
         ~emit:(fun i s -> out.(i) <- Some s);
       Array.map (function Some s -> s | None -> assert false) out
     in
-    Anneal.search ~pscore ~params cfg opts
+    Anneal.search ~pscore cfg opts
   in
   Alcotest.(check string)
     "pool scoring = inline scoring" (Space.key r1.Anneal.best)
@@ -264,7 +264,7 @@ let test_deterministic () =
     "pool scoring, same candidate count" r1.Anneal.evaluated
     pooled.Anneal.evaluated;
   (* a different seed may move, but never past the anchors *)
-  let r3 = Anneal.search ~params cfg { opts with Anneal.seed = 77 } in
+  let r3 = Anneal.search cfg { opts with Anneal.seed = 77 } in
   Alcotest.(check bool)
     "seed 77 still <= naive" true
     (r3.Anneal.best_summary.Space.comm.Estimate.wire_bytes
@@ -282,11 +282,11 @@ let test_overflow () =
   Alcotest.(check bool)
     "byte total past the boundary raises" true
     (raises (fun () ->
-         Estimate.messages params ~count:(1 lsl 40) ~elems:(1 lsl 20)));
+         Estimate.messages mp ~count:(1 lsl 40) ~elems:(1 lsl 20)));
   Alcotest.(check bool)
     "element count overflow raises" true
     (raises (fun () ->
-         Estimate.messages params ~count:(1 lsl 32) ~elems:(1 lsl 32)));
+         Estimate.messages mp ~count:(1 lsl 32) ~elems:(1 lsl 32)));
   Alcotest.(check bool)
     "add past max_int raises" true
     (raises (fun () ->
@@ -297,12 +297,12 @@ let test_overflow () =
     "negative scale raises" true
     (raises (fun () -> Estimate.scale (-1) Estimate.zero));
   (* undirected messages carry headers; directed (the default) do not *)
-  let d = Estimate.messages params ~count:3 ~elems:10 in
-  let u = Estimate.messages ~directed:false params ~count:3 ~elems:10 in
+  let d = Estimate.messages mp ~count:3 ~elems:10 in
+  let u = Estimate.messages ~directed:false mp ~count:3 ~elems:10 in
   Alcotest.(check int) "directed wire bytes" 240 d.Estimate.wire_bytes;
   Alcotest.(check int)
     "undirected adds per-message headers"
-    (240 + (3 * params.Estimate.header_bytes))
+    (240 + (3 * mp.Xdp_sim.Costmodel.header_bytes))
     u.Estimate.wire_bytes
 
 (* ---- the validator rejects what the elaborator would refuse ---- *)
