@@ -472,7 +472,7 @@ let objective_conv =
       fun ppf o ->
         Format.pp_print_string ppf (Xdp_search.Anneal.objective_name o) )
 
-let search n dim layers nprocs seed rounds proposals objective jobs =
+let search n dim layers nprocs seed rounds proposals objective =
   let module Space = Xdp_search.Space in
   let module Anneal = Xdp_search.Anneal in
   let module Estimate = Xdp_search.Estimate in
@@ -482,26 +482,8 @@ let search n dim layers nprocs seed rounds proposals objective jobs =
     | Ok () -> ()
     | Error e -> failwith e);
     let opts = { Anneal.seed; rounds; proposals; objective } in
-    (* --jobs fans each round's proposal batch over the batch service's
-       Domain pool; scoring is pure and order-preserved, so the result
-       is identical to the inline path. *)
-    let pscore =
-      if jobs <= 1 then None
-      else
-        Some
-          (fun pls ->
-            let out =
-              Array.map (fun _ -> (None : Space.summary option)) pls
-            in
-            Xdp_batch.Pool.run ~workers:jobs ~njobs:(Array.length pls)
-              ~f:(fun ~worker:_ i -> Space.estimate cfg pls.(i))
-              ~emit:(fun i s -> out.(i) <- Some s);
-            Array.map
-              (function Some s -> s | None -> assert false)
-              out)
-    in
     let t0 = Unix.gettimeofday () in
-    let r = Anneal.search ?pscore cfg opts in
+    let r = Anneal.search cfg opts in
     let dt = Unix.gettimeofday () -. t0 in
     let pr name (s : Space.summary) key =
       Format.printf "%-8s  %7d msgs  %10d bytes  est makespan %12.0f  %s@."
@@ -550,13 +532,6 @@ let objective_t =
            on message count) or $(b,makespan) (the coarse alpha-beta + \
            compute estimate).")
 
-let search_jobs_t =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Domain workers scoring each proposal batch in parallel.  The \
-              searched placement is identical for every value of $(docv).")
-
 let search_cmd =
   let doc = "search dlstack placements with the static cost estimator" in
   Cmd.v
@@ -575,13 +550,12 @@ let search_cmd =
               winner with $(b,xdpc -a dlstack --placement search).";
            `P
              "The search is a pure function of the configuration and \
-              options: estimated costs drive every decision, random \
-              draws replay from a keyed PRNG stream, and $(b,--jobs) \
-              only parallelizes scoring.";
+              options: estimated costs drive every decision and random \
+              draws replay from a keyed PRNG stream.";
          ])
     Term.(
       const search $ n_t $ dim_t $ layers_t $ procs_t $ search_seed_t
-      $ rounds_t $ proposals_t $ objective_t $ search_jobs_t)
+      $ rounds_t $ proposals_t $ objective_t)
 
 (* ------------------------------------------------------------------ *)
 (* xdpc batch                                                          *)

@@ -97,6 +97,16 @@ exception Bad of string
 
 let fail where fmt = Printf.ksprintf (fun s -> raise (Bad (where ^ ": " ^ s))) fmt
 
+(* JSON allows repeated keys, but a manifest that repeats one is
+   ambiguous, so every manifest object rejects them. *)
+let no_duplicates where kvs =
+  ignore
+    (List.fold_left
+       (fun seen (k, _) ->
+         if List.mem k seen then fail where "duplicate field '%s'" k;
+         k :: seen)
+       [] kvs)
+
 let known_fields =
   [
     "app"; "stage"; "n"; "procs"; "sweeps"; "seg"; "misaligned"; "cost";
@@ -120,6 +130,7 @@ let axis_of where field (v : Jsonw.t) : Jsonw.t list =
         xs;
       xs
   | Jsonw.Obj kvs ->
+      no_duplicates (Printf.sprintf "%s: field '%s'" where field) kvs;
       let get k = List.assoc_opt k kvs in
       let int_of k =
         match get k with
@@ -237,6 +248,7 @@ let validate_ranges where (s : spec) =
 (* Cross-product expansion of one job object over its axes, canonical
    field order, later fields varying fastest. *)
 let expand_entry where defaults (kvs : (string * Jsonw.t) list) : spec list =
+  no_duplicates where kvs;
   List.iter
     (fun (k, _) ->
       if not (List.mem k known_fields) then
@@ -285,6 +297,7 @@ let parse ?(check = fun s -> Ok s) ~source text =
        manifest (which spans lines) still reads as JSON. *)
     match Json.parse_result text with
     | Ok (Jsonw.Obj kvs) when List.mem_assoc "jobs" kvs ->
+        no_duplicates source kvs;
         (match List.assoc_opt "schema" kvs with
         | Some (Jsonw.Str s) when s <> "xdp-batch/1" ->
             raise (Bad (Printf.sprintf "%s: unknown schema %S (expected xdp-batch/1)" source s))
@@ -304,6 +317,7 @@ let parse ?(check = fun s -> Ok s) ~source text =
           match List.assoc_opt "defaults" kvs with
           | None -> default_spec
           | Some (Jsonw.Obj dkvs) ->
+              no_duplicates (source ^ ": defaults") dkvs;
               List.fold_left
                 (fun spec (k, v) ->
                   match axis_of (source ^ ": defaults") k v with

@@ -95,8 +95,9 @@ val parse :
     [source] names the input in diagnostics.  [check] validates and
     canonicalizes each expanded spec (the service passes
     {!Workload.check_spec}); its error is reported with the job's
-    position context.  The error string always carries a line or a
-    [jobs\[i\].field] location. *)
+    position context.  An object that repeats a key is rejected.  The
+    error string always carries a line or a [jobs\[i\].field]
+    location. *)
 
 val parse_file :
   ?check:(spec -> (spec, string) result) ->

@@ -1,4 +1,6 @@
-(** A Domain worker pool over an indexed job list.
+(** A Domain worker pool over an indexed job list.  Its one user is
+    the batch service, [Service.run]; placement search scores its
+    candidates inline.
 
     Jobs are claimed from a shared atomic counter, so distribution is
     dynamic (a long job does not stall the queue behind it) and every

@@ -103,7 +103,11 @@ let dlstack_config (s : Manifest.spec) =
     nlayers = s.layers;
   }
 
-let dlstack_placement (s : Manifest.spec) =
+(* Every check a dlstack placement can fail, in order: the placement
+   name, the config, the no-override rule for [search], then override
+   validation for the [naive]/[hand] anchors.  A [search] placement is
+   returned unresolved, so validating a spec never runs the anneal. *)
+let dlstack_choice (s : Manifest.spec) =
   let module Space = Xdp_search.Space in
   let cfg = dlstack_config s in
   match placement_of_string s.placement with
@@ -118,12 +122,7 @@ let dlstack_placement (s : Manifest.spec) =
                 Error
                   "dlstack: shard/wshard overrides apply only to the naive \
                    and hand placements"
-              else
-                let r =
-                  Xdp_search.Anneal.search cfg
-                    Xdp_search.Anneal.default_options
-                in
-                Ok r.Xdp_search.Anneal.best
+              else Ok `Search
           | (`Naive | `Hand) as base -> (
               let base_pl =
                 match base with
@@ -155,17 +154,25 @@ let dlstack_placement (s : Manifest.spec) =
                       }
                   in
                   match Space.validate cfg pl with
-                  | Ok () -> Ok pl
+                  | Ok () -> Ok (`Fixed pl)
                   | Error e -> Error ("dlstack: " ^ e)))))
 
+let dlstack_placement (s : Manifest.spec) =
+  match dlstack_choice s with
+  | Error e -> Error e
+  | Ok (`Fixed pl) -> Ok pl
+  | Ok `Search ->
+      let module Anneal = Xdp_search.Anneal in
+      Ok (Anneal.search (dlstack_config s) Anneal.default_options).Anneal.best
+
 (* Canonicalize the dlstack sharding enums (aliases like "replicate")
-   and resolve the placement once, so a bad spec fails at parse time
+   and run every placement check, so a bad spec fails at parse time
    with the job named, not at build time. *)
 let check_dlstack (s : Manifest.spec) =
   let module Space = Xdp_search.Space in
   if s.app <> "dlstack" then Ok s
   else
-    match dlstack_placement s with
+    match dlstack_choice s with
     | Error e -> Error e
     | Ok _ ->
         let canon of_string name v =

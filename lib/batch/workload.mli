@@ -62,8 +62,10 @@ val dlstack_placement :
 val check_spec : Manifest.spec -> (Manifest.spec, string) result
 (** Validate app, stage, cost and engine names and canonicalize them
     (aliases and defaulted stages are rewritten to canonical names, so
-    equal jobs get equal labels and cache keys).  The [?check]
-    callback [xdpc batch] passes to {!Manifest.parse}. *)
+    equal jobs get equal labels and cache keys).  A [dlstack] spec
+    gets every check {!dlstack_placement} can fail, but a [search]
+    placement is not searched here: {!build} runs the search once.
+    The [?check] callback [xdpc batch] passes to {!Manifest.parse}. *)
 
 val build : Manifest.spec -> t
 (** Build the program for a validated spec.

@@ -54,7 +54,6 @@ type t = {
   events : ev Heap.t;
   out : Board.delivery Heap.t; (* deliveries ready for the executor *)
   mutable eid : int;
-  mutable in_flight : int;
   mutable failures : failure list;
   mutable retransmits : int;
   mutable acks : int;
@@ -84,7 +83,6 @@ let create ?(config = default_config) ~plan ~trace board ~cost =
     events = Heap.create ~cmp:cmp_ev ();
     out = Heap.create ~cmp:cmp_out ();
     eid = 0;
-    in_flight = 0;
     failures = [];
     retransmits = 0;
     acks = 0;
@@ -104,7 +102,6 @@ let give_up t (f : flight) =
      receiver already has the payload and the sender merely stops. *)
   if not f.delivered then begin
     f.failed <- true;
-    t.in_flight <- t.in_flight - 1;
     t.failures <-
       {
         f_src = f.base.src;
@@ -213,7 +210,6 @@ let process t (e : ev) =
       end
       else begin
         f.delivered <- true;
-        t.in_flight <- t.in_flight - 1;
         (* deliverable no earlier than the rendezvous arrival — the
            receiver may not have posted its receive yet *)
         Heap.push t.out
@@ -263,7 +259,6 @@ let rec intake t =
           failed = false;
         }
       in
-      t.in_flight <- t.in_flight + 1;
       launch t f 0 ~now:base.depart;
       intake t
 
@@ -290,10 +285,6 @@ let pop_delivery t =
 let failures t =
   settle t;
   List.rev t.failures
-
-let in_flight t =
-  settle t;
-  t.in_flight
 
 let retransmits t = t.retransmits
 let acks t = t.acks

@@ -92,9 +92,6 @@ val pop_delivery : t -> Xdp_sim.Board.delivery option
     reached the receiver, in failure order. *)
 val failures : t -> failure list
 
-(** Matched messages still working their way across the wire. *)
-val in_flight : t -> int
-
 val retransmits : t -> int
 val acks : t -> int
 val dup_suppressed : t -> int

@@ -78,7 +78,6 @@ type t = {
   f_nics : nic option array;
   mutable f_packets : int;
   mutable f_filtered : int;
-  mutable f_redirected : int;
   mutable f_absorbed : int;
   mutable f_emitted : int;
   mutable f_fanout_copies : int;
@@ -246,7 +245,6 @@ let create ~nprocs ~cost ~trace ~post specs =
           f_nics = nics;
           f_packets = 0;
           f_filtered = 0;
-          f_redirected = 0;
           f_absorbed = 0;
           f_emitted = 0;
           f_fanout_copies = 0;
@@ -335,7 +333,6 @@ let rec offer t ~time ~src ~dst ~name ~payload =
         let d1 = f regs pkt in
         check_dest nic "redirect to" d1;
         if d1 > t.f_nprocs then misuse nic "redirect to P%d: no such processor" d1;
-        t.f_redirected <- t.f_redirected + 1;
         Trace.emit t.f_tr
           (Trace.Nic_redirect
              { time = t_arr; pid = dst; src; name; dest = d1 - 1 });
@@ -435,7 +432,6 @@ let rec offer t ~time ~src ~dst ~name ~payload =
 
 let packets t = t.f_packets
 let filtered t = t.f_filtered
-let redirected t = t.f_redirected
 let absorbed t = t.f_absorbed
 let emitted t = t.f_emitted
 let fanout_copies t = t.f_fanout_copies

@@ -75,7 +75,6 @@ val packets : t -> int
 (** packets that entered the fabric (incl. NIC-to-NIC forwards) *)
 
 val filtered : t -> int
-val redirected : t -> int
 
 val absorbed : t -> int
 (** payloads folded into aggregation banks *)

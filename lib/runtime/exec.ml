@@ -68,7 +68,6 @@ type proc = {
   mutable status : [ `Ready | `Blocked of blocked | `Done ];
   mutable guard_evals : int;
   mutable guard_hits : int;
-  mutable stmts_executed : int;
   mutable mach : Precompile.machine option;
 }
 
@@ -227,7 +226,6 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
           status = `Ready;
           guard_evals = 0;
           guard_hits = 0;
-          stmts_executed = 0;
           mach = None;
         })
   in
@@ -549,9 +547,8 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
         (Trace.Blocked
            { time = pr.clock; pid = pr.pid; on = section_name name box })
   in
-  let count_step pr =
+  let count_step () =
     incr total_steps;
-    pr.stmts_executed <- pr.stmts_executed + 1;
     if !total_steps > max_steps then
       raise
         (Xdp_misuse (Printf.sprintf "step budget exceeded (%d)" max_steps))
@@ -567,7 +564,7 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
     | Stmts [] :: rest -> pr.stack <- rest
     | Stmts (s :: rest) :: frames -> (
         pr.stack <- Stmts rest :: frames;
-        count_step pr;
+        count_step ();
         try exec_stmt pr s
         with Evalexpr.Blocked_on (name, box) ->
           (* Undo the pop; retry the statement when accessible. *)
@@ -592,7 +589,6 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
               c.ip <- c.ip + 1;
               let k = f.Precompile.fu_fast (Option.get pr.mach) in
               total_steps := !total_steps + k;
-              pr.stmts_executed <- pr.stmts_executed + k;
               incr fused_turns;
               fused_stmts := !fused_stmts + k;
               if !total_steps > max_steps then
@@ -616,7 +612,7 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
               let codes = c.codes in
               let rec scan (g : Precompile.guard) k =
                 c.ip <- c.ip + 1;
-                count_step pr;
+                count_step ();
                 if g.g_test m then begin
                   pr.stack <- Code { codes = g.g_body; ip = 0 } :: pr.stack;
                   k
@@ -636,7 +632,7 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
               end
           | Precompile.U_stmt code -> (
               c.ip <- c.ip + 1;
-              count_step pr;
+              count_step ();
               let m = Option.get pr.mach in
               match code m with
               | Precompile.A_next -> ()

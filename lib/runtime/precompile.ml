@@ -95,7 +95,6 @@ and units = unit_ array
 and fuse = {
   fu_fast : machine -> int;  (** run everything; returns statements executed *)
   fu_slow : units;  (** the same statements, one scheduler turn each *)
-  fu_len : int;  (** top-level statements in the run *)
 }
 
 and guard = {
@@ -1714,11 +1713,8 @@ and cblock ctx stmts : blk =
         let slow =
           Array.of_list (List.map (fun sc -> U_stmt sc.sc_code) run)
         in
-        let len = Array.length fasts in
-        record_run ctx len;
-        units :=
-          U_fuse { fu_fast = compose_fast fasts; fu_slow = slow; fu_len = len }
-          :: !units
+        record_run ctx (Array.length fasts);
+        units := U_fuse { fu_fast = compose_fast fasts; fu_slow = slow } :: !units
   in
   let pending = ref [] in
   List.iter

@@ -119,7 +119,6 @@ and fuse = {
           scheduler adds to the step counters.  Only sound when the
           processor has no receive in flight. *)
   fu_slow : units;  (** the same statements, one scheduler turn each *)
-  fu_len : int;  (** top-level statements in the run *)
 }
 
 (** A guard whose condition has no [await] and whose body has no fused

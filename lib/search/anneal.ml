@@ -156,23 +156,18 @@ let seed_population cfg =
     (Space.meshes cfg);
   List.rev !out
 
-let search ?pscore cfg opts =
+let search cfg opts =
   (match Space.validate_config cfg with
   | Ok () -> ()
   | Error e -> invalid_arg ("Anneal.search: " ^ e));
   if opts.rounds < 0 || opts.proposals < 1 then
     invalid_arg "Anneal.search: rounds must be >= 0, proposals >= 1";
-  let pscore =
-    match pscore with
-    | Some f -> f
-    | None -> Array.map (Space.estimate cfg)
-  in
   let score = score_of opts.objective in
   let naive_summary = Space.estimate cfg (Space.naive cfg) in
   let hand_summary = Space.estimate cfg (Space.hand cfg) in
   (* Phase 1: enumerate and score every uniform placement. *)
   let seeds = Array.of_list (seed_population cfg) in
-  let seed_summaries = pscore seeds in
+  let seed_summaries = Array.map (Space.estimate cfg) seeds in
   let best = ref seeds.(0) and best_sum = ref seed_summaries.(0) in
   let best_score = ref (score seeds.(0) seed_summaries.(0)) in
   Array.iteri
@@ -198,7 +193,7 @@ let search ?pscore cfg opts =
       Array.init opts.proposals (fun k ->
           mutate cfg !cur (Prng.stream opts.seed [ 1; round; k ]))
     in
-    let sums = pscore props in
+    let sums = Array.map (Space.estimate cfg) props in
     evaluated := !evaluated + Array.length props;
     (* best proposal of the round, deterministically *)
     let bi = ref 0 in

@@ -8,13 +8,12 @@
     itself).
 
     Every random draw comes from {!Xdp_util.Prng.stream} keyed by
-    [(seed, round, slot)], proposals are generated sequentially and
-    {e then} scored, and acceptance replays sequentially — so the
-    result is a pure function of [(config, options)], independent of
-    how [pscore] schedules the scoring (inline, or fanned across the
-    {!Xdp_batch.Pool} Domain workers).  Because the naive and hand
-    anchors are always in the seed population and the incumbent is
-    never lost, the searched estimated cost is [<=] both anchors on
+    [(seed, round, slot)], each round's proposals are generated and
+    then scored inline with {!Space.estimate}, and acceptance replays
+    sequentially — so the result is a pure function of
+    [(config, options)].  Because the naive and hand anchors are
+    always in the seed population and the incumbent is never lost,
+    the searched estimated cost is [<=] both anchors on
     every config — the qcheck property in [test/test_search.ml]. *)
 
 type objective = Bytes  (** endpoint wire bytes, ties on messages *)
@@ -41,15 +40,8 @@ type result = {
   seeded : int;  (** enumeration-phase candidates *)
 }
 
-(** [search ?pscore cfg opts].  [pscore] maps placements to their
-    summaries and defaults to inline {!Space.estimate}, which prices on
-    {!Xdp_sim.Costmodel.message_passing}; pass a Domain-pool mapper to
-    score each round's proposal batch in parallel (it must be
-    order-preserving and pure, which [Space.estimate] is).
+(** [search cfg opts] scores every candidate with {!Space.estimate},
+    which prices on {!Xdp_sim.Costmodel.message_passing}.
     @raise Invalid_argument on an invalid config or non-positive
     [rounds]/[proposals]. *)
-val search :
-  ?pscore:(Space.placement array -> Space.summary array) ->
-  Space.config ->
-  options ->
-  result
+val search : Space.config -> options -> result

@@ -584,14 +584,6 @@ let read_box t name box =
           else Array.blit data src out dst len));
   out
 
-let read_box_into t name box out =
-  if Array.length out < Box.count box then
-    invalid_arg "Symtab.read_box_into: buffer too small";
-  iter_pieces t name box (fun data piece ~seg:_ ~seg_view ~box_view ->
-      Box.iter_runs2 piece ~a:seg_view ~b:box_view (fun src dst len ->
-          if len = 1 then out.(dst) <- data.(src)
-          else Array.blit data src out dst len))
-
 let write_box t name box buf =
   if Array.length buf < Box.count box then
     invalid_arg "Symtab.write_box: buffer too small";

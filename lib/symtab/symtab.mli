@@ -162,11 +162,6 @@ val generation : t -> int
     order) into a buffer; [write_box] unpacks. *)
 val read_box : t -> string -> Box.t -> float array
 
-val read_box_into : t -> string -> Box.t -> float array -> unit
-(** [read_box_into t name box out] — {!read_box} into a caller-provided
-    buffer of length at least [Box.count box] (the staged engine's
-    allocation-free kernel path). *)
-
 val write_box : t -> string -> Box.t -> float array -> unit
 
 val iter_pieces :

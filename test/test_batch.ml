@@ -91,6 +91,55 @@ let test_manifest_errors () =
     (parse_err ~check:Workload.check_spec
        {|{"jobs": [{"app": "vecadd", "stage": "warp"}]}|})
 
+(* A repeated key is an error in every manifest object: a job, the
+   defaults, a JSONL line, a range and the top level. *)
+let test_manifest_duplicates () =
+  let err = Alcotest.(check string) in
+  err "job" "t: jobs[0]: duplicate field 'dim'"
+    (parse_err {|{"jobs": [{"app": "dlstack", "dim": 8, "dim": 6}]}|});
+  err "defaults" "t: defaults: duplicate field 'dim'"
+    (parse_err
+       {|{"defaults": {"dim": 8, "dim": 6}, "jobs": [{"app": "dlstack"}]}|});
+  err "jsonl line" "t: line 2: duplicate field 'n'"
+    (parse_err "{\"app\": \"vecadd\"}\n{\"app\": \"vecadd\", \"n\": 8, \"n\": 4}\n");
+  err "range" "t: jobs[0]: field 'n': duplicate field 'from'"
+    (parse_err
+       {|{"jobs": [{"app": "vecadd", "n": {"from": 4, "from": 8, "count": 2}}]}|});
+  err "top level" "t: duplicate field 'jobs'"
+    (parse_err {|{"jobs": [{"app": "vecadd"}], "jobs": []}|})
+
+(* The dlstack placement checks [check_spec] runs at parse time, with
+   their exact text, and the searched program a checked spec builds. *)
+let test_manifest_dlstack () =
+  let err = Alcotest.(check string) in
+  err "search rejects overrides"
+    "t: jobs[0]: dlstack: shard/wshard overrides apply only to the naive \
+     and hand placements"
+    (parse_err ~check:Workload.check_spec
+       {|{"jobs": [{"app": "dlstack", "placement": "search", "shard": "row"}]}|});
+  err "batch must divide"
+    "t: jobs[0]: dlstack: batch 30 must be a multiple of procs 4"
+    (parse_err ~check:Workload.check_spec
+       {|{"jobs": [{"app": "dlstack", "n": 30, "procs": 4}]}|});
+  err "unknown placement"
+    "t: jobs[0]: unknown placement 'bogus' (accepted: naive, hand, search)"
+    (parse_err ~check:Workload.check_spec
+       {|{"jobs": [{"app": "dlstack", "placement": "bogus"}]}|});
+  let jobs =
+    parse_ok ~check:Workload.check_spec
+      {|{"jobs": [{"app": "dlstack", "n": 32, "procs": 4, "dim": 8,
+                   "placement": "search"}]}|}
+  in
+  let s = jobs.(0).spec in
+  let cfg = Workload.dlstack_config s in
+  let module Anneal = Xdp_search.Anneal in
+  Alcotest.(check string)
+    "build runs the default search"
+    (Xdp.Pp.program_to_string
+       (Xdp_apps.Dlstack.build cfg
+          (Anneal.search cfg Anneal.default_options).Anneal.best))
+    (Xdp.Pp.program_to_string (Workload.build s).prog)
+
 let test_manifest_canonicalization () =
   let jobs =
     parse_ok ~check:Workload.check_spec
@@ -572,6 +621,8 @@ let () =
           Alcotest.test_case "expansion" `Quick test_manifest_expansion;
           Alcotest.test_case "jsonl" `Quick test_manifest_jsonl;
           Alcotest.test_case "errors" `Quick test_manifest_errors;
+          Alcotest.test_case "duplicate keys" `Quick test_manifest_duplicates;
+          Alcotest.test_case "dlstack checks" `Quick test_manifest_dlstack;
           Alcotest.test_case "canonicalization" `Quick
             test_manifest_canonicalization;
           Alcotest.test_case "nic_arity axis" `Quick test_manifest_nic_arity;

@@ -12,7 +12,7 @@
    - ranking placements by estimated bytes agrees with ranking by
      executed bytes as P refines (qcheck property);
    - the search is a pure function of (config, options): same seed
-     twice is identical, and Domain-pool scoring matches inline;
+     twice is identical;
    - overflow-checked totals: estimator arithmetic near the 2^61
      byte boundary raises instead of wrapping. *)
 
@@ -235,7 +235,7 @@ let prop_rank_agreement =
           (Space.key a) (Space.key b) est_order (order xa xb);
       true)
 
-(* ---- determinism: pure in (config, options); pool = inline ---- *)
+(* ---- determinism: pure in (config, options) ---- *)
 
 let test_deterministic () =
   let cfg = { Space.procs = 8; batch = 16; dim = 8; nlayers = 3 } in
@@ -247,22 +247,6 @@ let test_deterministic () =
     (Space.key r2.Anneal.best);
   Alcotest.(check int)
     "same seed, same candidate count" r1.Anneal.evaluated r2.Anneal.evaluated;
-  let pooled =
-    let pscore pls =
-      let out = Array.map (fun _ -> (None : Space.summary option)) pls in
-      Xdp_batch.Pool.run ~workers:4 ~njobs:(Array.length pls)
-        ~f:(fun ~worker:_ i -> Space.estimate cfg pls.(i))
-        ~emit:(fun i s -> out.(i) <- Some s);
-      Array.map (function Some s -> s | None -> assert false) out
-    in
-    Anneal.search ~pscore cfg opts
-  in
-  Alcotest.(check string)
-    "pool scoring = inline scoring" (Space.key r1.Anneal.best)
-    (Space.key pooled.Anneal.best);
-  Alcotest.(check int)
-    "pool scoring, same candidate count" r1.Anneal.evaluated
-    pooled.Anneal.evaluated;
   (* a different seed may move, but never past the anchors *)
   let r3 = Anneal.search cfg { opts with Anneal.seed = 77 } in
   Alcotest.(check bool)
