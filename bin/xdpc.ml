@@ -51,47 +51,13 @@ let nic_reduce_conv =
         | None -> Format.fprintf ppf "off"
         | Some a -> Format.fprintf ppf "%d" a )
 
-(* --redist: redistribution lowering strategy.  Strict in the --engine
-   style: exactly "naive" or "collectives". *)
-let redist_conv =
-  let parse s =
-    match Workload.redist_of_string s with
-    | Ok _ -> Ok s
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, Format.pp_print_string)
-
-(* --placement: dlstack layout selection.  Strict in the --redist
-   style: exactly "naive", "hand" or "search". *)
-let placement_conv =
-  let parse s =
-    match Workload.placement_of_string s with
-    | Ok _ -> Ok s
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, Format.pp_print_string)
-
-(* --shard / --wshard: dlstack per-layer overrides; "" keeps the
-   anchor placement's spec. *)
-let shard_conv =
-  let parse s =
-    if s = "" then Ok s
-    else
-      match Xdp_search.Space.act_of_string s with
-      | Ok _ -> Ok s
-      | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, Format.pp_print_string)
-
-let wshard_conv =
-  let parse s =
-    if s = "" then Ok s
-    else
-      match Xdp_search.Space.wgt_of_string s with
-      | Ok _ -> Ok s
-      | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, Format.pp_print_string)
+(* A strict string flag (--redist, --placement, --shard, --wshard):
+   [check] must accept the value, which is kept as given.  Anything
+   else is a Cmdliner parse error. *)
+let checked_conv check =
+  Arg.conv
+    ( (fun s -> Result.map (fun _ -> s) (msg_of_string check s)),
+      Format.pp_print_string )
 
 (* --redist-budget: per-processor peak bytes, 0 = unbounded. *)
 let redist_budget_conv =
@@ -391,7 +357,7 @@ let nic_filter_t =
 let redist_t =
   Arg.(
     value
-    & opt redist_conv "naive"
+    & opt (checked_conv Workload.redist_of_string) "naive"
     & info [ "redist" ] ~docv:"STRATEGY"
         ~doc:
           "Redistribution lowering for $(b,--app redist): $(b,naive) posts \
@@ -414,7 +380,7 @@ let redist_budget_t =
 let placement_t =
   Arg.(
     value
-    & opt placement_conv "naive"
+    & opt (checked_conv Workload.placement_of_string) "naive"
     & info [ "placement" ] ~docv:"PLACEMENT"
         ~doc:
           "Layout selection for $(b,--app dlstack): $(b,naive) (fully \
@@ -427,7 +393,7 @@ let placement_t =
 
 let shard_t =
   Arg.(
-    value & opt shard_conv ""
+    value & opt (checked_conv Xdp_search.Space.act_of_string) ""
     & info [ "shard" ] ~docv:"ACT"
         ~doc:
           "Dlstack activation-sharding override applied on top of the \
@@ -437,7 +403,7 @@ let shard_t =
 
 let wshard_t =
   Arg.(
-    value & opt wshard_conv ""
+    value & opt (checked_conv Xdp_search.Space.wgt_of_string) ""
     & info [ "wshard" ] ~docv:"WGT"
         ~doc:
           "Dlstack weight-sharding override, same scope as $(b,--shard): \

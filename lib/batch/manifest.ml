@@ -218,7 +218,8 @@ let apply_field where spec field v =
            (String.concat ", " known_fields)
 
 (* Structural sanity that needs no app knowledge; app/stage/cost names
-   are the [check] callback's business (Workload.check_spec). *)
+   and the transport settings are the [check] callback's business
+   (Workload.check_spec), which the CLI runs too. *)
 let validate_ranges where (s : spec) =
   let prob name x =
     if x < 0.0 || x > 1.0 then
@@ -231,12 +232,6 @@ let validate_ranges where (s : spec) =
   prob "drop" s.drop;
   prob "dup" s.dup;
   if s.jitter < 0.0 then fail where "field 'jitter': must be >= 0";
-  (match s.timeout with
-  | Some t when t <= 0.0 -> fail where "field 'timeout': must be > 0"
-  | _ -> ());
-  (match s.max_retries with
-  | Some r when r < 0 -> fail where "field 'max_retries': must be >= 0"
-  | _ -> ());
   if s.nic_arity < 2 then
     fail where "field 'nic_arity': must be >= 2 (got %d)" s.nic_arity;
   if s.redist_budget < 0 then

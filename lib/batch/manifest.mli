@@ -43,10 +43,13 @@ type spec = {
   jitter : float;
   fault_seed : int;
   timeout : float option;
+      (** transport retransmit timeout; [None] = the transport
+          default.  Must be > 0 ({!Workload.check_spec}). *)
   max_retries : int option;
       (** transport give-up threshold; [None] = the transport default.
-          Lowering it under heavy [drop] is how a campaign provokes
-          link failures on purpose. *)
+          Must be >= 0 ({!Workload.check_spec}).  Lowering it under
+          heavy [drop] is how a campaign provokes link failures on
+          purpose. *)
   nic_arity : int;
       (** combining-tree fan-in for the in-network reduce stage
           ([app = "reduce"], [stage = "nic"]); ignored elsewhere.

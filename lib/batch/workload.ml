@@ -187,9 +187,11 @@ let check_dlstack (s : Manifest.spec) =
           }
 
 let check_spec (s : Manifest.spec) =
-  match canonical_stage s.app s.stage with
-  | Error e -> Error e
-  | Ok stage -> (
+  match (s.timeout, s.max_retries, canonical_stage s.app s.stage) with
+  | Some t, _, _ when t <= 0.0 -> Error "field 'timeout': must be > 0"
+  | _, Some r, _ when r < 0 -> Error "field 'max_retries': must be >= 0"
+  | _, _, Error e -> Error e
+  | _, _, Ok stage -> (
       match redist_of_string s.redist with
       | Error e -> Error e
       | Ok _ -> (

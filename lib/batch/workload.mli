@@ -21,8 +21,9 @@ type t = {
 val known_apps : string list
 
 val stages_of : string -> string list
-(** Accepted stage names of an app (aliases included); the first is
-    its default. *)
+(** Canonical stage names of an app (aliases such as jacobi's [auto]
+    are accepted by {!check_spec} but not listed); the first is its
+    default. *)
 
 val cost_of_string : string -> (Xdp_sim.Costmodel.t, string) result
 (** Accepts [message_passing]/[mp], [shared_address]/[sa],
@@ -60,12 +61,14 @@ val dlstack_placement :
     owns every axis it sweeps). *)
 
 val check_spec : Manifest.spec -> (Manifest.spec, string) result
-(** Validate app, stage, cost and engine names and canonicalize them
-    (aliases and defaulted stages are rewritten to canonical names, so
-    equal jobs get equal labels and cache keys).  A [dlstack] spec
-    gets every check {!dlstack_placement} can fail, but a [search]
-    placement is not searched here: {!build} runs the search once.
-    The [?check] callback [xdpc batch] passes to {!Manifest.parse}. *)
+(** Validate the transport settings ([timeout] > 0, [max_retries] >=
+    0, checked first) and the app, stage, cost and engine names, and
+    canonicalize the names (aliases and defaulted stages are rewritten
+    to canonical names, so equal jobs get equal labels and cache
+    keys).  A [dlstack] spec gets every check {!dlstack_placement} can
+    fail, but a [search] placement is not searched here: {!build} runs
+    the search once.  The [?check] callback [xdpc batch] passes to
+    {!Manifest.parse}, and the check [xdpc] runs on its flags. *)
 
 val build : Manifest.spec -> t
 (** Build the program for a validated spec.

@@ -43,8 +43,9 @@ type t = {
           eventual-delivery bound *)
 }
 
-(** The no-fault plan; {!Xdp_runtime.Exec.run}'s default.  Running
-    under [none] takes the exact fault-free code path. *)
+(** The no-fault plan; {!Xdp_runtime.Exec.run}'s default.  Under
+    [none] the transport passes the board's deliveries straight
+    through, so a run is exactly the fault-free one. *)
 val none : t
 
 val make :

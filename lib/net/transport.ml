@@ -5,15 +5,14 @@ module Trace = Xdp_sim.Trace
 
 exception Link_failed of string
 
-type config = {
-  timeout : float;
-  backoff : float;
-  max_retries : int;
-  ack_bytes : int;
-}
+type config = { timeout : float; max_retries : int }
 
-let default_config =
-  { timeout = 12_000.0; backoff = 1.5; max_retries = 20; ack_bytes = 16 }
+let default_config = { timeout = 12_000.0; max_retries = 20 }
+
+(* retransmit timeout multiplier per retry, and acknowledgement size on
+   the wire *)
+let backoff = 1.5
+let ack_bytes = 16
 
 type failure = {
   f_src : int;
@@ -49,6 +48,7 @@ type t = {
   board : Board.t;
   cost : Costmodel.t;
   plan : Faultplan.t;
+  direct : bool; (* [Faultplan.none]: the board's deliveries go straight up *)
   cfg : config;
   tr : Trace.t;
   events : ev Heap.t;
@@ -70,14 +70,14 @@ let cmp_out (a : Board.delivery) (b : Board.delivery) =
   let c = Float.compare a.arrival b.arrival in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-let create ?(config = default_config) ~plan ~trace board ~cost =
+let create ~config ~plan ~trace board ~cost =
   if config.timeout <= 0.0 then invalid_arg "Transport: timeout <= 0";
-  if config.backoff < 1.0 then invalid_arg "Transport: backoff < 1";
   if config.max_retries < 0 then invalid_arg "Transport: max_retries < 0";
   {
     board;
     cost;
     plan;
+    direct = Faultplan.is_none plan;
     cfg = config;
     tr = trace;
     events = Heap.create ~cmp:cmp_ev ();
@@ -157,13 +157,13 @@ let launch t (f : flight) k ~now =
              ~scale:(Float.max f.wire 1.0))
   end;
   schedule t
-    (now +. (t.cfg.timeout *. (t.cfg.backoff ** float_of_int k)))
+    (now +. (t.cfg.timeout *. (backoff ** float_of_int k)))
     (Timer (f, k))
 
 let send_ack t (f : flight) ~now =
   let { Board.src; dst; name; _ } = f.base in
   t.acks <- t.acks + 1;
-  t.overhead_bytes <- t.overhead_bytes + t.cfg.ack_bytes;
+  t.overhead_bytes <- t.overhead_bytes + ack_bytes;
   Trace.emit t.tr (Trace.Ack { time = now; src; dst; name });
   let k = f.acks_sent in
   f.acks_sent <- k + 1;
@@ -181,7 +181,7 @@ let send_ack t (f : flight) ~now =
   else begin
     let rev = Faultplan.link t.plan ~src:dst ~dst:src in
     let wire =
-      Costmodel.transfer_time t.cost ~bytes:t.cfg.ack_bytes *. rev.slowdown
+      Costmodel.transfer_time t.cost ~bytes:ack_bytes *. rev.slowdown
     in
     let at = Faultplan.stall_release t.plan ~pid:src (now +. wire) in
     if Faultplan.crashed t.plan ~pid:src ~time:at then begin
@@ -262,25 +262,33 @@ let rec intake t =
       launch t f 0 ~now:base.depart;
       intake t
 
+(* Under [Faultplan.none] the board's deliveries are the executor's:
+   nothing is launched, so no event, counter or failure ever moves. *)
 let post_send t ~time ~src ~name ~kind ~payload ~directed =
   Board.post_send t.board ~time ~src ~name ~kind ~payload ~directed;
-  intake t
+  if not t.direct then intake t
 
 let post_recv t ~time ~dst ~name ~kind ~token =
   Board.post_recv t.board ~time ~dst ~name ~kind ~token;
-  intake t
+  if not t.direct then intake t
 
 let has_delivery t =
-  settle t;
-  not (Heap.is_empty t.out)
+  if t.direct then Board.has_delivery t.board
+  else (
+    settle t;
+    not (Heap.is_empty t.out))
 
 let peek_delivery t =
-  settle t;
-  Heap.peek t.out
+  if t.direct then Board.peek_delivery t.board
+  else (
+    settle t;
+    Heap.peek t.out)
 
 let pop_delivery t =
-  settle t;
-  Heap.pop t.out
+  if t.direct then Board.pop_delivery t.board
+  else (
+    settle t;
+    Heap.pop t.out)
 
 let failures t =
   settle t;

@@ -1,20 +1,23 @@
 (** Positive-ack/retransmit reliable transport over a faulty wire.
 
-    Sits between the executor and the rendezvous {!Xdp_sim.Board}.
-    The board still performs XDP's name matching — a send and a
-    receive meet and produce a fault-free delivery — but instead of
-    handing that delivery straight to the executor, the transport
-    treats it as a {e flight} and simulates the wire under a
-    {!Faultplan}:
+    Sits between the executor (or the NIC fabric above it) and the
+    rendezvous {!Xdp_sim.Board}, on every run.  The board still
+    performs XDP's name matching — a send and a receive meet and
+    produce a fault-free delivery.  Under {!Faultplan.none} the
+    transport hands that delivery straight up: every operation is the
+    board's, no failure is recorded and every counter stays 0.  Under
+    any other plan it treats the delivery as a {e flight} and
+    simulates the wire:
 
     - each data packet may be dropped, duplicated, jittered or slowed
       per the plan; the receiver deduplicates by the flight's board
       sequence number and delivers the payload upward exactly once;
     - the receiver acks every packet (acks can be lost too); the
-      sender retransmits on timeout with exponential backoff and gives
-      up after [max_retries], recording a {!failure} that the executor
-      reports as {!Link_failed} instead of hanging silently;
-    - retransmitted payload and ack bytes ride the same
+      sender retransmits on timeout with exponential backoff (x1.5
+      per retry) and gives up after [max_retries], recording a
+      {!failure} that the executor reports as {!Link_failed} instead
+      of hanging silently;
+    - retransmitted payload and 16-byte acks ride the same
       alpha/beta cost model as first transmissions, so retransmit
       overhead shows up in the makespan and in
       {!Xdp_sim.Trace.stats} ([retransmits], [acks],
@@ -23,21 +26,16 @@
     Determinism: all fate decisions are keyed PRNG streams
     ({!Faultplan}), event ties break on a monotonic event id, and
     deliveries reach the executor in [(arrival, board seq)] order —
-    identical plan and program give identical traces.  Under
-    {!Faultplan.none} with no retransmit timeouts firing, delivery
-    times equal the board's exactly. *)
+    identical plan and program give identical traces. *)
 
 exception Link_failed of string
 
 type config = {
-  timeout : float;    (** base retransmit timeout after departure *)
-  backoff : float;    (** timeout multiplier per retry, >= 1 *)
-  max_retries : int;  (** retransmissions allowed before giving up *)
-  ack_bytes : int;    (** acknowledgement size on the wire *)
+  timeout : float;    (** base retransmit timeout after departure, > 0 *)
+  max_retries : int;  (** retransmissions allowed before giving up, >= 0 *)
 }
 
-(** timeout 12000 (6x the message-passing alpha), backoff 1.5,
-    max_retries 20, ack_bytes 16. *)
+(** timeout 12000 (6x the message-passing alpha), max_retries 20. *)
 val default_config : config
 
 type failure = {
@@ -49,16 +47,19 @@ type failure = {
 
 type t
 
+(** Raises [Invalid_argument] on a [config] outside its bounds, whatever
+    the plan. *)
 val create :
-  ?config:config ->
+  config:config ->
   plan:Faultplan.t ->
   trace:Xdp_sim.Trace.t ->
   Xdp_sim.Board.t ->
   cost:Xdp_sim.Costmodel.t ->
   t
 
-(** Same contracts as the board's operations; matched pairs are pulled
-    off the board immediately and launched onto the faulty wire. *)
+(** Same contracts as the board's operations; under a faulty plan,
+    matched pairs are pulled off the board immediately and launched
+    onto the wire. *)
 val post_send :
   t ->
   time:float ->

@@ -4,10 +4,11 @@
    value packet addressed to their processor.
 
    Placement in the stack (the idempotence-under-retransmit argument,
-   DESIGN.md §9): the fabric interposes {e above} the rendezvous
-   board and the reliable transport — a packet traverses
+   DESIGN.md §9): the executor posts every send through [post_send],
+   which sits {e above} the reliable transport and the rendezvous
+   board — a packet traverses
 
-     host send -> NIC fabric (filter/aggregate/fanout) -> board/transport
+     host send -> NIC fabric (filter/aggregate/fanout) -> transport -> board
 
    so NIC state is driven exclusively by the host program's posting
    order, which is identical between faulty and fault-free runs.
@@ -22,7 +23,7 @@
    costs [nic_alpha + nic_beta*bytes], and each processed packet pays
    the program's static cost [nic_op * (1 + instrs)] — the distinct,
    much cheaper cost axis of NIC-originated traffic.  Whatever the
-   fabric emits re-enters the ordinary board/transport path and pays
+   fabric emits re-enters the ordinary transport/board path and pays
    full endpoint prices (and suffers the fault plan) from there. *)
 
 module Costmodel = Xdp_sim.Costmodel
@@ -429,6 +430,19 @@ let rec offer t ~time ~src ~dst ~name ~payload =
       if ci.ci_guard regs pkt then fire ci else go (i + 1)
   in
   go 0
+
+(* The NIC-diversion rule: a directed value send is partitioned
+   between its NIC-attached destinations, each offered to its NIC, and
+   the plain ones, which go to the wire below in one post.  Every
+   other send passes straight down. *)
+let post_send t ~time ~src ~name ~kind ~payload ~directed =
+  match (kind, directed) with
+  | Board.Value, Some dsts when List.exists (handles t) dsts ->
+      let nicked, plain = List.partition (handles t) dsts in
+      if plain <> [] then
+        t.f_post ~time ~src ~name ~kind ~payload ~directed:(Some plain);
+      List.iter (fun dst -> offer t ~time ~src ~dst ~name ~payload) nicked
+  | _ -> t.f_post ~time ~src ~name ~kind ~payload ~directed
 
 let packets t = t.f_packets
 let filtered t = t.f_filtered

@@ -2,9 +2,10 @@
     into closures at attach time, run on every directed value packet
     addressed to a processor with a program attached.
 
-    The fabric interposes {e above} the rendezvous board and the
-    reliable transport: NIC state is driven only by the host
-    program's posting order, never by wire-level retransmits or
+    The fabric is the top of the executor's fixed network stack —
+    fabric, reliable transport, rendezvous board — and every host send
+    enters it through {!post_send}.  NIC state is driven only by the
+    host program's posting order, never by wire-level retransmits or
     duplicates (those happen strictly below, on the messages the
     fabric chose to emit).  Together with slot-indexed aggregation
     banks combined in fixed slot order, this makes every NIC program
@@ -13,7 +14,7 @@
 
     Every fabric hop costs [nic_alpha + nic_beta*bytes] plus the
     program's static per-packet cost [nic_op * (1 + instrs)]; fabric
-    emissions re-enter the ordinary board/transport path (and pay
+    emissions re-enter the ordinary transport/board path (and pay
     full endpoint prices) from there. *)
 
 (** Raised on dynamic program misbehaviour the attach-time verifier
@@ -28,8 +29,10 @@ type t
 
 (** [create ~nprocs ~cost ~trace ~post specs] — verify and stage the
     given [(pid, program)] attachments ([pid] 0-based).  [post] is the
-    executor's board-posting entry point; everything the fabric emits
-    goes through it as a directed value send.
+    posting entry point of the layer below (the transport): sends the
+    fabric passes down and everything it emits go through it.  With
+    [specs = []] nothing is attached and every send passes straight
+    down.
 
     Rejects (as [Error diagnostic]): any per-program {!Verify.check}
     failure, duplicate attachments, attachment outside the machine,
@@ -51,22 +54,22 @@ val create :
   (int * Prog.t) list ->
   (t, string) result
 
-(** Does processor [dst] (0-based) have a program attached?  Packets
-    to other processors bypass the fabric entirely. *)
-val handles : t -> int -> bool
-
-(** [offer t ~time ~src ~dst ~name ~payload] — run [dst]'s program on
-    a packet posted by [src] at [time].  Must only be called when
-    [handles t dst].  The payload is copied before being stored in an
+(** [post_send t ~time ~src ~name ~kind ~payload ~directed] — the
+    executor's send.  A directed [Value] send whose destinations
+    include NIC-attached processors is partitioned: the plain
+    destinations go down in one post, then each NIC destination's
+    program runs on the packet in list order.  Every other send goes
+    down unchanged.  The payload is copied before being stored in an
     aggregation bank, and the board copies per-destination on post,
     so callers may reuse the array. *)
-val offer :
+val post_send :
   t ->
   time:float ->
   src:int ->
-  dst:int ->
   name:string ->
+  kind:Xdp_sim.Board.kind ->
   payload:float array ->
+  directed:int list option ->
   unit
 
 (** {1 Counters} (cumulative over the run) *)

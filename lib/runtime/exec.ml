@@ -7,6 +7,7 @@ module Costmodel = Xdp_sim.Costmodel
 module Trace = Xdp_sim.Trace
 module Faultplan = Xdp_net.Faultplan
 module Transport = Xdp_net.Transport
+module Fabric = Xdp_nic.Fabric
 
 exception Deadlock of string
 exception Xdp_misuse of string
@@ -113,67 +114,22 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
   Xdp.Wf.check_exn p;
   let tr = Trace.create ~enabled:trace in
   let board = Board.create cost in
-  (* A fault plan interposes the reliable transport between the
-     executor and the board; with the default (no-fault) plan the
-     board is used directly and the fault-free code path is exact. *)
-  let transport =
-    if Faultplan.is_none fault then None
-    else Some (Transport.create ~config:net ~plan:fault ~trace:tr board ~cost)
-  in
-  let wire_send ~time ~src ~name ~kind ~payload ~directed =
-    match transport with
-    | None -> Board.post_send board ~time ~src ~name ~kind ~payload ~directed
-    | Some n ->
-        Transport.post_send n ~time ~src ~name ~kind ~payload ~directed
-  in
-  (* The NIC fabric interposes above the board/transport: a directed
-     value send to a processor with a program attached is offered to
-     that NIC instead of going on the wire; everything the fabric
-     emits re-enters through [wire_send] below it (and so pays full
-     endpoint prices and suffers the fault plan).  Retransmits and
-     duplicates happen strictly below this seam, which is what makes
-     NIC programs idempotent under retransmit. *)
+  (* The network stack, the same on every run: the board at the
+     bottom, the reliable transport on it (a pass-through under
+     [Faultplan.none]), the NIC fabric on top (a pass-through with no
+     programs attached).  Everything the fabric emits re-enters the
+     transport, so it pays full endpoint prices and suffers the fault
+     plan; retransmits and duplicates happen strictly below the
+     fabric, which is what makes NIC programs idempotent under
+     retransmit. *)
+  let wire = Transport.create ~config:net ~plan:fault ~trace:tr board ~cost in
   let fabric =
-    match nic with
-    | [] -> None
-    | specs -> (
-        match
-          Xdp_nic.Fabric.create ~nprocs ~cost ~trace:tr ~post:wire_send specs
-        with
-        | Ok f -> Some f
-        | Error e -> invalid_arg ("Exec.run: " ^ e))
-  in
-  let post_send ~time ~src ~name ~kind ~payload ~directed =
-    match (fabric, kind, directed) with
-    | Some f, Board.Value, Some dsts
-      when List.exists (Xdp_nic.Fabric.handles f) dsts ->
-        let nicked, plain = List.partition (Xdp_nic.Fabric.handles f) dsts in
-        if plain <> [] then
-          wire_send ~time ~src ~name ~kind ~payload ~directed:(Some plain);
-        List.iter
-          (fun dst -> Xdp_nic.Fabric.offer f ~time ~src ~dst ~name ~payload)
-          nicked
-    | _ -> wire_send ~time ~src ~name ~kind ~payload ~directed
-  in
-  let post_recv ~time ~dst ~name ~kind ~token =
-    match transport with
-    | None -> Board.post_recv board ~time ~dst ~name ~kind ~token
-    | Some n -> Transport.post_recv n ~time ~dst ~name ~kind ~token
-  in
-  let has_delivery () =
-    match transport with
-    | None -> Board.has_delivery board
-    | Some n -> Transport.has_delivery n
-  in
-  let peek_delivery () =
-    match transport with
-    | None -> Board.peek_delivery board
-    | Some n -> Transport.peek_delivery n
-  in
-  let pop_delivery () =
-    match transport with
-    | None -> Board.pop_delivery board
-    | Some n -> Transport.pop_delivery n
+    match
+      Fabric.create ~nprocs ~cost ~trace:tr ~post:(Transport.post_send wire)
+        nic
+    with
+    | Ok f -> f
+    | Error e -> invalid_arg ("Exec.run: " ^ e)
   in
   let ownership_transfers = ref 0 in
   let total_steps = ref 0 in
@@ -294,8 +250,8 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
       Trace.emit tr
         (Trace.Send_init
            { time = pr.clock; pid = pr.pid; name; kind = "value" });
-    post_send ~time:pr.clock ~src:pr.pid ~name ~kind:Board.Value ~payload
-      ~directed
+    Fabric.post_send fabric ~time:pr.clock ~src:pr.pid ~name ~kind:Board.Value
+      ~payload ~directed
   in
   let send_ownership_core pr ~with_value ~arr ~box =
     (match Symtab.section_state pr.st arr box with
@@ -325,7 +281,8 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
              name;
              kind = Board.kind_to_string kind;
            });
-    post_send ~time:pr.clock ~src:pr.pid ~name ~kind ~payload ~directed:None
+    Fabric.post_send fabric ~time:pr.clock ~src:pr.pid ~name ~kind ~payload
+      ~directed:None
   in
   let recv_ownership_core pr ~with_value ~arr ~box =
     (match Symtab.section_state pr.st arr box with
@@ -352,7 +309,7 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
              name;
              kind = Board.kind_to_string kind;
            });
-    post_recv ~time:pr.clock ~dst:pr.pid ~name ~kind ~token
+    Transport.post_recv wire ~time:pr.clock ~dst:pr.pid ~name ~kind ~token
   in
   let recv_value_core pr ~into:(into_arr, into_box) ~from:(from_arr, from_box)
       =
@@ -377,7 +334,8 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
       Trace.emit tr
         (Trace.Recv_init
            { time = pr.clock; pid = pr.pid; name; kind = "value" });
-    post_recv ~time:pr.clock ~dst:pr.pid ~name ~kind:Board.Value ~token
+    Transport.post_recv wire ~time:pr.clock ~dst:pr.pid ~name ~kind:Board.Value
+      ~token
   in
   let apply_core pr ~fn (k : Xdp.Kernels.t) pairs =
     List.iter
@@ -758,17 +716,19 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
   (* Main discrete-event loop. *)
   let rec loop () =
     let bi = if !nready > 0 then Array.unsafe_get ready 0 else -1 in
-    if not (has_delivery ()) then
+    if not (Transport.has_delivery wire) then
       if bi >= 0 then (
         step_ready bi;
         loop ())
       else finish ()
     else
       let d =
-        match peek_delivery () with Some d -> d | None -> assert false
+        match Transport.peek_delivery wire with
+        | Some d -> d
+        | None -> assert false
       in
       if bi < 0 || d.arrival <= procs.(bi).clock then (
-        ignore (pop_delivery ());
+        ignore (Transport.pop_delivery wire);
         apply_delivery d;
         loop ())
       else (
@@ -787,11 +747,7 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
                           (section_name b.on_name b.on_box))
                  | _ -> None)
         in
-        let failed =
-          match transport with
-          | Some n -> Transport.failures n
-          | None -> []
-        in
+        let failed = Transport.failures wire in
         if failed <> [] then
           (* Not a compiler bug: the wire ate a matched message and the
              transport ran out of retries.  Name the dead links. *)
@@ -831,8 +787,9 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
   loop ();
   (* A lost message with no blocked waiter would otherwise end the run
      with silently-wrong tensors; surface it. *)
-  (match transport with
-  | Some n when Transport.failures n <> [] ->
+  (match Transport.failures wire with
+  | [] -> ()
+  | failed ->
       raise
         (Transport.Link_failed
            (Printf.sprintf "%s: run completed but messages were lost:\n%s"
@@ -840,8 +797,7 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
               (String.concat "\n"
                  (List.map
                     (fun f -> Format.asprintf "  %a" Transport.pp_failure f)
-                    (Transport.failures n)))))
-  | _ -> ());
+                    failed)))));
   (* Gather distributed arrays into global tensors. *)
   let arrays =
     List.map
@@ -885,43 +841,19 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
       statements = !total_steps;
       unmatched_sends = List.length (Board.pending_sends board);
       unmatched_recvs = List.length (Board.pending_recvs board);
-      retransmits =
-        (match transport with Some n -> Transport.retransmits n | None -> 0);
-      acks = (match transport with Some n -> Transport.acks n | None -> 0);
-      dup_suppressed =
-        (match transport with
-        | Some n -> Transport.dup_suppressed n
-        | None -> 0);
-      packets_dropped =
-        (match transport with
-        | Some n -> Transport.packets_dropped n
-        | None -> 0);
-      net_overhead_bytes =
-        (match transport with
-        | Some n -> Transport.overhead_bytes n
-        | None -> 0);
-      link_failures =
-        (match transport with
-        | Some n -> List.length (Transport.failures n)
-        | None -> 0);
-      nic_packets =
-        (match fabric with Some f -> Xdp_nic.Fabric.packets f | None -> 0);
-      nic_filtered =
-        (match fabric with Some f -> Xdp_nic.Fabric.filtered f | None -> 0);
-      nic_aggregated =
-        (match fabric with Some f -> Xdp_nic.Fabric.absorbed f | None -> 0);
-      nic_emitted =
-        (match fabric with Some f -> Xdp_nic.Fabric.emitted f | None -> 0);
-      nic_fanout_copies =
-        (match fabric with
-        | Some f -> Xdp_nic.Fabric.fanout_copies f
-        | None -> 0);
-      nic_msgs_saved =
-        (match fabric with Some f -> Xdp_nic.Fabric.msgs_saved f | None -> 0);
-      nic_bytes =
-        (match fabric with
-        | Some f -> Xdp_nic.Fabric.fabric_bytes f
-        | None -> 0);
+      retransmits = Transport.retransmits wire;
+      acks = Transport.acks wire;
+      dup_suppressed = Transport.dup_suppressed wire;
+      packets_dropped = Transport.packets_dropped wire;
+      net_overhead_bytes = Transport.overhead_bytes wire;
+      link_failures = List.length (Transport.failures wire);
+      nic_packets = Fabric.packets fabric;
+      nic_filtered = Fabric.filtered fabric;
+      nic_aggregated = Fabric.absorbed fabric;
+      nic_emitted = Fabric.emitted fabric;
+      nic_fanout_copies = Fabric.fanout_copies fabric;
+      nic_msgs_saved = Fabric.msgs_saved fabric;
+      nic_bytes = Fabric.fabric_bytes fabric;
       peak_inflight_bytes =
         (* pad the board's highest-pid-seen array to the machine size *)
         (let raw = Board.peak_inflight board in

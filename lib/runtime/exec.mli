@@ -23,11 +23,14 @@
     compiler.  If every processor is blocked and nothing is in flight,
     {!Deadlock} is raised with a description of who waits on what.
 
-    An optional {!Xdp_net.Faultplan} interposes the reliable
-    transport ({!Xdp_net.Transport}) between the executor and the
-    board: the wire may then drop, duplicate, reorder and slow
-    messages, the transport recovers by ack/retransmit, and a message
-    lost past the retry budget raises
+    Every run posts through one fixed network stack: the NIC fabric
+    ({!Xdp_nic.Fabric.post_send}) on top, the reliable transport
+    ({!Xdp_net.Transport}) under it, the board at the bottom.  With no
+    NIC programs the fabric forwards every send; under
+    {!Xdp_net.Faultplan.none} the transport hands the board's
+    deliveries straight up.  Under any other plan the wire may drop,
+    duplicate, reorder and slow messages, the transport recovers by
+    ack/retransmit, and a message lost past the retry budget raises
     {!Xdp_net.Transport.Link_failed} naming the dead (src, dst,
     section) links — a stuck run is always diagnosed as either a
     program bug ({!Deadlock}: nothing was ever in flight) or a
@@ -120,13 +123,14 @@ val run :
     (default true) controls storage reuse on ownership sends
     (experiment T6); [max_steps] bounds total executed statements
     (default 20,000,000); [fault] (default {!Xdp_net.Faultplan.none})
-    injects network faults and routes every message through the
-    reliable transport configured by [net].
+    injects network faults, recovered from by the reliable transport
+    configured by [net] (default {!Xdp_net.Transport.default_config});
+    a [net] outside its bounds is an [Invalid_argument] on every run.
 
     [nic] attaches verified {!Xdp_nic.Prog} programs to processors
     ([(pid, program)], 0-based): every directed value send to a
     processor with a program attached is diverted through its NIC
-    ({!Xdp_nic.Fabric}) before reaching the board, under the
+    ({!Xdp_nic.Fabric}) before reaching the transport, under the
     [nic_alpha]/[nic_beta]/[nic_op] cost axis.  The fabric sits above
     the transport, so NIC state never sees retransmits or duplicates
     — NIC programs are idempotent under faults.  Attach-time

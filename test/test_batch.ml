@@ -108,6 +108,28 @@ let test_manifest_duplicates () =
   err "top level" "t: duplicate field 'jobs'"
     (parse_err {|{"jobs": [{"app": "vecadd"}], "jobs": []}|})
 
+(* Transport settings are rejected by [check_spec] itself, so the CLI
+   (which builds its spec directly) rejects them whether or not the
+   run has faults; through a manifest the message keeps its job
+   position, whether the value came from the job or the defaults. *)
+let test_manifest_transport () =
+  let err = Alcotest.(check (result reject string)) in
+  err "job timeout" (Error "field 'timeout': must be > 0")
+    (Workload.check_spec
+       { Manifest.default_spec with app = "fft3d"; timeout = Some 0.0 });
+  let defaulted =
+    parse_ok {|{"defaults": {"max_retries": -1}, "jobs": [{"app": "vecadd"}]}|}
+  in
+  err "defaults max_retries" (Error "field 'max_retries': must be >= 0")
+    (Workload.check_spec defaulted.(0).spec);
+  let text = Alcotest.(check string) in
+  text "manifest job" "t: jobs[0]: field 'timeout': must be > 0"
+    (parse_err ~check:Workload.check_spec
+       {|{"jobs": [{"app": "vecadd", "timeout": 0}]}|});
+  text "manifest defaults" "t: jobs[0]: field 'max_retries': must be >= 0"
+    (parse_err ~check:Workload.check_spec
+       {|{"defaults": {"max_retries": -1}, "jobs": [{"app": "vecadd"}]}|})
+
 (* The dlstack placement checks [check_spec] runs at parse time, with
    their exact text, and the searched program a checked spec builds. *)
 let test_manifest_dlstack () =
@@ -622,6 +644,8 @@ let () =
           Alcotest.test_case "jsonl" `Quick test_manifest_jsonl;
           Alcotest.test_case "errors" `Quick test_manifest_errors;
           Alcotest.test_case "duplicate keys" `Quick test_manifest_duplicates;
+          Alcotest.test_case "transport settings" `Quick
+            test_manifest_transport;
           Alcotest.test_case "dlstack checks" `Quick test_manifest_dlstack;
           Alcotest.test_case "canonicalization" `Quick
             test_manifest_canonicalization;

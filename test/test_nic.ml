@@ -201,6 +201,38 @@ let test_pass_through () =
     (r.stats.makespan > plain.stats.makespan);
   Alcotest.(check bool) "fabric bytes charged" true (r.stats.nic_bytes > 0)
 
+(* One directed send to a NIC-attached and a plain destination: the
+   fabric partitions it, so the plain copy goes to the wire directly
+   and only the NIC copy crosses the fabric. *)
+let test_mixed_destinations () =
+  let nprocs = 3 in
+  let p =
+    program ~name:"mixed"
+      ~decls:[ per_proc "X" nprocs; per_proc "R" nprocs ]
+      [
+        (mypid =: i 1)
+        @: [
+             set "X" [ i 1 ] (f 6.5);
+             send_to (sec "X" [ at (i 1) ]) [ i 2; i 3 ];
+           ];
+        (mypid >: i 1)
+        @: [
+             recv ~into:(sec "R" [ at mypid ]) ~from:(sec "X" [ at (i 1) ]);
+             await (sec "R" [ at mypid ]) @: [ setv "t" (elem "R" [ mypid ]) ];
+           ];
+      ]
+  in
+  let nic = [ (1, Prog.(make ~name:"pass" [ instr True Pass ])) ] in
+  let r = Exec.run ~nprocs ~nic p in
+  Alcotest.(check (float 0.0)) "NIC copy on P2" 6.5
+    (Xdp_util.Tensor.get (Exec.array r "R") [ 2 ]);
+  Alcotest.(check (float 0.0)) "plain copy on P3" 6.5
+    (Xdp_util.Tensor.get (Exec.array r "R") [ 3 ]);
+  Alcotest.(check int) "only P2's copy crossed the fabric" 1
+    r.stats.nic_packets;
+  Alcotest.(check int) "two endpoint messages" 2 r.stats.messages;
+  Alcotest.(check int) "nothing left unmatched" 0 r.stats.unmatched_sends
+
 let test_filter_drop () =
   (* without a NIC the fire-and-forget send stays unmatched; the
      filter consumes it before the board ever sees it *)
@@ -485,6 +517,8 @@ let () =
       ( "semantics",
         [
           Alcotest.test_case "pass-through" `Quick test_pass_through;
+          Alcotest.test_case "mixed NIC and plain destinations" `Quick
+            test_mixed_destinations;
           Alcotest.test_case "filter: drop consumes pre-board" `Quick
             test_filter_drop;
           Alcotest.test_case "filter: first match wins" `Quick
