@@ -29,8 +29,8 @@ let fig1 () =
       let p = Xdp.Ir.{ prog_name = "fig1"; decls; body } in
       let r = Xdp_runtime.Exec.run ~init:(fun _ idx -> float_of_int (List.hd idx)) ~nprocs:2 p in
       let out q = Xdp_util.Tensor.get (Xdp_runtime.Exec.array r "OUT") [ q ] in
-      expect out
-    with _ -> false
+      if expect out then "PASS" else "FAIL"
+    with e -> "FAIL: " ^ Printexc.to_string e
   in
   let rows =
     [
@@ -149,8 +149,8 @@ let fig1 () =
   Xdp_util.Table.print ~title:"Rules of Figure 1, checked against the runtime"
     ~header:[ "construct"; "paper's rule"; "conforms" ]
     ~align:[ Xdp_util.Table.Left; Xdp_util.Table.Left; Xdp_util.Table.Right ]
-    (List.map (fun (c, d, ok) -> [ c; d; (if ok then "PASS" else "FAIL") ]) rows);
-  if List.exists (fun (_, _, ok) -> not ok) rows then exit 1
+    (List.map (fun (c, d, verdict) -> [ c; d; verdict ]) rows);
+  if List.exists (fun (_, _, verdict) -> verdict <> "PASS") rows then exit 1
 
 (* ---- Figure 2: the run-time symbol table ---- *)
 

@@ -23,6 +23,15 @@
     compiler.  If every processor is blocked and nothing is in flight,
     {!Deadlock} is raised with a description of who waits on what.
 
+    Both engines obey one rule table, {!Rules}: the transfer rules
+    with their exact per-event charges and trace events, the
+    descriptor-charged placement queries, every misuse diagnostic and
+    the step budget live there, and the interpreter's statement step
+    and the staged closures ({!Precompile}) call them directly.  This
+    module adds what is not a rule: the two engines' frame stacks, the
+    (clock, pid) scheduler and delivery wake-up, the stuck-run
+    diagnosis, gather and the stats record.
+
     Every run posts through one fixed network stack: the NIC fabric
     ({!Xdp_nic.Fabric.post_send}) on top, the reliable transport
     ({!Xdp_net.Transport}) under it, the board at the bottom.  With no
@@ -39,7 +48,10 @@
 open Xdp_util
 
 exception Deadlock of string
+(** The same exception as {!Rules.Deadlock}. *)
+
 exception Xdp_misuse of string
+(** The same exception as {!Rules.Xdp_misuse}. *)
 
 type engine = [ `Interp | `Compiled ]
 (** [`Interp] is the tree-walking reference interpreter; [`Compiled]

@@ -4,27 +4,6 @@ module Symtab = Xdp_symtab.Symtab
 module State = Xdp_symtab.State
 module Costmodel = Xdp_sim.Costmodel
 
-type world = {
-  w_pid1 : int;
-  w_nprocs : int;
-  w_st : Symtab.t;
-  w_charge : float -> unit;
-  w_iown : string -> Box.t -> bool;
-  w_accessible : string -> Box.t -> bool;
-  w_await : string -> Box.t -> bool;
-  w_mylb : string -> Box.t -> int -> int option;
-  w_myub : string -> Box.t -> int -> int option;
-  w_guard_eval : unit -> unit;
-  w_guard_hit : unit -> unit;
-  w_misuse : string -> exn;
-  w_send_value :
-    arr:string -> box:Box.t -> dests:(unit -> int list option) -> unit;
-  w_send_owner : with_value:bool -> arr:string -> box:Box.t -> unit;
-  w_recv_owner : with_value:bool -> arr:string -> box:Box.t -> unit;
-  w_recv_value : into:string * Box.t -> from:string * Box.t -> unit;
-  w_apply : fn:string -> Xdp.Kernels.t -> (string * Box.t) list -> unit;
-}
-
 (* One piece of a memoized kernel marshalling plan: the slice of the
    applied section backed by one segment chunk, with its copy runs
    precomputed.  A plan revalidates against the current table by
@@ -71,7 +50,7 @@ type machine = {
   m_vals : Value.t array;
   m_bnd : Bytes.t; (* per-variable bound flags *)
   m_sites : site array;
-  m_w : world;
+  m_p : Rules.proc;
   (* reusable payload/scratch buffers of the inlined kernel path *)
   mutable m_kbuf : float array;
   mutable m_ktmp : float array;
@@ -93,7 +72,7 @@ and unit_ = U_stmt of code | U_fuse of fuse | U_guard of guard
 and units = unit_ array
 
 and fuse = {
-  fu_fast : machine -> int;  (** run everything; returns statements executed *)
+  fu_fast : machine -> unit;  (** run everything, counting each statement *)
   fu_slow : units;  (** the same statements, one scheduler turn each *)
 }
 
@@ -351,7 +330,7 @@ let charged ctx p =
   else
     let c = Costmodel.tally_cost ctx.cm p.cost in
     fun m ->
-      m.m_w.w_charge c;
+      Rules.charge m.m_p c;
       p.run m
 
 (* Prefix cost (charged before the fragment runs). *)
@@ -378,7 +357,7 @@ let post ctx t p =
       run =
         (fun m ->
           let x = p.run m in
-          m.m_w.w_charge c;
+          Rules.charge m.m_p c;
           x);
     }
 
@@ -484,7 +463,7 @@ let unowned_ref arr (idx : int array) =
 (* Read miss: exact interpreter semantics (ownership check, then the
    no-storage diagnostic of Symtab), plus a cache refill. *)
 let slow_read m s arr =
-  let st = m.m_w.w_st in
+  let st = m.m_p.Rules.st in
   if not (Symtab.owned_element st arr s.s_idx) then raise (unowned_ref arr s.s_idx);
   let v = Symtab.get_a st arr s.s_idx in
   refill st s arr;
@@ -492,7 +471,7 @@ let slow_read m s arr =
 
 let read_site m k arr =
   let s = m.m_sites.(k) in
-  let st = m.m_w.w_st in
+  let st = m.m_p.Rules.st in
   if s.s_gen = Symtab.generation st then begin
     let off = site_off s 0 (Array.length s.s_idx) 0 in
     if off >= 0 then Array.unsafe_get s.s_data off else slow_read m s arr
@@ -503,12 +482,9 @@ let read_site m k arr =
    -1 when the element is owned but the cache could not be (re)filled
    (the store then goes through Symtab.set_a for exact diagnostics). *)
 let slow_write_check m s arr =
-  let st = m.m_w.w_st in
+  let st = m.m_p.Rules.st in
   if not (Symtab.owned_element st arr s.s_idx) then
-    raise
-      (m.m_w.w_misuse
-         (Printf.sprintf "write to unowned element %s"
-            (arr ^ Box.to_string (Box.point (Array.to_list s.s_idx)))));
+    Rules.unowned_write m.m_p arr (Box.point (Array.to_list s.s_idx));
   refill st s arr;
   if s.s_gen = Symtab.generation st then
     site_off s 0 (Array.length s.s_idx) 0
@@ -516,7 +492,7 @@ let slow_write_check m s arr =
 
 let write_check m k arr =
   let s = m.m_sites.(k) in
-  let st = m.m_w.w_st in
+  let st = m.m_p.Rules.st in
   if s.s_gen = Symtab.generation st then begin
     let off = site_off s 0 (Array.length s.s_idx) 0 in
     if off >= 0 then off else slow_write_check m s arr
@@ -526,7 +502,7 @@ let write_check m k arr =
 let store_site m k arr x off =
   let s = m.m_sites.(k) in
   if off >= 0 then Array.unsafe_set s.s_data off x
-  else Symtab.set_a m.m_w.w_st arr s.s_idx x
+  else Symtab.set_a m.m_p.Rules.st arr s.s_idx x
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilers.  [ci]/[cf]/[cb] require the expression's
@@ -594,7 +570,7 @@ let rec ci ctx e : int frag =
   match e with
   | Int n -> pure n
   | Mypid -> lift (fun m -> m.m_pid1)
-  | Nprocs -> lift (fun m -> m.m_w.w_nprocs)
+  | Nprocs -> lift (fun m -> m.m_p.Rules.run.Rules.nprocs)
   | Var v ->
       let sl = slot ctx v in
       let ex =
@@ -637,29 +613,17 @@ let rec ci ctx e : int frag =
       in
       tcost ctx Costmodel.tally_int_op c
   | Un (Neg, a) -> tcost ctx Costmodel.tally_int_op (map (fun x -> -x) (ci ctx a))
-  | Mylb (s, d) ->
+  | (Mylb (s, d) | Myub (s, d)) as e ->
       let cs = csec ctx s in
       let arr = s.arr in
+      let query, none =
+        match e with Mylb _ -> (Rules.mylb, max_int) | _ -> (Rules.myub, min_int)
+      in
       {
-        cost = cs.cost;
-        ab = cs.ab;
+        cs with
         run =
           (fun m ->
-            match m.m_w.w_mylb arr (cs.run m) d with
-            | Some i -> i
-            | None -> max_int);
-      }
-  | Myub (s, d) ->
-      let cs = csec ctx s in
-      let arr = s.arr in
-      {
-        cost = cs.cost;
-        ab = cs.ab;
-        run =
-          (fun m ->
-            match m.m_w.w_myub arr (cs.run m) d with
-            | Some i -> i
-            | None -> min_int);
+            match query m.m_p arr (cs.run m) d with Some i -> i | None -> none);
       }
   | _ -> assert false
 
@@ -785,8 +749,8 @@ and cb ctx e : bool frag =
       tcost ctx Costmodel.tally_int_op c
   | _ -> assert false
 
-(* Intrinsic placement queries call the world's descriptor-charged
-   oracles directly, exactly as the interpreter's hooks do.  No
+(* Intrinsic placement queries call the descriptor-charged oracles of
+   {!Rules} directly, exactly as the interpreter's hooks do.  No
    per-site cache: a hit needs the same box at the same site with no
    ownership change in between, which straight-line transfer programs
    (each guard runs once) and loops (the box moves with the loop
@@ -797,9 +761,9 @@ and c_query ctx (s : section) which =
   let arr = s.arr in
   let run =
     match which with
-    | `Iown -> fun m -> m.m_w.w_iown arr (cs.run m)
-    | `Accessible -> fun m -> m.m_w.w_accessible arr (cs.run m)
-    | `Await -> fun m -> m.m_w.w_await arr (cs.run m)
+    | `Iown -> fun m -> Rules.iown m.m_p arr (cs.run m)
+    | `Accessible -> fun m -> Rules.accessible m.m_p arr (cs.run m)
+    | `Await -> fun m -> Rules.await m.m_p arr (cs.run m)
   in
   { cost = cs.cost; ab = true; run }
 
@@ -920,7 +884,7 @@ and celem ctx arr idxs =
               (fun m ->
                 let i = r0 m in
                 let s = m.m_sites.(k) in
-                if s.s_gen = Symtab.generation m.m_w.w_st then begin
+                if s.s_gen = Symtab.generation m.m_p.Rules.st then begin
                   let k0 = i - Array.unsafe_get s.s_lo 0 in
                   let st0 = Array.unsafe_get s.s_stride 0 in
                   if k0 >= 0 && i <= Array.unsafe_get s.s_hi 0
@@ -947,7 +911,7 @@ and celem ctx arr idxs =
                 let i = r0 m in
                 let j = r1 m in
                 let s = m.m_sites.(k) in
-                if s.s_gen = Symtab.generation m.m_w.w_st then begin
+                if s.s_gen = Symtab.generation m.m_p.Rules.st then begin
                   let k0 = i - Array.unsafe_get s.s_lo 0 in
                   let k1 = j - Array.unsafe_get s.s_lo 1 in
                   let st0 = Array.unsafe_get s.s_stride 0 in
@@ -1068,11 +1032,6 @@ let c_float_rhs ctx e =
   | SInt -> map float_of_int (ci ctx e)
   | _ -> map Value.to_float (cv ctx e)
 
-let unowned_read_misuse m n =
-  raise
-    (m.m_w.w_misuse
-       (Printf.sprintf "read of unowned %s outside a compute rule" n))
-
 (* ------------------------------------------------------------------ *)
 (* Fusion region analysis (DESIGN.md §4d).  A statement may execute
    inside a superinstruction — without ever yielding its scheduler
@@ -1137,7 +1096,7 @@ let compile_elem_assign ctx a idxs e =
     fillr m;
     let off = write_check m k a in
     let x =
-      try rhsr m with Evalexpr.Unowned_ref n -> unowned_read_misuse m n
+      try rhsr m with Evalexpr.Unowned_ref n -> Rules.unowned_read m.m_p n
     in
     store_site m k a x off
 
@@ -1289,7 +1248,8 @@ let plan_solid site n =
   | _ -> None
 
 (* A compiled statement: the turn-stepped form plus either the fused
-   form (returning statements executed) or why it has none — the
+   form (which counts each statement it executes against the step
+   budget, as it goes) or why it has none — the
    blocker the BENCH_exec fusion tables report, so a 1.0x row (e.g. the
    misaligned vecadd copy loop) names it instead of being silent.  A
    compound statement carries the first blocked inner statement's
@@ -1300,24 +1260,24 @@ let plan_solid site n =
    await-free guard, used when it is not fusable. *)
 type sc = {
   sc_code : code;
-  sc_fast : (machine -> int, string) result;
+  sc_fast : (machine -> unit, string) result;
   sc_solo : bool;
   sc_guard : guard option;
 }
 
-type blk = { b_units : units; b_fast : (machine -> int, string) result }
+type blk = { b_units : units; b_fast : (machine -> unit, string) result }
 
-let compose_fast (fasts : (machine -> int) array) =
+let compose_fast (fasts : (machine -> unit) array) =
   match Array.length fasts with
-  | 0 -> fun _ -> 0
+  | 0 -> fun _ -> ()
   | 1 -> fasts.(0)
   | len ->
       fun m ->
-        let k = ref 0 in
         for i = 0 to len - 1 do
-          k := !k + (Array.unsafe_get fasts i) m
-        done;
-        !k
+          (Array.unsafe_get fasts i) m
+        done
+
+let count m = Rules.count_step m.m_p.Rules.run
 
 let rec cstmt ctx (s : stmt) : sc =
   let sc = cstmt_k ctx s in
@@ -1344,8 +1304,8 @@ and cstmt_k ctx (s : stmt) : sc =
         (if fusable then
            Ok
              (fun m ->
-               run m;
-               1)
+               count m;
+               run m)
          else Error why);
       sc_solo = false;
       sc_guard = None;
@@ -1361,7 +1321,7 @@ and cstmt_k ctx (s : stmt) : sc =
             let r = charged ctx (post ctx Costmodel.tally_mem (ci ctx e)) in
             fun m ->
               let x =
-                try r m with Evalexpr.Unowned_ref n -> unowned_read_misuse m n
+                try r m with Evalexpr.Unowned_ref n -> Rules.unowned_read m.m_p n
               in
               Array.unsafe_set m.m_ints off x;
               Bytes.unsafe_set m.m_bnd id '\001'
@@ -1369,7 +1329,7 @@ and cstmt_k ctx (s : stmt) : sc =
             let r = charged ctx (post ctx Costmodel.tally_mem (cf ctx e)) in
             fun m ->
               let x =
-                try r m with Evalexpr.Unowned_ref n -> unowned_read_misuse m n
+                try r m with Evalexpr.Unowned_ref n -> Rules.unowned_read m.m_p n
               in
               Array.unsafe_set m.m_flts off x;
               Bytes.unsafe_set m.m_bnd id '\001'
@@ -1377,7 +1337,7 @@ and cstmt_k ctx (s : stmt) : sc =
             let r = charged ctx (post ctx Costmodel.tally_mem (cv ctx e)) in
             fun m ->
               let x =
-                try r m with Evalexpr.Unowned_ref n -> unowned_read_misuse m n
+                try r m with Evalexpr.Unowned_ref n -> Rules.unowned_read m.m_p n
               in
               m.m_vals.(off) <- x;
               Bytes.unsafe_set m.m_bnd id '\001'
@@ -1396,10 +1356,11 @@ and cstmt_k ctx (s : stmt) : sc =
       in
       let bodyb = cblock ctx body in
       let test m =
-        m.m_w.w_guard_eval ();
-        if head <> 0.0 then m.m_w.w_charge head;
+        let p = m.m_p in
+        p.Rules.guard_evals <- p.Rules.guard_evals + 1;
+        if head <> 0.0 then Rules.charge p head;
         let b = try cg.run m with Evalexpr.Unowned_ref _ -> false in
-        if b then m.m_w.w_guard_hit ();
+        if b then p.Rules.guard_hits <- p.Rules.guard_hits + 1;
         b
       in
       let scannable = no_await_e g in
@@ -1409,7 +1370,9 @@ and cstmt_k ctx (s : stmt) : sc =
           (if not scannable then Error "await-in-guard"
            else
              Result.map
-               (fun bf m -> if test m then 1 + bf m else 1)
+               (fun bf m ->
+                 count m;
+                 if test m then bf m)
                bodyb.b_fast);
         sc_solo = true;
         sc_guard =
@@ -1453,31 +1416,29 @@ and cstmt_k ctx (s : stmt) : sc =
               ctx.fs_batched <- ctx.fs_batched + 1;
               Some
                 (fun m ->
+                  count m;
                   let lo, hi, step = tripr m in
-                  if step <= 0 then
-                    raise (m.m_w.w_misuse "non-positive loop step");
-                  if lo > hi then begin
-                    m.m_w.w_charge int_op;
-                    1
-                  end
+                  Rules.check_step m.m_p step;
+                  if lo > hi then Rules.charge m.m_p int_op
                   else begin
                     let n = ((hi - lo) / step) + 1 in
-                    m.m_w.w_charge (int_op +. (float_of_int n *. iter));
-                    let cur = ref lo in
-                    while !cur <= hi do
-                      set m !cur;
-                      qrun m;
-                      cur := !cur + step
+                    Rules.charge m.m_p (int_op +. (float_of_int n *. iter));
+                    (* each iteration is one body statement: run the ones
+                       the step budget has room for *)
+                    let k = Rules.reserve_steps m.m_p.Rules.run n in
+                    for i = 0 to k - 1 do
+                      set m (lo + (i * step));
+                      qrun m
                     done;
-                    1 + n
+                    if k < n then count m
                   end)
           | _ -> None
       in
       let bodyb = cblock ctx body in
       let code m =
         let lo, hi, step = tripr m in
-        if step <= 0 then raise (m.m_w.w_misuse "non-positive loop step");
-        m.m_w.w_charge int_op;
+        Rules.check_step m.m_p step;
+        Rules.charge m.m_p int_op;
         if lo <= hi then
           A_loop
             {
@@ -1500,29 +1461,23 @@ and cstmt_k ctx (s : stmt) : sc =
                 ctx.fs_loops <- ctx.fs_loops + 1;
                 Ok
                   (fun m ->
+                    count m;
                     let lo, hi, step = tripr m in
-                    if step <= 0 then
-                      raise (m.m_w.w_misuse "non-positive loop step");
-                    m.m_w.w_charge int_op;
-                    let n = ref 1 in
+                    Rules.check_step m.m_p step;
+                    Rules.charge m.m_p int_op;
                     let cur = ref lo in
                     while !cur <= hi do
                       set m !cur;
                       cur := !cur + step;
-                      m.m_w.w_charge int_op;
-                      n := !n + bf m
-                    done;
-                    !n))
+                      Rules.charge m.m_p int_op;
+                      bf m
+                    done))
       in
       { sc_code = code; sc_fast = fast; sc_solo = true; sc_guard = None }
   | If (c, a, b) ->
       let cc = charged ctx (c_bool ctx c) in
       let run_cond m =
-        try cc m
-        with Evalexpr.Unowned_ref n ->
-          raise
-            (m.m_w.w_misuse
-               (Printf.sprintf "read of unowned %s in if-condition" n))
+        try cc m with Evalexpr.Unowned_ref n -> Rules.unowned_cond m.m_p n
       in
       let ca = cblock ctx a and cbk = cblock ctx b in
       {
@@ -1532,7 +1487,10 @@ and cstmt_k ctx (s : stmt) : sc =
           (match (ca.b_fast, cbk.b_fast) with
           | _ when not (no_await_e c) -> Error "await-in-cond"
           | Ok fa, Ok fb ->
-              Ok (fun m -> if run_cond m then 1 + fa m else 1 + fb m)
+              Ok
+                (fun m ->
+                  count m;
+                  if run_cond m then fa m else fb m)
           | Error why, _ | Ok _, Error why -> Error why);
         sc_solo = true;
         sc_guard = None;
@@ -1545,50 +1503,29 @@ and cstmt_k ctx (s : stmt) : sc =
           let none_thunk () = None in
           transfer (fun m ->
               let box = r m in
-              m.m_w.w_send_value ~arr ~box ~dests:none_thunk;
+              Rules.send_value m.m_p ~arr ~box ~dests:none_thunk;
               A_next)
       | Directed es ->
           let cds = List.map (fun e -> charged ctx (c_idx ctx e)) es in
           transfer (fun m ->
               let box = r m in
-              m.m_w.w_send_value ~arr ~box
-                ~dests:(fun () ->
-                  Some
-                    (List.map
-                       (fun dr ->
-                         let pid1 = dr m in
-                         if pid1 < 1 || pid1 > m.m_w.w_nprocs then
-                           raise
-                             (m.m_w.w_misuse
-                                (Printf.sprintf
-                                   "send directed to invalid processor %d"
-                                   pid1));
-                         pid1 - 1)
-                       cds));
+              Rules.send_value m.m_p ~arr ~box ~dests:(fun () ->
+                  Some (List.map (fun dr -> Rules.dest_pid m.m_p (dr m)) cds));
               A_next))
-  | Send_owner s ->
-      let r = charged ctx (csec ctx s) in
-      let arr = s.arr in
+  | Send_owner sec | Send_owner_value sec | Recv_owner sec | Recv_owner_value sec
+    ->
+      let r = charged ctx (csec ctx sec) in
+      let arr = sec.arr in
+      let with_value =
+        match s with Send_owner_value _ | Recv_owner_value _ -> true | _ -> false
+      in
+      let rule =
+        match s with
+        | Send_owner _ | Send_owner_value _ -> Rules.send_owner
+        | _ -> Rules.recv_owner
+      in
       transfer (fun m ->
-          m.m_w.w_send_owner ~with_value:false ~arr ~box:(r m);
-          A_next)
-  | Send_owner_value s ->
-      let r = charged ctx (csec ctx s) in
-      let arr = s.arr in
-      transfer (fun m ->
-          m.m_w.w_send_owner ~with_value:true ~arr ~box:(r m);
-          A_next)
-  | Recv_owner s ->
-      let r = charged ctx (csec ctx s) in
-      let arr = s.arr in
-      transfer (fun m ->
-          m.m_w.w_recv_owner ~with_value:false ~arr ~box:(r m);
-          A_next)
-  | Recv_owner_value s ->
-      let r = charged ctx (csec ctx s) in
-      let arr = s.arr in
-      transfer (fun m ->
-          m.m_w.w_recv_owner ~with_value:true ~arr ~box:(r m);
+          rule m.m_p ~with_value ~arr ~box:(r m);
           A_next)
   | Recv_value { into; from } ->
       let cinto = csec ctx into and cfrom = csec ctx from in
@@ -1597,34 +1534,31 @@ and cstmt_k ctx (s : stmt) : sc =
       let ia = into.arr and fa = from.arr in
       transfer (fun m ->
           let ib, fb = r m in
-          m.m_w.w_recv_value ~into:(ia, ib) ~from:(fa, fb);
+          Rules.recv_value m.m_p ~into:(ia, ib) ~from:(fa, fb);
           A_next)
   | Apply { fn; args } -> (
       match Xdp.Kernels.find ctx.kernels fn with
       | None ->
-          stmt "unknown-kernel" (fun m ->
-              raise (m.m_w.w_misuse (Printf.sprintf "unknown kernel %s" fn)))
+          stmt "unknown-kernel" (fun m -> Rules.unknown_kernel m.m_p fn)
       | Some k ->
           let names = List.map (fun (s : section) -> s.arr) args in
           let r = charged ctx (seq_list ctx (List.map (csec ctx) args)) in
           let sc =
             plain (List.for_all no_await_sec args) "await-in-args" (fun m ->
                 let boxes = r m in
-                m.m_w.w_apply ~fn k (List.combine names boxes))
+                Rules.apply m.m_p ~fn k (List.combine names boxes))
           in
           match args with
           | [ s ] when k == Xdp.Kernels.fft1d && Result.is_ok sc.sc_fast ->
               (* inline the Kernels.dht call path: resolve, check
                  ownership, transform in place over reused machine
                  buffers, charge the identical flop/mem cost —
-                 replicating Exec's apply_core event for event. *)
+                 replicating Rules.apply event for event. *)
               let rs = charged ctx (csec ctx s) in
               let arr = s.arr in
-              let flop = ctx.cm.Costmodel.time_flop
-              and mem = ctx.cm.Costmodel.time_mem in
               ctx.fs_kernels <- ctx.fs_kernels + 1;
               let ks = new_site ctx 0 in
-              (* Event-for-event replica of Exec's apply_core:
+              (* Event-for-event replica of Rules.apply:
                  ownership query, pack (one covering scan), dht,
                  unpack (one covering scan), then the closed-form
                  flop/mem charge.  A valid marshalling plan stands
@@ -1633,8 +1567,9 @@ and cstmt_k ctx (s : stmt) : sc =
                  stream is unchanged even if the kernel raises
                  between pack and unpack. *)
               let fast m =
+                count m;
                 let box = rs m in
-                let st = m.m_w.w_st in
+                let st = m.m_p.Rules.st in
                 let site = m.m_sites.(ks) in
                 let n = Box.count box in
                 let live = Symtab.live_count st arr in
@@ -1654,12 +1589,7 @@ and cstmt_k ctx (s : stmt) : sc =
                       plan_write site buf)
                 end
                 else begin
-                  if not (Symtab.iown st arr box) then
-                    raise
-                      (m.m_w.w_misuse
-                         (Printf.sprintf
-                            "kernel %s applied to unowned section %s" fn
-                            (arr ^ Box.to_string box)));
+                  Rules.check_kernel_arg m.m_p ~fn arr box;
                   plant st site arr box;
                   let buf = kbuf m n and tmp = ktmp m n in
                   (* a partial cover reads as zeros: transitional
@@ -1672,13 +1602,8 @@ and cstmt_k ctx (s : stmt) : sc =
                   Symtab.note_visits st live;
                   plan_write site buf
                 end;
-                let flops =
-                  5.0 *. float_of_int n *. Xdp.Kernels.log2f n
-                in
-                m.m_w.w_charge
-                  ((flops *. flop)
-                  +. (2.0 *. float_of_int n *. mem));
-                1
+                let flops = 5.0 *. float_of_int n *. Xdp.Kernels.log2f n in
+                Rules.charge_kernel m.m_p ~flops ~elems:n
               in
               { sc with sc_fast = Ok fast; sc_solo = true }
           | _ -> sc)
@@ -1841,16 +1766,16 @@ let compile ~cost ~kernels ~scalars (p : program) =
       };
   }
 
-let machine cp w =
+let machine cp (p : Rules.proc) =
   let m =
     {
-      m_pid1 = w.w_pid1;
+      m_pid1 = p.pid + 1;
       m_ints = Array.make cp.c_nints 0;
       m_flts = Array.make cp.c_nflts 0.0;
       m_vals = Array.make cp.c_nvals vfalse;
       m_bnd = Bytes.make cp.c_nvars '\000';
       m_sites = Array.map fresh_site cp.c_site_ranks;
-      m_w = w;
+      m_p = p;
       m_kbuf = [||];
       m_ktmp = [||];
     }

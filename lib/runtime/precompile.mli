@@ -20,7 +20,7 @@
       their box at compile time; those whose subscripts also use
       [mypid]/[nprocs] are memoized per machine;
     - intrinsic queries ([iown], [accessible], [await]) call the
-      world's descriptor-charged oracles directly, like the
+      descriptor-charged oracles of {!Rules} directly, like the
       interpreter (no per-site cache: it never hit);
     - cost charging is batched per straight-line region: chargeable op
       counts accumulate into a {!Xdp_sim.Costmodel.tally} at compile
@@ -32,8 +32,11 @@
     every abort point (an [Unowned_ref], a [Blocked_on], a misuse
     error) ends its charge-batching region — charges that the
     interpreter applies before a potential abort are applied before it
-    here too, and transfer statements keep their exact per-event
-    charge points in {!Exec}'s shared transfer cores.
+    here too.  Everything else a statement does at run time — transfer
+    statements with their exact per-event charge points, placement
+    queries, guard counters, kernel charges, misuse diagnostics and the
+    step budget — is the same {!Rules} function the interpreter
+    calls.
 
     The second staging level (DESIGN.md §4d) adds {e superinstruction
     fusion}: maximal runs of statements that can never raise
@@ -59,40 +62,9 @@
     transfer phases are mostly such false guards, so this collapses
     an all-to-all's per-processor walk to about one turn per hit. *)
 
-open Xdp_util
-
-(** The per-processor execution context a compiled program runs
-    against, supplied by {!Exec}: charged intrinsic oracles, the
-    charge sink, misuse diagnostics, and the transfer cores shared
-    with the interpreter (which own the per-event charges for
-    sends/receives/awaits). *)
-type world = {
-  w_pid1 : int;  (** 1-based pid *)
-  w_nprocs : int;
-  w_st : Xdp_symtab.Symtab.t;
-  w_charge : float -> unit;
-  w_iown : string -> Box.t -> bool;  (** descriptor-charged *)
-  w_accessible : string -> Box.t -> bool;  (** descriptor-charged *)
-  w_await : string -> Box.t -> bool;
-      (** descriptor-charged; raises [Blocked_on] on transitional *)
-  w_mylb : string -> Box.t -> int -> int option;
-  w_myub : string -> Box.t -> int -> int option;
-  w_guard_eval : unit -> unit;
-  w_guard_hit : unit -> unit;
-  w_misuse : string -> exn;
-      (** wraps a diagnostic in [Exec.Xdp_misuse] with pid/clock
-          context captured at raise time *)
-  w_send_value :
-    arr:string -> box:Box.t -> dests:(unit -> int list option) -> unit;
-  w_send_owner : with_value:bool -> arr:string -> box:Box.t -> unit;
-  w_recv_owner : with_value:bool -> arr:string -> box:Box.t -> unit;
-  w_recv_value : into:string * Box.t -> from:string * Box.t -> unit;
-  w_apply : fn:string -> Xdp.Kernels.t -> (string * Box.t) list -> unit;
-}
-
 type machine
 (** The mutable state of one processor's compiled execution: slot
-    frames, per-site inline caches, and its {!world}. *)
+    frames, per-site inline caches, and its {!Rules.proc}. *)
 
 (** What executing one compiled statement asks the scheduler to do
     next; mirrors the interpreter's frame discipline exactly (one
@@ -113,11 +85,12 @@ and unit_ = U_stmt of code | U_fuse of fuse | U_guard of guard
 and units = unit_ array
 
 and fuse = {
-  fu_fast : machine -> int;
-      (** execute the whole run in this turn; returns the number of
-          statements executed (loop iterations included), which the
-          scheduler adds to the step counters.  Only sound when the
-          processor has no receive in flight. *)
+  fu_fast : machine -> unit;
+      (** execute the whole run in this turn, counting every statement
+          (loop iterations included) through {!Rules.count_step} as it
+          goes, so the step budget stops it exactly where it stops the
+          interpreter.  Only sound when the processor has no receive
+          in flight. *)
   fu_slow : units;  (** the same statements, one scheduler turn each *)
 }
 
@@ -205,6 +178,6 @@ val fusion_digest : cprog -> string
     the golden tests so the fusion pass's region analysis cannot drift
     silently. *)
 
-(** [machine cp w] — fresh per-processor state (slots seeded from the
-    scalar preload, caches cold). *)
-val machine : cprog -> world -> machine
+(** [machine cp p] — fresh state for processor [p] (slots seeded from
+    the scalar preload, caches cold). *)
+val machine : cprog -> Rules.proc -> machine

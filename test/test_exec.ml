@@ -66,31 +66,74 @@ let test_transfer_roundtrip () =
   Alcotest.(check int) "one message" 1 r.stats.messages;
   Alcotest.(check bool) "nonzero makespan" true (r.stats.makespan > 0.0)
 
+(* The two engines, which must stay observably identical, selected
+   explicitly so the checks below hold whatever XDP_ENGINE says. *)
+let configs = [ ("fused", `Compiled); ("interp", `Interp) ]
+
+(* Every runtime misuse diagnostic, with its exact text, under both
+   engines: the compiled engine must abort at the same statement, on
+   the same processor, at the same clock. *)
 let test_misuse_diagnostics () =
+  let p2 body = [ (mypid =: i 2) @: body ] in
+  let a1 = sec "A" [ at (i 1) ] in
   let cases =
     [
-      ("write unowned", [ set "A" [ i 1 ] (f 0.0) ]);
-      (* all procs execute; P2 doesn't own A[1] *)
+      ( "write unowned",
+        [ set "A" [ i 1 ] (f 0.0) ],
+        "P2 at t=0.0 in exec-test: write to unowned element A[1]" );
       ( "read unowned outside rule",
-        [ (mypid =: i 2) @: [ setv "x" (elem "A" [ i 1 ]) ] ] );
-      ("send unowned", [ (mypid =: i 2) @: [ send (sec "A" [ at (i 1) ]) ] ]);
+        p2 [ setv "x" (elem "A" [ i 1 ]) ],
+        "P2 at t=6.5 in exec-test: read of unowned A[1] outside a compute \
+         rule" );
+      ( "send unowned",
+        p2 [ send a1 ],
+        "P2 at t=5.5 in exec-test: value send of unowned section A[1]" );
       ( "recv into unowned",
-        [
-          (mypid =: i 2)
-          @: [ recv ~into:(sec "A" [ at (i 1) ]) ~from:(sec "A" [ at (i 2) ]) ];
-        ] );
+        p2 [ recv ~into:a1 ~from:(sec "A" [ at (i 2) ]) ],
+        "P2 at t=5.5 in exec-test: receive into unowned section A[1]" );
       ( "ownership recv of owned",
-        [ (mypid =: i 1) @: [ recv_owner (sec "A" [ at (i 1) ]) ] ] );
-      ("unknown kernel", [ apply "nope" [ sec "A" [ all ] ] ]);
+        [ (mypid =: i 1) @: [ recv_owner a1 ] ],
+        "P1 at t=5.5 in exec-test: ownership receive of section A[1] some \
+         element of which is already owned" );
+      ( "unknown kernel",
+        [ apply "nope" [ sec "A" [ all ] ] ],
+        "P1 at t=0.0 in exec-test: unknown kernel nope" );
+      ( "ownership send of unowned",
+        p2 [ send_owner a1 ],
+        "P2 at t=5.5 in exec-test: ownership send of unowned section A[1]" );
+      ( "receive shape mismatch",
+        p2
+          [
+            recv ~into:(sec "A" [ at (i 5) ])
+              ~from:(sec "A" [ slice (i 1) (i 2) ]);
+          ],
+        "P2 at t=5.5 in exec-test: receive shape mismatch: A[5] <- A[1:2]" );
+      ( "fft1D on unowned section",
+        p2 [ apply "fft1D" [ sec "A" [ slice (i 1) (i 4) ] ] ],
+        "P2 at t=5.5 in exec-test: kernel fft1D applied to unowned section \
+         A[1:4]" );
+      ( "unowned read in if-condition",
+        p2 [ if_ (elem "A" [ i 1 ] =: f 0.0) [ setv "x" (i 1) ] [] ],
+        "P2 at t=7.0 in exec-test: read of unowned A[1] in if-condition" );
+      ( "send directed to processor 7 of 2",
+        [ iown a1 @: [ send_to a1 [ i 7 ] ] ],
+        "P1 at t=7.0 in exec-test: send directed to invalid processor 7" );
+      ( "zero loop step from a variable",
+        [ setv "s" (i 0); loop_step "i" (i 1) (i 4) (var "s") [ setv "x" iv ] ],
+        "P1 at t=1.0 in exec-test: non-positive loop step" );
     ]
   in
   List.iter
-    (fun (name, body) ->
-      Alcotest.(check bool) name true
-        (try
-           ignore (Exec.run ~nprocs:2 (prog body));
-           false
-         with Exec.Xdp_misuse _ -> true))
+    (fun (name, body, want) ->
+      List.iter
+        (fun (ename, engine) ->
+          let got =
+            match Exec.run ~engine ~nprocs:2 (prog body) with
+            | _ -> "no diagnostic"
+            | exception Exec.Xdp_misuse m -> m
+          in
+          Alcotest.(check string) (name ^ " (" ^ ename ^ ")") want got)
+        configs)
     cases
 
 let test_deadlock_detection () =
@@ -161,10 +204,6 @@ let test_layout_procs_mismatch () =
        false
      with Invalid_argument _ -> true)
 
-(* The two engines, which must stay observably identical, selected
-   explicitly so the checks below hold whatever XDP_ENGINE says. *)
-let configs = [ ("fused", `Compiled); ("interp", `Interp) ]
-
 let run_config ?max_steps ?(init = fun _ _ -> 0.0) ~nprocs engine p =
   Exec.run ~engine ?max_steps ~init ~trace:true ~nprocs p
 
@@ -194,6 +233,28 @@ let test_step_budget () =
   let expect name want got =
     Alcotest.(check (result int string)) name want got
   in
+  (* A fused run counts each statement as it goes, so it stops exactly
+     where the interpreter stops: it neither runs on past the budget
+     nor reports a statement the budget never let it reach. *)
+  let count_loop n = loop "i" (i 1) (i n) [ setv "x" (iv +: i 1) ] in
+  let batched_loop = loop "i" (i 1) (i 100) [ set "T" [ mypid ] (f 1.0) ] in
+  let unowned_store = set "A" [ i 5 ] (f 0.0) in
+  let div0 = setv "y" (i 1 /: i 0) in
+  List.iter
+    (fun (case, body, budget) ->
+      List.iter
+        (fun (name, engine) ->
+          expect
+            (Printf.sprintf "%s: %s" name case)
+            (Error (Printf.sprintf "step budget exceeded (%d)" budget))
+            (outcome ~nprocs:2 engine budget (prog body)))
+        configs)
+    [
+      ("60M-statement loop", [ count_loop 30_000_000 ], 100);
+      ("loop, then an unowned store", [ count_loop 100; unowned_store ], 50);
+      ("loop, then a division by zero", [ count_loop 100; div0 ], 50);
+      ("batched loop, then an unowned store", [ batched_loop; unowned_store ], 50);
+    ];
   let p = prog (pad 100) in
   List.iter
     (fun (name, engine) ->
