@@ -75,6 +75,17 @@ let redist_budget_conv =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* --max-steps: a statement budget, a positive int. *)
+let max_steps_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k > 0 -> Ok k
+    | Some k -> Error (`Msg (Printf.sprintf "must be > 0 (got %d)" k))
+    | None ->
+        Error (`Msg (Printf.sprintf "expected a positive integer (got '%s')" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* --nic-filter: a NIC filter program attached to every processor. *)
 type nic_filter = Filt_none | Filt_count | Filt_drop_src of int
 
@@ -154,7 +165,7 @@ let reference_of (s : Manifest.spec) =
 
 let run app stage n nprocs sweeps seg misaligned cost engine dump trace gantt
     drop dup jitter fault_seed timeout nic_reduce nic_filter redist
-    redist_budget placement shard wshard layers dim =
+    redist_budget placement shard wshard layers dim max_steps =
   try
     (* --nic-reduce forces the in-network reduce stage *)
     let app, stage, nic_arity =
@@ -219,7 +230,7 @@ let run app stage n nprocs sweeps seg misaligned cost engine dump trace gantt
       Format.printf "network: %s@." (Xdp_net.Faultplan.describe fault);
     let r =
       Xdp_runtime.Exec.run ~engine ~cost ~init:w.init
-        ~trace:(trace || gantt) ~fault ~net ~nic
+        ~trace:(trace || gantt) ?max_steps ~fault ~net ~nic
         ~redist_stages:w.redist_stages ~nprocs w.prog
     in
     Format.printf "stats: %a@." Xdp_sim.Trace.pp_stats r.stats;
@@ -421,13 +432,23 @@ let dim_t =
     & opt int Manifest.default_spec.dim
     & info [ "dim" ] ~doc:"Dlstack feature width (weight-vector length).")
 
+let max_steps_t =
+  Arg.(
+    value
+    & opt (some max_steps_conv) None
+    & info [ "max-steps" ] ~docv:"N"
+        ~doc:
+          "Statement budget of the run (a positive integer; default \
+           20,000,000).  A run that executes more statements stops with \
+           $(b,step budget exceeded) $(docv) and exit code 1.")
+
 let run_term =
   Term.(
     const run $ app_t $ stage_t $ n_t $ procs_t $ sweeps_t $ seg_t $ mis_t
     $ cost_t $ engine_t $ dump_t $ trace_t $ gantt_t $ drop_t $ dup_t
     $ jitter_t $ fault_seed_t $ timeout_t $ nic_reduce_t $ nic_filter_t
     $ redist_t $ redist_budget_t $ placement_t $ shard_t $ wshard_t
-    $ layers_t $ dim_t)
+    $ layers_t $ dim_t $ max_steps_t)
 
 (* ------------------------------------------------------------------ *)
 (* xdpc search                                                         *)

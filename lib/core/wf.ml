@@ -4,9 +4,17 @@ type error = { where : string; what : string }
 
 let pp_error ppf e = Format.fprintf ppf "%s: %s" e.where e.what
 
+(* A statement's location is its rendering, cut to 60 characters.
+   Rendering is costly next to the checks themselves, so it happens
+   only for a statement that has an error. *)
+let render s =
+  let where = Pp.stmts_to_string [ s ] in
+  if String.length where > 60 then String.sub where 0 60 ^ "..." else where
+
 let check p =
   let errors = ref [] in
   let err where what = errors := { where; what } :: !errors in
+  let err_at s what = err (render s) what in
   (* Declarations. *)
   let seen = Hashtbl.create 8 in
   List.iter
@@ -28,7 +36,7 @@ let check p =
   let check_not_universal where name what =
     match Hashtbl.find_opt seen name with
     | Some d when d.universal ->
-        err where
+        err_at where
           (Printf.sprintf
              "%s names universally owned array %s (transfers require \
               exclusive sections; copy into an exclusive section first, \
@@ -38,10 +46,10 @@ let check p =
   in
   let check_arr where name nsel =
     match rank_of name with
-    | None -> err where (Printf.sprintf "undeclared array %s" name)
+    | None -> err_at where (Printf.sprintf "undeclared array %s" name)
     | Some r ->
         if nsel <> r then
-          err where
+          err_at where
             (Printf.sprintf "%s has rank %d but %d subscripts given" name r
                nsel)
   in
@@ -59,14 +67,14 @@ let check p =
         check_section where s;
         (match rank_of s.arr with
         | Some r when d < 1 || d > r ->
-            err where
+            err_at where
               (Printf.sprintf "mylb/myub dimension %d out of range for %s" d
                  s.arr)
         | _ -> ())
     | Iown s | Accessible s -> check_section where s
     | Await s ->
         if not guard then
-          err where
+          err_at where
             (Printf.sprintf
                "await(%s) outside guard position (await blocks and may only \
                 govern a compute rule)"
@@ -84,13 +92,8 @@ let check p =
             check_expr ~guard:false where c)
       s.sel
   in
-  let rec check_stmt s =
-    let where = Pp.stmts_to_string [ s ] in
-    let where =
-      if String.length where > 60 then String.sub where 0 60 ^ "..."
-      else where
-    in
-    match s with
+  let rec check_stmt where =
+    match where with
     | Assign (Lvar _, e) -> check_expr ~guard:false where e
     | Assign (Lelem (a, idxs), e) ->
         check_arr where a (List.length idxs);
@@ -104,7 +107,7 @@ let check p =
         check_expr ~guard:false where hi;
         check_expr ~guard:false where step;
         (match Simplify.known_int step with
-        | Some n when n <= 0 -> err where "loop step must be positive"
+        | Some n when n <= 0 -> err_at where "loop step must be positive"
         | _ -> ());
         List.iter check_stmt body
     | If (c, a, b) ->
@@ -116,7 +119,7 @@ let check p =
         check_section where s;
         match d with
         | Unspecified -> ()
-        | Directed [] -> err where "directed send with empty processor set"
+        | Directed [] -> err_at where "directed send with empty processor set"
         | Directed es -> List.iter (check_expr ~guard:false where) es)
     | Send_owner s | Send_owner_value s | Recv_owner s | Recv_owner_value s
       ->
@@ -128,7 +131,7 @@ let check p =
         check_section where into;
         check_section where from
     | Apply { fn; args } ->
-        if args = [] then err where (fn ^ ": kernel applied to no sections");
+        if args = [] then err_at where (fn ^ ": kernel applied to no sections");
         List.iter (check_section where) args
   in
   List.iter check_stmt p.body;

@@ -80,7 +80,11 @@ let block pr name box =
   if Trace.enabled p.Rules.run.tr then
     Trace.emit p.run.tr
       (Trace.Blocked
-         { time = p.clock; pid = p.pid; on = Rules.section_name name box })
+         {
+           time = p.times.clock;
+           pid = p.pid;
+           on = Rules.section_name name box;
+         })
 
 (* ------------------------------------------------------------------ *)
 (* The reference interpreter: Figure 1 as a statement step, walking
@@ -334,8 +338,8 @@ type 'x sched = {
 }
 
 let before s a b =
-  let ca = (Array.unsafe_get s.rps a).Rules.clock
-  and cb = (Array.unsafe_get s.rps b).Rules.clock in
+  let ca = (Array.unsafe_get s.rps a).Rules.times.clock
+  and cb = (Array.unsafe_get s.rps b).Rules.times.clock in
   ca < cb || (ca = cb && a < b)
 
 let rec sift_up s i =
@@ -384,12 +388,13 @@ let deliver s tr (d : Board.delivery) =
       match pr.status with
       | `Blocked b when Symtab.accessible p.Rules.st b.on_name b.on_box ->
           pr.status <- `Ready;
-          p.clock <- Float.max p.clock d.arrival;
+          p.times.clock <- Float.max p.times.clock d.arrival;
           s.ready.(s.nready) <- p.pid;
           s.nready <- s.nready + 1;
           sift_up s (s.nready - 1);
           if Trace.enabled tr then
-            Trace.emit tr (Trace.Unblocked { time = p.clock; pid = p.pid })
+            Trace.emit tr
+              (Trace.Unblocked { time = p.times.clock; pid = p.pid })
       | _ -> ())
     s.procs
 
@@ -471,7 +476,7 @@ let drive (r : Rules.run) board procs step =
         | Some d -> d
         | None -> assert false
       in
-      if bi < 0 || d.arrival <= s.rps.(bi).clock then begin
+      if bi < 0 || d.arrival <= s.rps.(bi).times.clock then begin
         ignore (Transport.pop_delivery r.wire);
         deliver s r.tr d;
         loop ()
@@ -515,8 +520,7 @@ let make_procs (r : Rules.run) ~init ~free_on_release (p : program) =
         Rules.run = r;
         pid;
         st;
-        clock = 0.0;
-        busy = 0.0;
+        times = { clock = 0.0; busy = 0.0 };
         guard_evals = 0;
         guard_hits = 0;
       })
@@ -548,14 +552,16 @@ let stats_of (r : Rules.run) board (rps : Rules.proc array) ~redist_stages =
   let sum f = Array.fold_left (fun acc p -> acc + f p) 0 rps in
   {
     Trace.makespan =
-      Array.fold_left (fun acc (p : Rules.proc) -> Float.max acc p.clock) 0.0 rps;
+      Array.fold_left
+        (fun acc (p : Rules.proc) -> Float.max acc p.times.clock)
+        0.0 rps;
     messages = Board.messages_matched board;
     bytes = Board.bytes_matched board;
     ownership_transfers = r.ownership_transfers;
     guard_evals = sum (fun p -> p.Rules.guard_evals);
     guard_hits = sum (fun p -> p.Rules.guard_hits);
-    busy = Array.map (fun (p : Rules.proc) -> p.busy) rps;
-    finish = Array.map (fun (p : Rules.proc) -> p.clock) rps;
+    busy = Array.map (fun (p : Rules.proc) -> p.times.busy) rps;
+    finish = Array.map (fun (p : Rules.proc) -> p.times.clock) rps;
     peak_storage = Array.map (fun (p : Rules.proc) -> Symtab.peak_elements p.st) rps;
     statements = r.steps;
     unmatched_sends = List.length (Board.pending_sends board);

@@ -27,12 +27,13 @@ type run = {
   max_steps : int;
 }
 
+type times = { mutable clock : float; mutable busy : float }
+
 type proc = {
   run : run;
   pid : int;
   st : Symtab.t;
-  mutable clock : float;
-  mutable busy : float;
+  times : times;
   mutable guard_evals : int;
   mutable guard_hits : int;
 }
@@ -49,9 +50,11 @@ let reserve_steps r n =
   r.steps <- r.steps + k;
   k
 
+let now p = p.times.clock
+
 let charge p c =
-  p.clock <- p.clock +. c;
-  p.busy <- p.busy +. c
+  p.times.clock <- p.times.clock +. c;
+  p.times.busy <- p.times.busy +. c
 
 (* ---- Diagnostics: each text is spelled here once ---- *)
 
@@ -60,7 +63,7 @@ let misuse p fmt =
     (fun s ->
       raise
         (Xdp_misuse
-           (Printf.sprintf "P%d at t=%.1f in %s: %s" (p.pid + 1) p.clock
+           (Printf.sprintf "P%d at t=%.1f in %s: %s" (p.pid + 1) (now p)
               p.run.prog_name s)))
     fmt
 
@@ -126,8 +129,8 @@ let send_value p ~arr ~box ~dests =
   let name = section_name arr box in
   if Trace.enabled r.tr then
     Trace.emit r.tr
-      (Trace.Send_init { time = p.clock; pid = p.pid; name; kind = "value" });
-  Fabric.post_send r.fabric ~time:p.clock ~src:p.pid ~name ~kind:Board.Value
+      (Trace.Send_init { time = now p; pid = p.pid; name; kind = "value" });
+  Fabric.post_send r.fabric ~time:(now p) ~src:p.pid ~name ~kind:Board.Value
     ~payload ~directed
 
 let send_owner p ~with_value ~arr ~box =
@@ -152,8 +155,8 @@ let send_owner p ~with_value ~arr ~box =
   if Trace.enabled r.tr then
     Trace.emit r.tr
       (Trace.Send_init
-         { time = p.clock; pid = p.pid; name; kind = Board.kind_to_string kind });
-  Fabric.post_send r.fabric ~time:p.clock ~src:p.pid ~name ~kind ~payload
+         { time = now p; pid = p.pid; name; kind = Board.kind_to_string kind });
+  Fabric.post_send r.fabric ~time:(now p) ~src:p.pid ~name ~kind ~payload
     ~directed:None
 
 (* Register a receive as pending and in flight; returns its token. *)
@@ -181,8 +184,8 @@ let recv_owner p ~with_value ~arr ~box =
   if Trace.enabled r.tr then
     Trace.emit r.tr
       (Trace.Recv_init
-         { time = p.clock; pid = p.pid; name; kind = Board.kind_to_string kind });
-  Transport.post_recv r.wire ~time:p.clock ~dst:p.pid ~name ~kind ~token
+         { time = now p; pid = p.pid; name; kind = Board.kind_to_string kind });
+  Transport.post_recv r.wire ~time:(now p) ~dst:p.pid ~name ~kind ~token
 
 let recv_value p ~into:(into_arr, into_box) ~from:(from_arr, from_box) =
   let r = p.run in
@@ -201,8 +204,8 @@ let recv_value p ~into:(into_arr, into_box) ~from:(from_arr, from_box) =
   charge p r.cost.time_recv_init;
   if Trace.enabled r.tr then
     Trace.emit r.tr
-      (Trace.Recv_init { time = p.clock; pid = p.pid; name; kind = "value" });
-  Transport.post_recv r.wire ~time:p.clock ~dst:p.pid ~name ~kind:Board.Value
+      (Trace.Recv_init { time = now p; pid = p.pid; name; kind = "value" });
+  Transport.post_recv r.wire ~time:(now p) ~dst:p.pid ~name ~kind:Board.Value
     ~token
 
 let charge_kernel p ~flops ~elems =

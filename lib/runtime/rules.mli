@@ -49,13 +49,21 @@ type run = {
   max_steps : int;
 }
 
-(** One processor. *)
+(** A processor's simulated time.  An all-float record, so OCaml
+    stores both fields unboxed and {!charge} allocates nothing. *)
+type times = {
+  mutable clock : float;  (** local clock *)
+  mutable busy : float;  (** time spent executing, not waiting *)
+}
+
+(** One processor.  Its clock and busy time sit in their own
+    {!times} record: stored in [proc], a record mixing floats with
+    other fields, every charge would box two fresh floats. *)
 type proc = {
   run : run;
   pid : int;  (** 0-based *)
   st : Xdp_symtab.Symtab.t;
-  mutable clock : float;
-  mutable busy : float;
+  times : times;
   mutable guard_evals : int;
   mutable guard_hits : int;
 }

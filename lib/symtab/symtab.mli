@@ -12,7 +12,15 @@
 
     All intrinsic predicates ([iown], [accessible], [await]'s
     unblocking condition, [mylb]/[myub]) are lookups into this table,
-    implemented with the paper's intersect-and-union algorithm. *)
+    implemented with the paper's intersect-and-union algorithm.
+
+    The simulated cost of a covering query ({!iown} or {!accessible};
+    {!section_state} makes one, and a second unless the section is
+    unowned) is the paper's linear scan: {!live_count} descriptor
+    visits.  The host
+    cost is lower: a spatial bucket index limits the scan to the
+    descriptors near the queried box, and a dense query allocates
+    nothing. *)
 
 open Xdp_util
 

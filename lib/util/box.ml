@@ -72,18 +72,18 @@ let compare a b =
 
 (* [count (inter a b)] without building the intersection — what the
    per-query segment scans actually need from [inter].  Short-circuits
-   on the first empty dimension. *)
+   on the first empty dimension; top-level recursion, so a dense pair
+   allocates nothing. *)
+let rec inter_count_from a b d n acc =
+  if d >= n then acc
+  else
+    let c = Triplet.inter_count a.(d) b.(d) in
+    if c = 0 then 0 else inter_count_from a b (d + 1) n (acc * c)
+
 let inter_count a b =
   if Array.length a <> Array.length b then
     invalid_arg "Box.inter_count: rank mismatch";
-  let n = Array.length a in
-  let rec go d acc =
-    if d >= n then acc
-    else
-      let c = Triplet.inter_count a.(d) b.(d) in
-      if c = 0 then 0 else go (d + 1) (acc * c)
-  in
-  go 0 1
+  inter_count_from a b 0 (Array.length a) 1
 
 let subset a b = is_empty a || inter_count a b = count a
 let disjoint a b = inter_count a b = 0

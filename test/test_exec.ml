@@ -408,6 +408,83 @@ let test_engine_names () =
   Alcotest.(check (list string)) "canonical names" [ "compiled"; "interp" ]
     (List.map Exec.engine_name [ `Compiled; `Interp ])
 
+(* Allocation tripwire: a placement query that answers false and a
+   clock charge are the per-statement work of a naive all-to-all's
+   guard scan, and neither may allocate.  [Gc.minor_words] returns an
+   unboxed float in native code, so reading it allocates nothing. *)
+let test_zero_alloc_tripwire () =
+  let module Symtab = Xdp_symtab.Symtab in
+  let module Box = Xdp_util.Box in
+  let module Rules = Xdp_runtime.Rules in
+  let cost = Xdp_sim.Costmodel.message_passing in
+  let st = Symtab.create ~pid:0 () in
+  (* P1 of 4 owns 1..64 as 64 one-element segments *)
+  Symtab.declare st ~name:"A"
+    ~layout:
+      (Xdp_dist.Layout.make ~shape:[ 256 ] ~dist:[ Xdp_dist.Dist.Block ]
+         ~grid:(grid 4))
+    ~seg_shape:[ 1 ];
+  Alcotest.(check int) "64 segments" 64 (Symtab.live_count st "A");
+  let partly = Box.make [ Xdp_util.Triplet.range 60 70 ] in
+  let elsewhere = Box.make [ Xdp_util.Triplet.range 100 110 ] in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let iown box () = if Symtab.iown st "A" box then failwith "owned" in
+  Alcotest.(check (float 0.0)) "iown, partly owned" 0.0 (words (iown partly));
+  Alcotest.(check (float 0.0)) "iown, owned elsewhere" 0.0
+    (words (iown elsewhere));
+  let tr = Xdp_sim.Trace.create ~enabled:false in
+  let wire =
+    Xdp_net.Transport.create ~config:Xdp_net.Transport.default_config
+      ~plan:Xdp_net.Faultplan.none ~trace:tr
+      (Xdp_sim.Board.create cost) ~cost
+  in
+  let fabric =
+    match
+      Xdp_nic.Fabric.create ~nprocs:1 ~cost ~trace:tr
+        ~post:(Xdp_net.Transport.post_send wire) []
+    with
+    | Ok f -> f
+    | Error e -> failwith e
+  in
+  let run =
+    {
+      Rules.prog_name = "tripwire";
+      nprocs = 1;
+      cost;
+      tr;
+      wire;
+      fabric;
+      pending = Hashtbl.create 1;
+      inflight = [| 0 |];
+      tokens = 0;
+      ownership_transfers = 0;
+      steps = 0;
+      max_steps = 1;
+    }
+  in
+  let p =
+    {
+      Rules.run;
+      pid = 0;
+      st;
+      times = { clock = 0.0; busy = 0.0 };
+      guard_evals = 0;
+      guard_hits = 0;
+    }
+  in
+  Alcotest.(check (float 0.0)) "Rules.charge" 0.0
+    (words (fun () -> Rules.charge p 1.5));
+  Alcotest.(check (float 0.0)) "clock advanced" 1500.0 p.times.clock;
+  (* the guard's whole oracle: query plus descriptor charge *)
+  Alcotest.(check (float 0.0)) "Rules.iown" 0.0
+    (words (fun () -> if Rules.iown p "A" partly then failwith "owned"))
+
 let () =
   Alcotest.run "exec"
     [
@@ -441,5 +518,7 @@ let () =
           Alcotest.test_case "guard scans >= 0.8 of statements (redist P=32)"
             `Quick test_guard_scan_tripwire;
           Alcotest.test_case "engine names" `Quick test_engine_names;
+          Alcotest.test_case "false iown and charge allocate nothing" `Quick
+            test_zero_alloc_tripwire;
         ] );
     ]

@@ -233,6 +233,175 @@ let prop_release_model =
         (fun i -> Symtab.iown st "A" (Box.point [ i + 1 ]) = owned.(i))
         [ 0; 1; 2; 3 ])
 
+(* Property: the covering queries ([iown], [accessible],
+   [section_state]) agree with the paper's linear intersect-and-union
+   over every descriptor [Symtab.segments] lists, and each underlying
+   query charges exactly [live_count] descriptor visits, on random
+   layouts, segment shapes and transition sequences.  Scenario kind 0
+   tiles an 8200-element array with one-element segments, which forces
+   the bucket index to coarsen (more than 8192 buckets); CYCLIC layouts
+   give strided descriptors spanning many buckets; ownership received
+   into arbitrary boxes spans several; query boxes may be empty,
+   strided or reach past the array; a universal array is queried
+   alongside. *)
+let prop_covering_reference =
+  let reference segs box ~need_accessible =
+    let parts =
+      segs
+      |> List.filter (fun (s : Symtab.seg) ->
+             match s.status with
+             | State.Unowned -> false
+             | State.Transitional -> not need_accessible
+             | State.Accessible -> true)
+      |> List.map (fun (s : Symtab.seg) -> s.seg_box)
+    in
+    Box.covered_by ~parts box
+  in
+  let scenario seed =
+    let rs = Random.State.make [| seed |] in
+    let int lo hi = lo + Random.State.int rs (hi - lo + 1) in
+    let pick l = List.nth l (Random.State.int rs (List.length l)) in
+    let kind = int 0 4 in
+    let shape, dist, grid, seg_shape =
+      match kind with
+      | 0 ->
+          ( [ 8200 ],
+            [ pick [ Dist.Block; Dist.Cyclic ] ],
+            Grid.linear 16,
+            [ 1 ] )
+      | 1 | 2 ->
+          let n = int 1 40 in
+          ( [ n ],
+            [ pick [ Dist.Block; Dist.Cyclic ] ],
+            Grid.linear (int 1 4),
+            [ int 1 5 ] )
+      | _ ->
+          let g = int 1 3 in
+          let dist, grid =
+            match pick [ Dist.Star; Dist.Block; Dist.Cyclic ] with
+            | Dist.Star -> ([ Dist.Star; Dist.Block ], Grid.linear g)
+            | d -> ([ d; Dist.Block ], Grid.make [ g; 1 ])
+          in
+          ([ int 1 12; int 1 12 ], dist, grid, [ int 1 4; int 1 4 ])
+    in
+    let l = layout shape dist grid in
+    let pid = int 0 (Grid.nprocs grid - 1) in
+    let st = Symtab.create ~pid () in
+    Symtab.declare st ~name:"A" ~layout:l ~seg_shape;
+    Symtab.declare_universal st ~name:"U"
+      ~shape:(List.map (fun n -> n + 1) shape);
+    (int, shape, st)
+  in
+  let random_box int shape =
+    Box.make
+      (List.map
+         (fun n ->
+           let lo = int 0 (n + 1) in
+           Triplet.make ~lo ~hi:(int (lo - 2) (n + 1)) ~stride:(int 1 3))
+         shape)
+  in
+  QCheck.Test.make ~name:"covering queries match linear intersect-and-union"
+    ~count:150 QCheck.int (fun seed ->
+      let int, shape, st = scenario seed in
+      let ok = ref true in
+      let check name box =
+        let live = Symtab.live_count st name in
+        let visits f =
+          let v0 = Symtab.descriptor_visits st in
+          let r = f () in
+          (r, Symtab.descriptor_visits st - v0)
+        in
+        let io, vi = visits (fun () -> Symtab.iown st name box) in
+        let ac, va = visits (fun () -> Symtab.accessible st name box) in
+        let ss, vs = visits (fun () -> Symtab.section_state st name box) in
+        let segs = Symtab.segments st name in
+        let rio = reference segs box ~need_accessible:false
+        and rac = reference segs box ~need_accessible:true in
+        let rss =
+          if not rio then State.Unowned
+          else if rac then State.Accessible
+          else State.Transitional
+        in
+        let queries = if ss = State.Unowned then 1 else 2 in
+        if
+          io <> rio || ac <> rac || ss <> rss || vi <> live || va <> live
+          || vs <> queries * live
+        then ok := false
+      in
+      let live_segs () =
+        List.filter
+          (fun (s : Symtab.seg) -> s.status <> State.Unowned)
+          (Symtab.segments st "A")
+      in
+      let attempt f = try f () with Invalid_argument _ -> () in
+      for _ = 1 to 25 do
+        (match int 0 5 with
+        | 0 -> (
+            match live_segs () with
+            | [] -> ()
+            | segs ->
+                let s = List.nth segs (int 0 (List.length segs - 1)) in
+                attempt (fun () -> ignore (Symtab.release st "A" s.seg_box)))
+        | 1 ->
+            let b =
+              Box.make
+                (List.map
+                   (fun n ->
+                     let lo = int 1 n in
+                     Triplet.make ~lo ~hi:(int lo n) ~stride:(int 1 2))
+                   shape)
+            in
+            attempt (fun () -> Symtab.expect_ownership st "A" b)
+        | 2 -> (
+            match
+              List.filter
+                (fun (s : Symtab.seg) ->
+                  s.status = State.Transitional && s.data = None)
+                (live_segs ())
+            with
+            | [] -> ()
+            | s :: _ ->
+                attempt (fun () ->
+                    Symtab.accept_ownership st "A" s.seg_box
+                      (if int 0 1 = 0 then None
+                       else Some (Array.make (Box.count s.seg_box) 1.0))))
+        | 3 -> (
+            match live_segs () with
+            | [] -> ()
+            | segs ->
+                let s = List.nth segs (int 0 (List.length segs - 1)) in
+                attempt (fun () -> Symtab.mark_recv_init st "A" s.seg_box))
+        | 4 ->
+            attempt (fun () ->
+                Symtab.mark_recv_complete st "A" (random_box int shape))
+        | _ ->
+            attempt (fun () ->
+                Symtab.release st "U" (Box.of_shape [ 1 ]) |> ignore));
+        for _ = 1 to 4 do
+          check "A" (random_box int shape);
+          check "U" (random_box int (List.map (fun n -> n + 1) shape))
+        done;
+        (* whole-array and single-segment queries *)
+        check "A" (Box.of_shape shape);
+        (match live_segs () with
+        | s :: _ -> check "A" s.seg_box
+        | [] -> ());
+        (* a rank mismatch charges one visit, then raises, when
+           anything is live *)
+        let live = Symtab.live_count st "A" in
+        let v0 = Symtab.descriptor_visits st in
+        let bad = Box.of_shape (List.map (fun _ -> 2) (1 :: shape)) in
+        let raised =
+          try
+            ignore (Symtab.iown st "A" bad);
+            false
+          with Invalid_argument _ -> true
+        in
+        let dv = Symtab.descriptor_visits st - v0 in
+        if raised <> (live > 0) || dv <> min live 1 then ok := false
+      done;
+      !ok)
+
 let () =
   Alcotest.run "symtab"
     [
@@ -262,5 +431,9 @@ let () =
           Alcotest.test_case "mylb/myub" `Quick test_mylb_myub;
           Alcotest.test_case "Figure 2 rendering" `Quick test_fig2_rendering;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_release_model ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_release_model;
+          QCheck_alcotest.to_alcotest prop_covering_reference;
+        ] );
     ]

@@ -103,6 +103,47 @@ let test_check_exn () =
      with Invalid_argument msg ->
        String.length msg > 0)
 
+(* The exact text of a failed check: declaration errors are located at
+   the array, statement errors at the innermost statement (a guard
+   body's statement, not the guard), rendered and cut to 60 characters
+   plus "...". *)
+let test_check_exn_text () =
+  let bad =
+    program ~name:"wf-text"
+      ~decls:
+        [
+          decl ~name:"A" ~shape:[ 8 ] ~dist:[ Xdp_dist.Dist.Block ] ~grid ();
+          decl ~name:"A" ~shape:[ 8 ] ~dist:[ Xdp_dist.Dist.Block ] ~grid ();
+          decl ~name:"M" ~shape:[ 4; 4 ]
+            ~dist:[ Xdp_dist.Dist.Star; Xdp_dist.Dist.Block ] ~grid ();
+        ]
+      [
+        loop "i" (i 1) (i 8)
+          [
+            iown (sec "A" [ at iv ]) @: [ set "Z" [ iv ] (elem "A" [ iv ]) ];
+            iown (sec "Q" [ at iv ]) @: [ setv "x" (i 1) ];
+          ];
+        set "M" [ i 1 ]
+          (elem "A" [ i 1 ] +: elem "A" [ i 2 ] +: elem "A" [ i 3 ]
+         +: elem "A" [ i 4 ] +: elem "A" [ i 5 ] +: elem "A" [ i 6 ]
+         +: elem "A" [ i 7 ]);
+      ]
+  in
+  let msg =
+    try
+      Xdp.Wf.check_exn bad;
+      "no error"
+    with Invalid_argument msg -> msg
+  in
+  Alcotest.(check string) "message"
+    "Wf.check failed for wf-text:\n\
+     A: duplicate array declaration\n\
+     Z[i] = A[i]: undeclared array Z\n\
+     iown(Q[i]) : { x = 1 }: undeclared array Q\n\
+     M[1] = ((((((A[1] + A[2]) + A[3]) + A[4]) + A[5]) + A[6]) + ...: M \
+     has rank 2 but 1 subscripts given"
+    msg
+
 let () =
   Alcotest.run "wf"
     [
@@ -119,5 +160,6 @@ let () =
           Alcotest.test_case "duplicate decl" `Quick test_duplicate_decl;
           Alcotest.test_case "mylb dim" `Quick test_mylb_dim_range;
           Alcotest.test_case "check_exn" `Quick test_check_exn;
+          Alcotest.test_case "check_exn text" `Quick test_check_exn_text;
         ] );
     ]
