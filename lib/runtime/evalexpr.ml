@@ -104,7 +104,12 @@ let rec eval h env e =
       | Or ->
           if Value.to_bool (eval h env a) then Value.VBool true
           else eval h env b
-      | _ -> Value.binop op (eval h env a) (eval h env b))
+      | _ ->
+          (* left operand first, as the staged engine evaluates it: an
+             argument list would evaluate right to left, so an abort in
+             [a] would report a clock that already charged [b] *)
+          let x = eval h env a in
+          Value.binop op x (eval h env b))
   | Un (op, a) ->
       h.charge h.cm.time_int_op;
       Value.unop op (eval h env a)

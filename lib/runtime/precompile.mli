@@ -45,14 +45,22 @@
     that executes the whole run — loop nests included — in one
     scheduler turn.  Loop nests specialize further: a counted loop
     whose body is a single fixed-cost element store compiles into a
-    native loop over the unboxed slot frame that charges one batched
-    trips×tally cost; an [fft1D] [Apply] of the stock kernel inlines
-    the {!Xdp.Kernels.dht_sub} call path over reusable machine
-    buffers.  Fusion is always on; the interpreter is the reference it
-    is checked against.  The scheduler decides per turn whether running
-    fused is sound (no receive in flight for this processor) and
-    otherwise falls back to the statement-at-a-time units, so traces,
-    Gantt charts and fault interleavings are bit-identical either way.
+    {e range kernel}.  At loop entry it checks, without charging, that
+    no iteration can abort — every subscript is [v], [v ± literal] or
+    loop-invariant, every access walks a range inside one segment of
+    this processor that is not [Unowned] and has storage, every scalar
+    read is bound, and the step budget has room for all iterations —
+    and only then charges header + trips×tally once and runs the body
+    directly over the segments' float chunks, allocation-free.  A loop
+    the check rejects runs charged, statement by statement, so it
+    aborts with the interpreter's clock.  An [fft1D] [Apply] of the
+    stock kernel inlines the {!Xdp.Kernels.dht_sub} call path over
+    reusable machine buffers.  Fusion is always on; the interpreter
+    is the reference it is checked against.  The scheduler decides per
+    turn whether running fused is sound (no receive in flight for this
+    processor) and otherwise falls back to the statement-at-a-time
+    units, so traces, Gantt charts and fault interleavings are
+    bit-identical either way.
 
     Guards that cannot fuse because their body blocks (an
     owner-computes [iown(S) : send ...] or [mypid = k : recv ...])
@@ -64,7 +72,8 @@
 
 type machine
 (** The mutable state of one processor's compiled execution: slot
-    frames, per-site inline caches, and its {!Rules.proc}. *)
+    frames, per-site inline caches, the range kernels' register file,
+    and its {!Rules.proc}. *)
 
 (** What executing one compiled statement asks the scheduler to do
     next; mirrors the interpreter's frame discipline exactly (one
@@ -155,7 +164,9 @@ type fusion_stats = {
   fs_run_hist : (int * int) list;
       (** run length -> count, sorted by length *)
   fs_spec_loops : int;  (** natively specialized loop statements *)
-  fs_batched_loops : int;  (** loops charging one batched tally *)
+  fs_batched_loops : int;
+      (** loops with a fixed-cost single-store body: range kernels that
+          charge one batched tally when their entry check passes *)
   fs_inlined_kernels : int;  (** inlined kernel call sites *)
   fs_blockers : (string * int) list;
       (** why statements have no fused form: blocking reason -> count,

@@ -46,9 +46,11 @@ let count_step r =
     raise (Xdp_misuse (Printf.sprintf "step budget exceeded (%d)" r.max_steps))
 
 let reserve_steps r n =
-  let k = min n (r.max_steps - r.steps) in
-  r.steps <- r.steps + k;
-  k
+  n <= r.max_steps - r.steps
+  && begin
+       r.steps <- r.steps + n;
+       true
+     end
 
 let now p = p.times.clock
 

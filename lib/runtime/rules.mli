@@ -75,11 +75,11 @@ val count_step : run -> unit
 (** Count one executed statement.
     @raise Xdp_misuse ["step budget exceeded (N)"] past [max_steps]. *)
 
-val reserve_steps : run -> int -> int
-(** [reserve_steps r n] counts as many of [n] statements as the budget
-    has room for and returns that number.  A caller that got fewer
-    than [n] runs that many and then calls {!count_step}, which
-    raises. *)
+val reserve_steps : run -> int -> bool
+(** [reserve_steps r n] counts [n] statements at once when the budget
+    has room for all of them, and otherwise counts nothing and returns
+    [false]; the caller then runs them one {!count_step} at a time, so
+    the budget stops it at the exact statement. *)
 
 val charge : proc -> float -> unit
 (** Advance the clock and the busy time by a cost. *)

@@ -760,6 +760,291 @@ let test_fixed_cases () =
       };
     ]
 
+(* Batched loops: a counted loop whose body is one element store runs
+   as a range kernel only when an entry check proves that no iteration
+   can abort, and otherwise runs charged, statement by statement.
+   Random loops, each wrapped in [mypid == 1 : { ... }] so that one
+   processor is the only one that can abort, must give the
+   interpreter's arrays, stats and diagnostic text: reads at offsets
+   -2..2, a second dimension subscripted by a literal or a
+   loop-invariant expression, bodies that read what they write,
+   BLOCK/CYCLIC layouts tiled by segments smaller than the block,
+   strided loops, ranges that run into unowned elements or past the
+   array, and step budgets too small for a loop. *)
+
+type bother =
+  | O_lit of int  (** a literal *)
+  | O_var  (** the scalar [k], bound before the loops *)
+  | O_pid  (** [(mypid - 1) / 2 + 1] *)
+  | O_unbound  (** a scalar no statement binds *)
+
+type bacc = { b_arr : int; b_off : int; b_other : bother; b_vfirst : bool }
+
+type bloop = {
+  l_lo : int;
+  l_len : int;
+  l_step : int;
+  l_store : bacc;
+  l_reads : (binop * bacc) list;  (** the first operator is ignored *)
+  l_const : binop * float;
+  l_index : bool;  (** add [i * 0.5] to the right-hand side *)
+}
+
+type bcfg = {
+  b_nprocs : int;
+  b_n : int;  (** extent of the distributed dimension *)
+  b_m : int;  (** extent of the second dimension of rank-2 arrays *)
+  b_arrays : (Xdp_dist.Dist.t * bool * int list) array;
+      (** per array: distribution, rank 2?, segment shape *)
+  b_k : int;
+  b_loops : bloop list;
+  b_budget : int option;
+}
+
+let barrays = [| "X"; "Y"; "Z" |]
+
+let gen_bcfg =
+  G.(
+    let* b_nprocs = int_range 1 3 in
+    let* per = int_range 2 5 in
+    let b_n = b_nprocs * per in
+    let* b_m = int_range 2 3 in
+    let gen_arr =
+      let* dist = oneofl Xdp_dist.Dist.[ Block; Cyclic ] in
+      let* rank2 = bool in
+      let* s1 = frequency [ (3, return per); (2, int_range 1 per) ] in
+      let* s2 = frequency [ (3, return b_m); (1, int_range 1 b_m) ] in
+      return (dist, rank2, if rank2 then [ s1; s2 ] else [ s1 ])
+    in
+    let* a0 = gen_arr in
+    let* a1 = gen_arr in
+    let* a2 = gen_arr in
+    let gen_acc ~store =
+      let* b_arr = int_range 0 2 in
+      let* b_off =
+        if store then frequency [ (6, return 0); (1, int_range (-1) 1) ]
+        else frequency [ (2, return 0); (3, int_range (-2) 2) ]
+      in
+      let* b_other =
+        frequency
+          [
+            (8, map (fun l -> O_lit l) (int_range 1 b_m));
+            (1, return (O_lit (b_m + 1)));
+            (6, return O_var);
+            (4, return O_pid);
+            (1, return O_unbound);
+          ]
+      in
+      let* b_vfirst = frequency [ (4, return true); (1, return false) ] in
+      return { b_arr; b_off; b_other; b_vfirst }
+    in
+    let gen_op = oneofl [ Add; Sub; Mul; Max ] in
+    (* mostly inside P1's part of the distributed dimension: rows
+       1..per under BLOCK, every [nprocs]th row from 1 under CYCLIC *)
+    let gen_loop arrays =
+      let* l_store = gen_acc ~store:true in
+      let dist, _, _ = arrays.(l_store.b_arr) in
+      let* l_step =
+        frequency
+          [
+            (3, return (if dist = Xdp_dist.Dist.Cyclic then b_nprocs else 1));
+            (1, oneofl [ 1; 2; 3; b_nprocs ]);
+          ]
+      in
+      let* l_lo =
+        frequency [ (3, return 1); (2, int_range 2 3); (1, int_range 1 b_n) ]
+      in
+      let* l_len =
+        frequency
+          [
+            (4, int_range 0 (max 0 ((per * l_step) - l_lo + 1)));
+            (1, int_range 0 (b_n + 2));
+          ]
+      in
+      let* nreads = int_range 1 3 in
+      let* l_reads = list_repeat nreads (pair gen_op (gen_acc ~store:false)) in
+      let* l_const = pair gen_op (float_range 0.5 2.5) in
+      let* l_index = frequency [ (4, return false); (1, return true) ] in
+      return { l_lo; l_len; l_step; l_store; l_reads; l_const; l_index }
+    in
+    let b_arrays = [| a0; a1; a2 |] in
+    let* b_k = frequency [ (4, int_range 1 b_m); (1, return (b_m + 1)) ] in
+    let* nloops = int_range 1 3 in
+    let* b_loops = list_repeat nloops (gen_loop b_arrays) in
+    (* a budget only on one processor: with several, the budget is a
+       second processor that can abort, and which of two pending aborts
+       fires first may differ under fusion (DESIGN.md §4d) *)
+    let* b_budget =
+      if b_nprocs > 1 then return None
+      else frequency [ (1, return None); (1, map Option.some (int_range 2 30)) ]
+    in
+    return
+      {
+        b_nprocs;
+        b_n;
+        b_m;
+        b_arrays;
+        b_k;
+        b_loops;
+        b_budget;
+      })
+
+let batched_program c =
+  let grid = Xdp_dist.Grid.linear c.b_nprocs in
+  let decls =
+    Array.to_list
+      (Array.mapi
+         (fun k (dist, rank2, seg_shape) ->
+           if rank2 then
+             decl ~name:barrays.(k) ~shape:[ c.b_n; c.b_m ]
+               ~dist:[ dist; Xdp_dist.Dist.Star ] ~grid ~seg_shape ()
+           else
+             decl ~name:barrays.(k) ~shape:[ c.b_n ] ~dist:[ dist ] ~grid
+               ~seg_shape ())
+         c.b_arrays)
+  in
+  let iv = var "i" in
+  let access a =
+    let _, rank2, _ = c.b_arrays.(a.b_arr) in
+    let v =
+      if a.b_off = 0 then iv
+      else if a.b_off > 0 then iv +: i a.b_off
+      else iv -: i (-a.b_off)
+    in
+    let other =
+      match a.b_other with
+      | O_lit l -> i l
+      | O_var -> var "k"
+      | O_pid -> ((mypid -: i 1) /: i 2) +: i 1
+      | O_unbound -> var "u"
+    in
+    let subs =
+      if not rank2 then [ v ]
+      else if a.b_vfirst then [ v; other ]
+      else [ other; v ]
+    in
+    (barrays.(a.b_arr), subs)
+  in
+  let loop_of l =
+    let read a =
+      let name, subs = access a in
+      elem name subs
+    in
+    let rhs =
+      match l.l_reads with
+      | [] -> f 0.0
+      | (_, a) :: rest ->
+          List.fold_left
+            (fun acc (op, a) -> Bin (op, acc, read a))
+            (read a) rest
+    in
+    let op, k = l.l_const in
+    let rhs = Bin (op, rhs, f k) in
+    let rhs = if l.l_index then rhs +: (iv *: f 0.5) else rhs in
+    let name, subs = access l.l_store in
+    (mypid =: i 1)
+    @: [
+         loop_step "i" (i l.l_lo)
+           (i (l.l_lo + l.l_len - 1))
+           (i l.l_step) [ set name subs rhs ];
+       ]
+  in
+  program ~name:"batched"
+    ~decls
+    (setv "k" (i c.b_k) :: List.map loop_of c.b_loops)
+
+let batched_init name idx =
+  let base = match name with "X" -> 1.0 | "Y" -> 100.0 | _ -> 10000.0 in
+  match idx with
+  | [ i ] -> base +. (1.5 *. float_of_int i)
+  | [ i; j ] -> base +. (1.5 *. float_of_int i) +. (0.25 *. float_of_int j)
+  | _ -> 0.0
+
+let print_bcfg c =
+  Printf.sprintf "P=%d budget=%s %s\n%s" c.b_nprocs
+    (match c.b_budget with None -> "default" | Some b -> string_of_int b)
+    (String.concat " "
+       (Array.to_list
+          (Array.mapi
+             (fun k (d, _, seg) ->
+               Printf.sprintf "%s:%s seg(%s)" barrays.(k)
+                 (Xdp_dist.Dist.to_string d)
+                 (String.concat "," (List.map string_of_int seg)))
+             c.b_arrays)))
+    (Xdp.Pp.program_to_string (batched_program c))
+
+(* Everything a caller can see: every element of every array, the
+   whole stats record and the trace, or the diagnostic text. *)
+let batched_outcome c engine =
+  let p = batched_program c in
+  match
+    Exec.run ~engine ?max_steps:c.b_budget ~init:batched_init ~trace:true
+      ~nprocs:c.b_nprocs p
+  with
+  | r ->
+      let elems k =
+        let _, rank2, _ = c.b_arrays.(k) in
+        let t = Exec.array r barrays.(k) in
+        List.concat_map
+          (fun i ->
+            List.map
+              (fun idx -> Printf.sprintf "%h" (Xdp_util.Tensor.get t idx))
+              (if rank2 then List.init c.b_m (fun j -> [ i; j + 1 ])
+               else [ [ i ] ]))
+          (List.init c.b_n (fun i -> i + 1))
+      in
+      Ok
+        (String.concat " " (List.concat_map elems [ 0; 1; 2 ])
+        ^ Format.asprintf "\n%a" Xdp_sim.Trace.pp_stats r.stats
+        ^ Printf.sprintf "\nstatements=%d stats=%s trace=%s" r.stats.statements
+            (Digest.to_hex (Digest.string (Marshal.to_string r.stats [])))
+            (Digest.to_hex
+               (Digest.string (Format.asprintf "%a" Xdp_sim.Trace.pp r.trace))))
+  | exception Exec.Xdp_misuse m -> Error m
+  | exception e -> Error ("raised " ^ Printexc.to_string e)
+
+let check_bcfg c =
+  let interp = batched_outcome c `Interp in
+  let fused = batched_outcome c `Compiled in
+  let show = function Ok s -> s | Error m -> "error: " ^ m in
+  if fused <> interp then
+    QCheck.Test.fail_reportf
+      "engines differ:\n--- interp: %s\n+++ compiled: %s\n%s"
+      (show interp) (show fused) (print_bcfg c);
+  true
+
+let prop_batched_loops =
+  QCheck.Test.make
+    ~name:"batched loops: compiled = interp, diagnostics included"
+    ~count:1000
+    (QCheck.make ~print:print_bcfg gen_bcfg)
+    check_bcfg
+
+(* Coverage of the property above on a fixed sample: runs that
+   complete, misuse diagnostics and budget aborts must all occur. *)
+let test_batched_coverage () =
+  let rand = Random.State.make [| 0xBA7C |] in
+  let cases = G.generate ~rand ~n:200 gen_bcfg in
+  let outcomes = List.map (fun c -> batched_outcome c `Compiled) cases in
+  let count p = List.length (List.filter p outcomes) in
+  let has sub = function
+    | Error m ->
+        let n = String.length sub in
+        let rec at k =
+          k + n <= String.length m && (String.sub m k n = sub || at (k + 1))
+        in
+        at 0
+    | Ok _ -> false
+  in
+  Alcotest.(check bool) "some runs complete" true (count Result.is_ok > 20);
+  Alcotest.(check bool) "some reads of unowned elements" true
+    (count (has "read of unowned") > 5);
+  Alcotest.(check bool) "some writes to unowned elements" true
+    (count (has "write to unowned") > 5);
+  Alcotest.(check bool) "some budget aborts" true
+    (count (has "step budget exceeded") > 1);
+  List.iter (fun c -> Alcotest.(check bool) "agree" true (check_bcfg c)) cases
+
 let () =
   Alcotest.run "differential"
     [
@@ -773,6 +1058,12 @@ let () =
         ] );
       ( "redistribution planner",
         [ QCheck_alcotest.to_alcotest prop_redist_planner ] );
+      ( "batched loops",
+        [
+          Alcotest.test_case "outcomes covered, engines agree" `Quick
+            test_batched_coverage;
+          QCheck_alcotest.to_alcotest prop_batched_loops;
+        ] );
       ( "guard scans",
         [
           Alcotest.test_case "scans happen, engines agree" `Quick

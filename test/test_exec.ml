@@ -408,36 +408,10 @@ let test_engine_names () =
   Alcotest.(check (list string)) "canonical names" [ "compiled"; "interp" ]
     (List.map Exec.engine_name [ `Compiled; `Interp ])
 
-(* Allocation tripwire: a placement query that answers false and a
-   clock charge are the per-statement work of a naive all-to-all's
-   guard scan, and neither may allocate.  [Gc.minor_words] returns an
-   unboxed float in native code, so reading it allocates nothing. *)
-let test_zero_alloc_tripwire () =
-  let module Symtab = Xdp_symtab.Symtab in
-  let module Box = Xdp_util.Box in
+(* A lone processor P1 over table [st], outside any [Exec.run]. *)
+let tripwire_proc ~max_steps st =
   let module Rules = Xdp_runtime.Rules in
   let cost = Xdp_sim.Costmodel.message_passing in
-  let st = Symtab.create ~pid:0 () in
-  (* P1 of 4 owns 1..64 as 64 one-element segments *)
-  Symtab.declare st ~name:"A"
-    ~layout:
-      (Xdp_dist.Layout.make ~shape:[ 256 ] ~dist:[ Xdp_dist.Dist.Block ]
-         ~grid:(grid 4))
-    ~seg_shape:[ 1 ];
-  Alcotest.(check int) "64 segments" 64 (Symtab.live_count st "A");
-  let partly = Box.make [ Xdp_util.Triplet.range 60 70 ] in
-  let elsewhere = Box.make [ Xdp_util.Triplet.range 100 110 ] in
-  let words f =
-    let w0 = Gc.minor_words () in
-    for _ = 1 to 1000 do
-      f ()
-    done;
-    Gc.minor_words () -. w0
-  in
-  let iown box () = if Symtab.iown st "A" box then failwith "owned" in
-  Alcotest.(check (float 0.0)) "iown, partly owned" 0.0 (words (iown partly));
-  Alcotest.(check (float 0.0)) "iown, owned elsewhere" 0.0
-    (words (iown elsewhere));
   let tr = Xdp_sim.Trace.create ~enabled:false in
   let wire =
     Xdp_net.Transport.create ~config:Xdp_net.Transport.default_config
@@ -465,25 +439,128 @@ let test_zero_alloc_tripwire () =
       tokens = 0;
       ownership_transfers = 0;
       steps = 0;
-      max_steps = 1;
+      max_steps;
     }
   in
-  let p =
-    {
-      Rules.run;
-      pid = 0;
-      st;
-      times = { clock = 0.0; busy = 0.0 };
-      guard_evals = 0;
-      guard_hits = 0;
-    }
-  in
+  {
+    Rules.run;
+    pid = 0;
+    st;
+    times = { clock = 0.0; busy = 0.0 };
+    guard_evals = 0;
+    guard_hits = 0;
+  }
+
+let words f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+(* Allocation tripwire: a placement query that answers false and a
+   clock charge are the per-statement work of a naive all-to-all's
+   guard scan, and neither may allocate.  [Gc.minor_words] returns an
+   unboxed float in native code, so reading it allocates nothing. *)
+let test_zero_alloc_tripwire () =
+  let module Symtab = Xdp_symtab.Symtab in
+  let module Box = Xdp_util.Box in
+  let module Rules = Xdp_runtime.Rules in
+  let st = Symtab.create ~pid:0 () in
+  (* P1 of 4 owns 1..64 as 64 one-element segments *)
+  Symtab.declare st ~name:"A"
+    ~layout:
+      (Xdp_dist.Layout.make ~shape:[ 256 ] ~dist:[ Xdp_dist.Dist.Block ]
+         ~grid:(grid 4))
+    ~seg_shape:[ 1 ];
+  Alcotest.(check int) "64 segments" 64 (Symtab.live_count st "A");
+  let partly = Box.make [ Xdp_util.Triplet.range 60 70 ] in
+  let elsewhere = Box.make [ Xdp_util.Triplet.range 100 110 ] in
+  let iown box () = if Symtab.iown st "A" box then failwith "owned" in
+  Alcotest.(check (float 0.0)) "iown, partly owned" 0.0 (words (iown partly));
+  Alcotest.(check (float 0.0)) "iown, owned elsewhere" 0.0
+    (words (iown elsewhere));
+  let p = tripwire_proc ~max_steps:1 st in
   Alcotest.(check (float 0.0)) "Rules.charge" 0.0
     (words (fun () -> Rules.charge p 1.5));
   Alcotest.(check (float 0.0)) "clock advanced" 1500.0 p.times.clock;
   (* the guard's whole oracle: query plus descriptor charge *)
   Alcotest.(check (float 0.0)) "Rules.iown" 0.0
     (words (fun () -> if Rules.iown p "A" partly then failwith "owned"))
+
+(* A range kernel allocates per loop entry, never per iteration: the
+   stencil sweep over one 64-element segment allocates the same words
+   for 8 iterations as for 62. *)
+let test_range_kernel_alloc () =
+  let module Symtab = Xdp_symtab.Symtab in
+  let module Precompile = Xdp_runtime.Precompile in
+  let d =
+    decl ~name:"B" ~shape:[ 256 ] ~dist:[ Xdp_dist.Dist.Block ] ~grid:(grid 4)
+      ~seg_shape:[ 64 ] ()
+  in
+  let st = Symtab.create ~pid:0 () in
+  Symtab.declare st ~name:"B" ~layout:d.Xdp.Ir.layout ~seg_shape:[ 64 ];
+  let p = tripwire_proc ~max_steps:max_int st in
+  let entry_words hi =
+    let sweep =
+      (f 0.25 *: elem "B" [ iv -: i 1 ])
+      +: (f 0.5 *: elem "B" [ iv ])
+      +: (f 0.25 *: elem "B" [ iv +: i 1 ])
+    in
+    let prog =
+      program ~name:"tripwire" ~decls:[ d ]
+        [ loop "i" (i 2) (i hi) [ set "B" [ iv ] sweep ] ]
+    in
+    let cp =
+      Precompile.compile ~cost:p.run.cost ~kernels:Xdp.Kernels.default
+        ~scalars:[] prog
+    in
+    let m = Precompile.machine cp p in
+    match Precompile.body cp with
+    | [| Precompile.U_fuse u |] ->
+        u.fu_fast m;
+        words (fun () -> u.fu_fast m)
+    | _ -> failwith "expected one fused loop"
+  in
+  Alcotest.(check (float 0.0)) "8 vs 62 iterations" (entry_words 9)
+    (entry_words 63)
+
+(* A batched loop (a counted loop whose body is one element store) may
+   only take its whole charge up front once it knows no iteration can
+   abort; a misuse inside it must report the interpreter's clock. *)
+let test_batched_loop_parity () =
+  let ab =
+    List.map
+      (fun name ->
+        decl ~name ~shape:[ 8 ] ~dist:[ Xdp_dist.Dist.Block ] ~grid:(grid 2)
+          ~seg_shape:[ 4 ] ())
+      [ "A"; "B" ]
+  in
+  let store off =
+    loop "i" (i 1) (i 4) [ set "A" [ iv ] (elem "B" [ iv +: i off ] +: f 1.0) ]
+  in
+  List.iter
+    (fun (name, body, want) ->
+      let p = program ~name:"exec-test" ~decls:ab body in
+      List.iter
+        (fun (ename, engine) ->
+          let got =
+            match Exec.run ~engine ~nprocs:2 p with
+            | _ -> "no diagnostic"
+            | exception Exec.Xdp_misuse m -> m
+          in
+          Alcotest.(check string) (name ^ " (" ^ ename ^ ")") want got)
+        configs)
+    [
+      ( "read runs past the segment on its last iteration",
+        [ (mypid =: i 1) @: [ store 1 ] ],
+        "P1 at t=19.0 in exec-test: read of unowned B[5] outside a compute \
+         rule" );
+      ( "read starts outside the segment",
+        [ store 4 ],
+        "P1 at t=3.0 in exec-test: read of unowned B[5] outside a compute \
+         rule" );
+    ]
 
 let () =
   Alcotest.run "exec"
@@ -520,5 +597,9 @@ let () =
           Alcotest.test_case "engine names" `Quick test_engine_names;
           Alcotest.test_case "false iown and charge allocate nothing" `Quick
             test_zero_alloc_tripwire;
+          Alcotest.test_case "batched loop misuse: interpreter's clock" `Quick
+            test_batched_loop_parity;
+          Alcotest.test_case "range kernel allocation independent of trips"
+            `Quick test_range_kernel_alloc;
         ] );
     ]
