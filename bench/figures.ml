@@ -1,5 +1,7 @@
 (* Programmatic regeneration of the paper's Figures 1-4 and the §2.2 /
-   §4 worked listings (experiment ids FIG1-FIG4, EX22, EX4). *)
+   §4 worked listings (experiment ids FIG1-FIG4, EX22, EX4).  FIG1's
+   conformance rows are part of the paper bench (Experiments.run);
+   the others print. *)
 
 open Xdp_dist
 module Symtab = Xdp_symtab.Symtab
@@ -10,11 +12,10 @@ let hr title =
 (* ---- Figure 1: rules governing execution ---- *)
 
 let fig1 () =
-  hr "Figure 1: rules governing execution on processor p (conformance)";
   (* Each row of the paper's table, exercised as a miniature scenario
-     through the real runtime.  The heavy lifting lives in
-     test/test_semantics.ml; here we run compact probes and print the
-     matrix the figure tabulates. *)
+     through the real runtime: one BENCH_paper.json row per rule, whose
+     [identical] column says the runtime conforms.  The heavy lifting
+     lives in test/test_semantics.ml; these are compact probes. *)
   let open Xdp.Build in
   let grid = Grid.linear 2 in
   let decls =
@@ -29,8 +30,8 @@ let fig1 () =
       let p = Xdp.Ir.{ prog_name = "fig1"; decls; body } in
       let r = Xdp_runtime.Exec.run ~init:(fun _ idx -> float_of_int (List.hd idx)) ~nprocs:2 p in
       let out q = Xdp_util.Tensor.get (Xdp_runtime.Exec.array r "OUT") [ q ] in
-      if expect out then "PASS" else "FAIL"
-    with e -> "FAIL: " ^ Printexc.to_string e
+      (Some r.stats, if expect out then "PASS" else "FAIL")
+    with e -> (None, "FAIL: " ^ Printexc.to_string e)
   in
   let rows =
     [
@@ -146,11 +147,14 @@ let fig1 () =
           (fun out -> out 1 = 6.0) );
     ]
   in
-  Xdp_util.Table.print ~title:"Rules of Figure 1, checked against the runtime"
-    ~header:[ "construct"; "paper's rule"; "conforms" ]
-    ~align:[ Xdp_util.Table.Left; Xdp_util.Table.Left; Xdp_util.Table.Right ]
-    (List.map (fun (c, d, verdict) -> [ c; d; verdict ]) rows);
-  if List.exists (fun (_, _, verdict) -> verdict <> "PASS") rows then exit 1
+  (* a failing row's [verdict] names the exception that failed it *)
+  ( List.map
+      (fun (construct, rule, (stats, verdict)) ->
+        Runs.row ("FIG1 " ^ construct) ?stats ~identical:(verdict = "PASS")
+          [ ("rule", Xdp_util.Jsonw.Str rule);
+            ("verdict", Xdp_util.Jsonw.Str verdict) ])
+      rows,
+    [] )
 
 (* ---- Figure 2: the run-time symbol table ---- *)
 

@@ -1,33 +1,26 @@
 (* bench/main.exe — regenerates every figure and experiment of the
    reproduction (see DESIGN.md §3 for the index):
 
-     FIG1..FIG4   the paper's figures, regenerated programmatically
+     paper        Figure 1's conformance rows and the experiments
+                  T1..T10 derived from the paper's qualitative
+                  performance claims, written to BENCH_paper.json
+     FIG2..FIG4   the paper's other figures, printed
      EX22, EX4    the worked listings of §2.2 and §4
-     T1..T7       quantitative experiments derived from the paper's
-                  qualitative performance claims
-     MB           Bechamel micro-benchmarks of the run-time structures
+     micro        MB, ns per operation of the run-time structures,
+                  and the board hot paths (BENCH_board.json)
+     net .. search  the subsystem drivers (BENCH_<id>.json)
 
-   With no arguments everything runs (the order above); pass ids to
-   run a subset, e.g.:  dune exec bench/main.exe -- fig2 t1 t5 *)
+   With no arguments everything runs (the order below); pass ids to
+   run a subset, e.g.:  dune exec bench/main.exe -- paper fig2 *)
 
 let items : (string * (unit -> unit)) list =
   [
-    ("fig1", Figures.fig1);
+    ("paper", Experiments.run);
     ("fig2", Figures.fig2);
     ("fig3", Figures.fig3);
     ("fig4", Figures.fig4);
     ("ex22", Figures.ex22);
     ("ex4", Figures.ex4);
-    ("t1", Experiments.t1);
-    ("t2", (fun () -> Experiments.t2 (); Experiments.t2b ()));
-    ("t3", Experiments.t3);
-    ("t4", (fun () -> Experiments.t4 (); Experiments.t4c ()));
-    ("t5", Experiments.t5);
-    ("t6", Experiments.t6);
-    ("t7", (fun () -> Experiments.t7 (); Experiments.t7d ()));
-    ("t8", Experiments.t8);
-    ("t9", Experiments.t9);
-    ("t10", Experiments.t10);
     ("micro", (fun () -> Micro.run ()));
     ("net", (fun () -> Netbench.run ()));
     ("exec", (fun () -> Execbench.run ()));

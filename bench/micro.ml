@@ -1,77 +1,86 @@
-(* Bechamel micro-benchmarks of the run-time structures (experiment
-   MB): the costs §3.1 leaves open ("more efficient algorithms could
-   be developed"): iown() queries against growing segment tables,
+(* Micro-benchmarks of the run-time structures (experiment MB): the
+   costs §3.1 leaves open ("more efficient algorithms could be
+   developed"): iown() queries against growing segment tables,
    symbol-table state updates, rendezvous matching, section algebra,
-   the fft1D kernel and whole-program simulation rate. *)
+   the fft1D kernel and whole-program simulation rate.  Each is timed
+   by [Runs.time] as ns per operation, next to the board hot paths
+   below, in BENCH_board.json. *)
 
-open Bechamel
-open Toolkit
 module Symtab = Xdp_symtab.Symtab
 module Board = Xdp_sim.Board
+module J = Xdp_util.Jsonw
 
-let symtab_with_segments nsegs =
-  let st = Symtab.create ~pid:0 () in
-  let layout =
-    Xdp_dist.Layout.make ~shape:[ nsegs ] ~dist:[ Xdp_dist.Dist.Block ]
-      ~grid:(Xdp_dist.Grid.linear 1)
+module Box = Xdp_util.Box
+module Triplet = Xdp_util.Triplet
+
+(* The eight operations, each a name and a thunk over state built
+   once. *)
+let ops () =
+  let symtab nsegs =
+    let st = Symtab.create ~pid:0 () in
+    let layout =
+      Xdp_dist.Layout.make ~shape:[ nsegs ] ~dist:[ Xdp_dist.Dist.Block ]
+        ~grid:(Xdp_dist.Grid.linear 1)
+    in
+    Symtab.declare st ~name:"A" ~layout ~seg_shape:[ 1 ];
+    st
   in
-  Symtab.declare st ~name:"A" ~layout ~seg_shape:[ 1 ];
-  st
-
-let bench_iown nsegs =
-  let st = symtab_with_segments nsegs in
-  let box = Xdp_util.Box.make [ Xdp_util.Triplet.range 1 nsegs ] in
-  Test.make
-    ~name:(Printf.sprintf "iown(%d segs)" nsegs)
-    (Staged.stage (fun () -> ignore (Symtab.iown st "A" box)))
-
-let bench_recv_state () =
-  let st = symtab_with_segments 16 in
-  let box = Xdp_util.Box.make [ Xdp_util.Triplet.range 3 6 ] in
-  Test.make ~name:"recv init+complete"
-    (Staged.stage (fun () ->
-         Symtab.mark_recv_init st "A" box;
-         Symtab.mark_recv_complete st "A" box))
-
-let bench_rendezvous () =
-  Test.make ~name:"rendezvous match"
-    (Staged.stage (fun () ->
-         let b = Board.create Xdp_sim.Costmodel.message_passing in
-         Board.post_recv b ~time:0.0 ~dst:1 ~name:"X" ~kind:Board.Value
-           ~token:1;
-         Board.post_send b ~time:0.0 ~src:0 ~name:"X" ~kind:Board.Value
-           ~payload:[| 1.0 |] ~directed:None;
-         ignore (Board.pop_delivery b)))
-
-let bench_box_inter () =
-  let a =
-    Xdp_util.Box.make
-      [ Xdp_util.Triplet.make ~lo:1 ~hi:64 ~stride:2;
-        Xdp_util.Triplet.range 1 64 ]
+  let iown nsegs =
+    let st = symtab nsegs and box = Box.make [ Triplet.range 1 nsegs ] in
+    ( Printf.sprintf "iown(%d segs)" nsegs,
+      fun () -> ignore (Symtab.iown st "A" box) )
   in
-  let b =
-    Xdp_util.Box.make
-      [ Xdp_util.Triplet.make ~lo:3 ~hi:60 ~stride:3;
-        Xdp_util.Triplet.range 17 32 ]
-  in
-  Test.make ~name:"Box.inter (2-D strided)"
-    (Staged.stage (fun () -> ignore (Xdp_util.Box.inter a b)))
-
-let bench_dht () =
+  let st = symtab 16 and recv_box = Box.make [ Triplet.range 3 6 ] in
+  let a = Box.make [ Triplet.make ~lo:1 ~hi:64 ~stride:2; Triplet.range 1 64 ]
+  and b = Box.make [ Triplet.make ~lo:3 ~hi:60 ~stride:3; Triplet.range 17 32 ] in
   let buf = Array.init 64 (fun i -> sin (float_of_int i)) in
-  Test.make ~name:"fft1D kernel (n=64)"
-    (Staged.stage (fun () -> Xdp.Kernels.dht (Array.copy buf)))
-
-let bench_interpreter () =
-  let p =
+  let vecadd =
     Xdp_apps.Vecadd.build ~n:32 ~nprocs:4 ~stage:Xdp_apps.Vecadd.Naive ()
   in
-  Test.make ~name:"simulate vecadd naive n=32 P=4"
-    (Staged.stage (fun () ->
-         ignore
-           (Xdp_runtime.Exec.run ~init:Xdp_apps.Vecadd.init ~nprocs:4 p)))
+  [
+    iown 4;
+    iown 64;
+    iown 512;
+    ( "recv init+complete",
+      fun () ->
+        Symtab.mark_recv_init st "A" recv_box;
+        Symtab.mark_recv_complete st "A" recv_box );
+    ( "rendezvous match",
+      fun () ->
+        let b = Board.create Xdp_sim.Costmodel.message_passing in
+        Board.post_recv b ~time:0.0 ~dst:1 ~name:"X" ~kind:Board.Value
+          ~token:1;
+        Board.post_send b ~time:0.0 ~src:0 ~name:"X" ~kind:Board.Value
+          ~payload:[| 1.0 |] ~directed:None;
+        ignore (Board.pop_delivery b) );
+    ("Box.inter (2-D strided)", fun () -> ignore (Box.inter a b));
+    ("fft1D kernel (n=64)", fun () -> Xdp.Kernels.dht (Array.copy buf));
+    ( "simulate vecadd naive n=32 P=4",
+      fun () ->
+        ignore
+          (Xdp_runtime.Exec.run ~init:Xdp_apps.Vecadd.init ~nprocs:4 vecadd)
+    );
+  ]
 
-(* ---- MB-board: board scaling and marshalling macro-benchmarks ----
+(* One op's row: the batch size doubles until a batch takes a
+   millisecond, then the best batch time over [min_time] seconds gives
+   ns per operation. *)
+let op_row ~min_time (name, f) =
+  let batch n () =
+    for _ = 1 to n do
+      f ()
+    done
+  in
+  let rec calibrate n =
+    if n >= 1 lsl 20 || snd (Runs.time (batch n)) >= 1e-3 then n
+    else calibrate (2 * n)
+  in
+  let n = calibrate 1 in
+  let _, best = Runs.time ~min_time ~runs:3 (batch n) in
+  Runs.row name ~config:[ ("batch", J.Int n) ] ~wall_s:best
+    [ ("ns_per_op", J.Fixed (best /. float_of_int n *. 1e9, 1)) ]
+
+(* ---- board scaling and marshalling macro-benchmarks ----
 
    Wall-clock and allocation measurements of the two simulator hot
    paths this repo optimized (heap-based message board, offset-based
@@ -81,9 +90,6 @@ let bench_interpreter () =
 
 module Board_reference = Xdp_sim.Board_reference
 module Tensor = Xdp_util.Tensor
-module Box = Xdp_util.Box
-module Triplet = Xdp_util.Triplet
-module J = Xdp_util.Jsonw
 
 module type BOARD = sig
   type t
@@ -162,7 +168,7 @@ let reference_blit t box buf =
       incr i)
     box
 
-let scaling_run ~smoke =
+let board_rows ~smoke =
   let nprocs = if smoke then 4 else 64 in
   let nmsgs = if smoke then 400 else 50_000 in
   let _, heap_s = Runs.time (board_workload (module Board) ~nprocs ~nmsgs) in
@@ -196,9 +202,7 @@ let scaling_run ~smoke =
         ("minor_words_per_elem", per fast);
       ]
   in
-  Runs.report ~bench:"board" ~smoke
-    ~title:"hot paths vs seed implementation (wall_s: the optimized one)"
-    [
+  [
       Runs.row "board matchmaking"
         ~config:[ ("nprocs", J.Int nprocs); ("nmsgs", J.Int nmsgs) ]
         ~wall_s:heap_s
@@ -214,58 +218,14 @@ let scaling_run ~smoke =
       versus "blit"
         ~fast:(fun () -> Tensor.blit t full buf)
         ~seed:(fun () -> reference_blit t full buf);
-    ]
-
-let all_tests () =
-  Test.make_grouped ~name:"xdp" ~fmt:"%s %s"
-    [
-      bench_iown 4;
-      bench_iown 64;
-      bench_iown 512;
-      bench_recv_state ();
-      bench_rendezvous ();
-      bench_box_inter ();
-      bench_dht ();
-      bench_interpreter ();
-    ]
+  ]
 
 let run ?(smoke = false) () =
   Printf.printf
-    "\n============ MB: run-time structure micro-benchmarks (Bechamel) \
-     ============\n\n%!";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if smoke then 0.02 else 0.25))
-      ~kde:(Some 1000) ()
-  in
-  let raw_results = Benchmark.all cfg instances (all_tests ()) in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw_results) instances
-  in
-  let results = Analyze.merge ols instances results in
-  (* plain-text report: ns per run for the monotonic clock *)
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun instance_name tbl ->
-      if instance_name = Measure.label Instance.monotonic_clock then
-        Hashtbl.iter
-          (fun test_name ols_result ->
-            let est =
-              match Analyze.OLS.estimates ols_result with
-              | Some (t :: _) -> Printf.sprintf "%.1f" t
-              | _ -> "n/a"
-            in
-            rows := [ test_name; est ] :: !rows)
-          tbl)
-    results;
-  Xdp_util.Table.print ~title:"MB: nanoseconds per operation (OLS estimate)"
-    ~header:[ "operation"; "ns/run" ]
-    (List.sort compare !rows);
-  Printf.printf
-    "\n============ MB-board: hot-path scaling vs seed implementation \
-     ============\n\n%!";
-  scaling_run ~smoke
+    "\n============ MB: run-time structure micro-benchmarks and board hot \
+     paths ============\n\n%!";
+  let min_time = if smoke then 0.02 else 0.25 in
+  Runs.report ~bench:"board" ~smoke
+    ~title:"hot paths vs seed implementation (wall_s: the optimized one), \
+            then ns per run-time operation"
+    (board_rows ~smoke @ List.map (op_row ~min_time) (ops ()))

@@ -1,56 +1,11 @@
-(* Shared helpers for the benchmark harness.
+(* The one reporting path of the benchmark harness.  Every driver (the
+   paper's figures and experiments, micro, net, exec, batch, nic,
+   redist, search) builds a [row list]: [report] prints it as a table
+   and writes it to BENCH_<id>.json, [check] raises on any failed
+   tripwire, and [time_all] is the one wall-clock timer. *)
 
-   [run] executes a program for the experiment tables, verifies it
-   against a reference and keeps its stats.  The rest is the one
-   reporting path of the subsystem drivers (micro, net, exec, batch,
-   nic, redist, search): each builds a [row list], [report] prints it
-   as a table and writes it to BENCH_<id>.json, [check] raises on any
-   failed tripwire, and [time_all] is the one wall-clock timer. *)
-
-module Exec = Xdp_runtime.Exec
 module Trace = Xdp_sim.Trace
 module J = Xdp_util.Jsonw
-
-type measured = {
-  variant : string;
-  stats : Trace.stats;
-  verified : bool;
-}
-
-let verify ?(eps = 1e-9) r name reference =
-  Xdp_util.Tensor.max_diff (Exec.array r name) reference < eps
-
-let run ?(cost = Xdp_sim.Costmodel.message_passing) ?init ?free_on_release
-    ~nprocs ~label ?check prog =
-  let r = Exec.run ~cost ?init ?free_on_release ~nprocs prog in
-  let verified =
-    match check with
-    | Some (name, reference) -> verify r name reference
-    | None -> true
-  in
-  if not verified then
-    Printf.printf "!! %s: VERIFICATION FAILED\n%!" label;
-  (r, { variant = label; stats = r.stats; verified })
-
-let speedup base row = base.stats.Trace.makespan /. row.stats.Trace.makespan
-
-let metric_cells ?base row =
-  let s = row.stats in
-  [
-    row.variant;
-    Xdp_util.Table.cell_int s.Trace.messages;
-    Xdp_util.Table.cell_int s.Trace.bytes;
-    Xdp_util.Table.cell_int s.Trace.guard_evals;
-    Xdp_util.Table.cell_float ~decimals:1 s.Trace.makespan;
-    (match base with
-    | Some b -> Xdp_util.Table.cell_ratio (speedup b row)
-    | None -> "1.00x");
-    Xdp_util.Table.cell_pct (Trace.idle_fraction s);
-    (if row.verified then "yes" else "NO");
-  ]
-
-let metric_header =
-  [ "variant"; "msgs"; "bytes"; "guards"; "makespan"; "speedup"; "idle"; "ok" ]
 
 (* ---- the xdp-bench/1 row schema ---- *)
 
@@ -91,25 +46,40 @@ let stats_keys stats names =
 let cells r = r.config @ r.shared @ r.keys
 let nested = function J.Arr _ | J.Obj _ -> true | _ -> false
 
-(* Table columns: every scalar key some row reports, in order of first
-   appearance; nested values (histograms, blocker maps) are JSON-only. *)
+(* One table per run of consecutive rows with the same config and own
+   key names.  Its columns: every scalar key some row of it reports, in
+   order of first appearance; nested values (histograms, blocker maps)
+   are JSON-only. *)
 let table ~title rows =
-  let cols =
-    List.fold_left
-      (fun acc (k, v) ->
-        if v = J.Null || nested v || List.mem k acc then acc else acc @ [ k ])
-      [] (List.concat_map cells rows)
+  let names r = List.map fst (r.config @ r.keys) in
+  let block rows =
+    let cols =
+      List.fold_left
+        (fun acc (k, v) ->
+          if v = J.Null || nested v || List.mem k acc then acc else acc @ [ k ])
+        [] (List.concat_map cells rows)
+    in
+    let cell r k =
+      match List.assoc_opt k (cells r) with
+      | None | Some J.Null -> "-"
+      | Some (J.Bool b) -> if b then "yes" else "NO"
+      | Some (J.Str s) -> s
+      | Some (J.Float x) -> Printf.sprintf "%.1f" x
+      | Some v -> J.to_string v
+    in
+    ("label" :: cols, List.map (fun r -> r.label :: List.map (cell r) cols) rows)
   in
-  let cell r k =
-    match List.assoc_opt k (cells r) with
-    | None | Some J.Null -> "-"
-    | Some (J.Bool b) -> if b then "yes" else "NO"
-    | Some (J.Str s) -> s
-    | Some (J.Float x) -> Printf.sprintf "%.1f" x
-    | Some v -> J.to_string v
-  in
-  Xdp_util.Table.render ~title ~header:("label" :: cols)
-    (List.map (fun r -> r.label :: List.map (cell r) cols) rows)
+  List.fold_left
+    (fun acc r ->
+      match acc with
+      | (k, b) :: rest when k = names r -> (k, r :: b) :: rest
+      | _ -> (names r, [ r ]) :: acc)
+    [] rows
+  |> List.rev_map (fun (_, b) -> block (List.rev b))
+  |> List.mapi (fun i (header, body) ->
+         Xdp_util.Table.render ~title:(if i = 0 then title else "") ~header
+           body)
+  |> String.concat ""
 
 (* Print [rows] and write them to BENCH_<bench>.json in the working
    directory; [config] holds the settings shared by every row. *)

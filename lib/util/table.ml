@@ -7,13 +7,9 @@ let pad align width s =
     let fill = String.make (width - n) ' ' in
     match align with Left -> s ^ fill | Right -> fill ^ s
 
-let render ~title ~header ?align rows =
+let render ~title ~header rows =
   let ncols = List.length header in
-  let align =
-    match align with
-    | Some a when List.length a = ncols -> a
-    | _ -> List.mapi (fun i _ -> if i = 0 then Left else Right) header
-  in
+  let align = List.mapi (fun i _ -> if i = 0 then Left else Right) header in
   let normalize row =
     let n = List.length row in
     if n >= ncols then row
@@ -50,12 +46,3 @@ let render ~title ~header ?align rows =
   List.iter emit rows;
   line '-';
   Buffer.contents buf
-
-let print ~title ~header ?align rows =
-  print_string (render ~title ~header ?align rows);
-  print_newline ()
-
-let cell_int = string_of_int
-let cell_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
-let cell_ratio x = Printf.sprintf "%.2fx" x
-let cell_pct x = Printf.sprintf "%.1f%%" (100.0 *. x)

@@ -1,30 +1,11 @@
 (** Plain-text table rendering for the benchmark harness.
 
-    All experiment tables in [bench/main.exe] (T1..T7) and the figure
-    reproductions are printed through this module so the output reads
-    like the rows a paper would report. *)
+    Every driver of [bench/main.exe] prints its rows through this
+    module (via [Runs.report]), so the output reads like the rows a
+    paper would report. *)
 
-type align = Left | Right
-
-(** [render ~title ~header ?align rows] renders an ASCII table.
-    [align] defaults to Left for the first column and Right for the
-    rest (the usual label-then-numbers layout). Rows shorter than the
-    header are padded with empty cells. *)
-val render :
-  title:string -> header:string list -> ?align:align list ->
-  string list list -> string
-
-val print :
-  title:string -> header:string list -> ?align:align list ->
-  string list list -> unit
-
-(** Numeric cell helpers. *)
-val cell_int : int -> string
-
-val cell_float : ?decimals:int -> float -> string
-
-(** [cell_ratio x] renders a speedup/ratio like ["3.42x"]. *)
-val cell_ratio : float -> string
-
-(** [cell_pct x] renders a fraction as a percentage like ["87.5%"]. *)
-val cell_pct : float -> string
+(** [render ~title ~header rows] renders an ASCII table: the first
+    column left-aligned (the label), the rest right-aligned (the
+    numbers).  Rows shorter than the header are padded with empty
+    cells. *)
+val render : title:string -> header:string list -> string list list -> string

@@ -73,28 +73,6 @@ let test_idle_fraction () =
   let s2 = { (stats_zero 2) with Trace.busy = [| 100.0; 100.0 |] } in
   Alcotest.(check (float 1e-9)) "fully busy" 0.0 (Trace.idle_fraction s2)
 
-let test_machine_catalogue () =
-  Alcotest.(check int) "six machines" 6 (List.length Xdp_sim.Machines.all);
-  (match Xdp_sim.Machines.find "ksr1" with
-  | Some cm ->
-      Alcotest.(check bool) "KSR1 is the shared-address machine" true
-        (cm.alpha = Costmodel.shared_address.alpha)
-  | None -> Alcotest.fail "KSR1 missing");
-  Alcotest.(check bool) "unknown machine" true
-    (Xdp_sim.Machines.find "CM-6" = None);
-  (* every preset runs a real program correctly *)
-  let p = Xdp_apps.Vecadd.build ~n:8 ~nprocs:4 ~stage:Xdp_apps.Vecadd.Naive () in
-  List.iter
-    (fun (name, cm) ->
-      let r =
-        Xdp_runtime.Exec.run ~cost:cm ~init:Xdp_apps.Vecadd.init ~nprocs:4 p
-      in
-      Alcotest.(check bool) (name ^ " verifies") true
-        (Xdp_util.Tensor.equal
-           (Xdp_runtime.Exec.array r "A")
-           (Xdp_apps.Vecadd.expected ~n:8)))
-    Xdp_sim.Machines.all
-
 let test_serialized_preset () =
   let cm = Costmodel.serialized Costmodel.message_passing in
   Alcotest.(check bool) "flag set" true cm.nic_serialize;
@@ -152,7 +130,6 @@ let () =
         ] );
       ( "machines",
         [
-          Alcotest.test_case "catalogue" `Quick test_machine_catalogue;
           Alcotest.test_case "serialized preset" `Quick
             test_serialized_preset;
         ] );

@@ -58,12 +58,6 @@ let test_table_renders () =
   Alcotest.(check bool) "aligned" true
     (List.for_all (fun w -> w = List.hd widths) widths)
 
-let test_table_cells () =
-  Alcotest.(check string) "ratio" "2.50x" (Table.cell_ratio 2.5);
-  Alcotest.(check string) "pct" "87.5%" (Table.cell_pct 0.875);
-  Alcotest.(check string) "float" "3.14" (Table.cell_float 3.14159);
-  Alcotest.(check string) "int" "42" (Table.cell_int 42)
-
 let test_heap_basic () =
   let h = Heap.create ~cmp:Int.compare () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
@@ -112,7 +106,6 @@ let () =
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_renders;
-          Alcotest.test_case "cells" `Quick test_table_cells;
         ] );
       ( "heap",
         [
