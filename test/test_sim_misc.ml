@@ -79,6 +79,31 @@ let test_serialized_preset () =
   Alcotest.(check bool) "default off" false
     Costmodel.message_passing.nic_serialize
 
+(* Every built-in preset runs a real program correctly; the cost model
+   moves the makespan but never the messages sent. *)
+let test_presets_verify () =
+  let p = Xdp_apps.Vecadd.build ~n:8 ~nprocs:4 ~stage:Xdp_apps.Vecadd.Naive () in
+  let run cm =
+    Xdp_runtime.Exec.run ~cost:cm ~init:Xdp_apps.Vecadd.init ~nprocs:4 p
+  in
+  let reference = run Costmodel.message_passing in
+  List.iter
+    (fun (name, cm) ->
+      let r = run cm in
+      Alcotest.(check bool) (name ^ " verifies") true
+        (Xdp_util.Tensor.equal
+           (Xdp_runtime.Exec.array r "A")
+           (Xdp_apps.Vecadd.expected ~n:8));
+      Alcotest.(check int) (name ^ " messages")
+        reference.stats.Trace.messages r.stats.Trace.messages)
+    [
+      ("message passing", Costmodel.message_passing);
+      ("shared address", Costmodel.shared_address);
+      ("idealized", Costmodel.idealized);
+      ("nic compute", Costmodel.nic_compute);
+      ("serialized", Costmodel.serialized Costmodel.message_passing);
+    ]
+
 let test_gantt_renders () =
   let events =
     [
@@ -132,6 +157,7 @@ let () =
         [
           Alcotest.test_case "serialized preset" `Quick
             test_serialized_preset;
+          Alcotest.test_case "presets verify" `Quick test_presets_verify;
         ] );
       ("gantt", [ Alcotest.test_case "render" `Quick test_gantt_renders ]);
     ]

@@ -58,6 +58,25 @@ let test_table_renders () =
   Alcotest.(check bool) "aligned" true
     (List.for_all (fun w -> w = List.hd widths) widths)
 
+let test_table_layout () =
+  (* label column left-aligned, numbers right-aligned, short rows padded *)
+  let s =
+    Table.render ~title:"T" ~header:[ "name"; "value" ]
+      [ [ "a"; "1" ]; [ "bb" ] ]
+  in
+  Alcotest.(check (list string)) "layout"
+    [
+      "T";
+      "+------+-------+";
+      "| name | value |";
+      "+======+=======+";
+      "| a    |     1 |";
+      "| bb   |       |";
+      "+------+-------+";
+      "";
+    ]
+    (String.split_on_char '\n' s)
+
 let test_heap_basic () =
   let h = Heap.create ~cmp:Int.compare () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
@@ -106,6 +125,7 @@ let () =
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_renders;
+          Alcotest.test_case "layout" `Quick test_table_layout;
         ] );
       ( "heap",
         [
