@@ -23,9 +23,8 @@ type kpiece = {
 (* A site is the per-machine mutable state of one static program
    point: the index scratch buffer of an element access plus an
    inline cache of the backing segment (geometry and storage chunk,
-   valid while the symbol table generation is unchanged), the
-   memoized box of a section whose selectors use [mypid]/[nprocs], or
-   the marshalling plan of an inlined kernel call. *)
+   valid while the symbol table generation is unchanged), or the
+   marshalling plan of an inlined kernel call. *)
 type site = {
   s_idx : int array;
   mutable s_gen : int; (* Symtab.generation at fill; min_int = cold *)
@@ -34,7 +33,6 @@ type site = {
   mutable s_hi : int array;
   mutable s_stride : int array;
   mutable s_cnt : int array;
-  mutable s_box : Box.t option; (* memoized per-processor section *)
   (* range-kernel access (batched loops): element [t] of the walk is
      [s_data.(s_base + t * s_step)], [s_data] the checked segment chunk *)
   mutable s_base : int;
@@ -103,7 +101,8 @@ and loop = {
    every binding (scalar preload, loop header, assignment) agrees on
    one concrete type; [SInt] and [SFloat] do NOT join to [SFloat]
    because integer and float division/modulo differ, so mixed
-   variables stay boxed with exact Value semantics. *)
+   variables stay boxed with exact Value semantics.  Range kernels
+   need these types, so the frames cannot be ablated alone. *)
 
 type sty = SBot | SInt | SFloat | SBool | SDyn
 
@@ -418,7 +417,8 @@ let rec seq_list ctx = function
   | p :: rest -> map2 ctx (fun x xs -> x :: xs) p (seq_list ctx rest)
 
 (* ------------------------------------------------------------------ *)
-(* Element-access inline caches. *)
+(* Element-access inline caches (without them: stencil wall 2.67x,
+   minor words +15%, DESIGN.md §4d). *)
 
 let fresh_site rank =
   {
@@ -429,7 +429,6 @@ let fresh_site rank =
     s_hi = Array.make rank 0;
     s_stride = Array.make rank 1;
     s_cnt = Array.make rank 1;
-    s_box = None;
     s_base = 0;
     s_step = 0;
     s_kbox = None;
@@ -535,30 +534,11 @@ let read_slot_check v (sl : slot) =
   let ex = Invalid_argument (Printf.sprintf "unbound scalar variable %s" v) in
   fun m -> if Bytes.unsafe_get m.m_bnd sl.v_id = '\000' then raise ex
 
-(* Selectors whose value is fixed for the run ([per_proc:false]:
-   literals only) or per processor ([per_proc:true]: literals, mypid,
-   nprocs). *)
-let rec const_e ~per_proc = function
-  | Int _ | Float _ | Bool _ -> true
-  | Mypid | Nprocs -> per_proc
-  | Bin (_, a, b) -> const_e ~per_proc a && const_e ~per_proc b
-  | Un (_, a) -> const_e ~per_proc a
-  | Var _ | Elem _ | Mylb _ | Myub _ | Iown _ | Accessible _ | Await _ ->
-      false
-
-let const_sel ~per_proc sel =
-  List.for_all
-    (function
-      | All -> true
-      | At e -> const_e ~per_proc e
-      | Slice (a, b, c) ->
-          const_e ~per_proc a && const_e ~per_proc b && const_e ~per_proc c)
-    sel
-
 (* The box of a literal-only section, evaluated once at compile time
-   with the interpreter's Value semantics; [None] when evaluation
-   raises, so the run-time path raises the same diagnostic at the same
-   point. *)
+   with the interpreter's Value semantics; [None] when a selector is
+   not a literal or evaluation raises (the run-time path then raises
+   the same diagnostic at the same point).  Without it alltoall's
+   wall is 2.89x and its minor words 4.8x (DESIGN.md §4d). *)
 let literal_box sel shape =
   let rec lit = function
     | Int n -> Value.VInt n
@@ -600,7 +580,8 @@ let rec ci ctx e : int frag =
   | Bin (((Add | Sub) as op), Var v, Int n) ->
       (* var ± literal, the shape of every stencil subscript: one
          closure instead of a combinator chain (same check, same
-         charge, same left-to-right order) *)
+         charge, same left-to-right order; stencil wall 1.04x without
+         it, DESIGN.md §4d) *)
       let sl = slot ctx v in
       let ex =
         Invalid_argument (Printf.sprintf "unbound scalar variable %s" v)
@@ -839,111 +820,50 @@ and cvd ctx e =
       tcost ctx Costmodel.tally_int_op (map (Value.unop op) (cv ctx a))
   | _ -> assert false (* every other constructor has a concrete type *)
 
-(* Evaluate subscripts left-to-right into site [k]'s scratch buffer.
-   When no subscript can abort (no intrinsic queries inside), the
-   whole fill is one closure over an array of compiled subscripts —
-   costs fold into the static head exactly as the combinator chain
-   would fold them, so charges are unchanged. *)
-and c_fill ctx k idxs = c_fill2 ctx k (List.map (fun e -> c_idx ctx e) idxs)
-
-and c_fill2 ctx k (ces : int frag list) =
-  if List.for_all (fun (c : int frag) -> not c.ab) ces then begin
-    let cost =
-      List.fold_left
-        (fun acc (c : int frag) -> Costmodel.tally_add acc c.cost)
-        Costmodel.tally_zero ces
-    in
-    let runs = Array.of_list (List.map (fun (c : int frag) -> c.run) ces) in
-    {
-      cost;
-      ab = false;
-      run =
-        (fun m ->
-          let s = m.m_sites.(k) in
-          for d = 0 to Array.length runs - 1 do
-            s.s_idx.(d) <- (Array.unsafe_get runs d) m
-          done);
-    }
-  end
-  else
-    let rec fill d = function
-      | [] -> pure ()
-      | ce :: es ->
-          let st =
-            {
-              cost = ce.cost;
-              ab = ce.ab;
-              run = (fun m -> m.m_sites.(k).s_idx.(d) <- ce.run m);
-            }
-          in
-          seq2 ctx st (fill (d + 1) es)
-    in
-    fill 0 ces
+(* Evaluate subscripts left-to-right into site [k]'s scratch buffer. *)
+and c_fill ctx k (ces : int frag list) =
+  let rec fill d = function
+    | [] -> pure ()
+    | ce :: es ->
+        let st =
+          {
+            cost = ce.cost;
+            ab = ce.ab;
+            run = (fun m -> m.m_sites.(k).s_idx.(d) <- ce.run m);
+          }
+        in
+        seq2 ctx st (fill (d + 1) es)
+  in
+  fill 0 ces
 
 (* Element read: subscripts evaluate into the site's scratch buffer
-   (charging as they go), one memory charge, then the cached read.
-   Rank-1/2 reads with non-abortable subscripts — every stencil
-   reference — compile to a single closure with the offset arithmetic
-   of [site_off] unrolled inline; the scratch buffer is only filled on
-   the slow path, whose diagnostics need it. *)
+   (charging as they go), one memory charge, then the cached read.  A
+   rank-1 read with a non-abortable subscript — every 1-D stencil
+   reference — compiles to a single closure with the offset arithmetic
+   of [site_off] inline; the scratch buffer is only filled on the slow
+   path, whose diagnostics need it (stencil wall 1.18x without it,
+   DESIGN.md §4d). *)
 and celem ctx arr idxs =
   let k = new_site ctx (List.length idxs) in
-  let ces = List.map (fun e -> c_idx ctx e) idxs in
-  let specialized =
-    match ces with
-    | [ c0 ] when not c0.ab ->
-        let r0 = c0.run in
-        Some
-          {
-            cost = c0.cost;
-            ab = false;
-            run =
-              (fun m ->
-                let i = r0 m in
-                let s = m.m_sites.(k) in
-                let o =
-                  if s.s_gen = Symtab.generation m.m_p.Rules.st then
-                    dim_off s 0 i
-                  else -1
-                in
-                if o >= 0 then Array.unsafe_get s.s_data o
-                else begin
-                  s.s_idx.(0) <- i;
-                  slow_read m s arr
-                end);
-          }
-    | [ c0; c1 ] when (not c0.ab) && not c1.ab ->
-        let r0 = c0.run and r1 = c1.run in
-        Some
-          {
-            cost = Costmodel.tally_add c0.cost c1.cost;
-            ab = false;
-            run =
-              (fun m ->
-                let i = r0 m in
-                let j = r1 m in
-                let s = m.m_sites.(k) in
-                let o0 =
-                  if s.s_gen = Symtab.generation m.m_p.Rules.st then
-                    dim_off s 0 i
-                  else -1
-                in
-                let o1 = if o0 >= 0 then dim_off s 1 j else -1 in
-                if o1 >= 0 then
-                  Array.unsafe_get s.s_data
-                    ((o0 * Array.unsafe_get s.s_cnt 1) + o1)
-                else begin
-                  s.s_idx.(0) <- i;
-                  s.s_idx.(1) <- j;
-                  slow_read m s arr
-                end);
-          }
-    | _ -> None
-  in
-  match specialized with
-  | Some base -> { (post ctx Costmodel.tally_mem base) with ab = true }
-  | None ->
-      let filled = post ctx Costmodel.tally_mem (c_fill2 ctx k ces) in
+  match List.map (c_idx ctx) idxs with
+  | [ c0 ] when not c0.ab ->
+      let r0 = c0.run in
+      let read m =
+        let i = r0 m in
+        let s = m.m_sites.(k) in
+        let o =
+          if s.s_gen = Symtab.generation m.m_p.Rules.st then dim_off s 0 i
+          else -1
+        in
+        if o >= 0 then Array.unsafe_get s.s_data o
+        else begin
+          s.s_idx.(0) <- i;
+          slow_read m s arr
+        end
+      in
+      { (post ctx Costmodel.tally_mem { c0 with run = read }) with ab = true }
+  | ces ->
+      let filled = post ctx Costmodel.tally_mem (c_fill ctx k ces) in
       {
         cost = filled.cost;
         ab = true;
@@ -958,9 +878,7 @@ and celem ctx arr idxs =
    ~stride] evaluates its arguments right to left (OCaml argument
    order), so stride, hi, lo — replicated here so charges interleave
    identically.  A literal-only section resolves at compile time to its
-   box; one whose subscripts are per-processor constants (mypid,
-   nprocs) memoizes its box per machine.  Either way the resolution
-   cost is still charged on every execution. *)
+   box; the resolution cost is still charged on every execution. *)
 and csec ctx (s : section) : Box.t frag =
   match
     match ctx.shape_of s.arr with
@@ -999,27 +917,10 @@ and csec ctx (s : section) : Box.t frag =
         in
         let boxed = map Box.make (seq_list ctx dims) in
         if boxed.ab then boxed
-        else if const_sel ~per_proc:false s.sel then begin
+        else
           match literal_box s.sel shape with
           | Some b -> { boxed with run = (fun _ -> b) }
           | None -> boxed
-        end
-        else if const_sel ~per_proc:true s.sel then begin
-          let k = new_site ctx 0 in
-          {
-            boxed with
-            run =
-              (fun m ->
-                let site = m.m_sites.(k) in
-                match site.s_box with
-                | Some b -> b
-                | None ->
-                    let b = boxed.run m in
-                    site.s_box <- Some b;
-                    b);
-          }
-        end
-        else boxed
       end
 
 (* ------------------------------------------------------------------ *)
@@ -1092,7 +993,7 @@ let rec fixed_cost_e = function
    fused run; compiled quietly, it measures a batched loop's tally. *)
 let compile_elem_assign ctx a idxs e =
   let k = new_site ctx (List.length idxs) in
-  let fillr = charged ctx (c_fill ctx k idxs) in
+  let fillr = charged ctx (c_fill ctx k (List.map (c_idx ctx) idxs)) in
   let rhsr = charged ctx (post ctx Costmodel.tally_mem (c_float_rhs ctx e)) in
   fun m ->
     fillr m;
@@ -1146,7 +1047,8 @@ let elem_assign_tally ctx a idxs e =
 
    Every subscript must be [v], [v + c], [v - c] ([v] the loop
    variable, [c] a literal) or loop-invariant: free of [v] and of
-   symbol-table reads, evaluated once at entry. *)
+   symbol-table reads, evaluated once at entry.  Without range kernels
+   stencil's wall is 1.59x and its minor words 1.9x. *)
 
 type kdim =
   | Kv of int  (** the loop variable plus this literal *)
@@ -1418,7 +1320,8 @@ let ktmp m n =
    generation check: a valid plan is exactly the decomposition a fresh
    scan would produce (pieces of pairwise-disjoint live segments whose
    counts sum to the section's, i.e. an exact cover).  On success each
-   piece's [kp_shift] holds its chunk-offset delta. *)
+   piece's [kp_shift] holds its chunk-offset delta.  Without the memo
+   fft3d's exec-smoke speedup falls 2.25x -> 1.27x. *)
 let replant site (box : Box.t) =
   match site.s_kbox with
   | None -> false
@@ -1522,17 +1425,6 @@ let plan_write site buf =
           else Array.blit buf dst p.kp_data (src + sh) len)
         p.kp_runs)
     site.s_kpieces
-
-(* A plan that is one contiguous chunk run can transform in place,
-   skipping both copies (the transform itself is identical float ops
-   on identical values, so results stay bit-for-bit the same). *)
-let plan_solid site n =
-  match site.s_kpieces with
-  | [| p |] -> (
-      match p.kp_runs with
-      | [| (src, 0, len) |] when len = n -> Some (p.kp_data, src + p.kp_shift)
-      | _ -> None)
-  | _ -> None
 
 (* A compiled statement: the turn-stepped form plus either the fused
    form (which counts each statement it executes against the step
@@ -1832,8 +1724,8 @@ and cstmt_k ctx (s : stmt) : sc =
           match args with
           | [ s ] when k == Xdp.Kernels.fft1d && Result.is_ok sc.sc_fast ->
               (* inline the Kernels.dht call path: resolve, check
-                 ownership, transform in place over reused machine
-                 buffers, charge the identical flop/mem cost —
+                 ownership, transform over reused machine buffers,
+                 charge the identical flop/mem cost —
                  replicating Rules.apply event for event. *)
               let rs = charged ctx (csec ctx s) in
               let arr = s.arr in
@@ -1854,35 +1746,22 @@ and cstmt_k ctx (s : stmt) : sc =
                 let site = m.m_sites.(ks) in
                 let n = Box.count box in
                 let live = Symtab.live_count st arr in
-                if n > 0 && site.s_ktotal = n && replant site box then begin
-                  Symtab.note_visits st (2 * live);
-                  let tmp = ktmp m n in
-                  (match plan_solid site n with
-                  | Some (data, off) ->
-                      Xdp.Kernels.dht_sub ~buf:data ~tmp ~off ~stride:1
-                        ~n;
-                      Symtab.note_visits st live
-                  | None ->
-                      let buf = kbuf m n in
-                      plan_read site buf;
-                      Xdp.Kernels.dht_sub ~buf ~tmp ~off:0 ~stride:1 ~n;
-                      Symtab.note_visits st live;
-                      plan_write site buf)
-                end
+                let buf = kbuf m n and tmp = ktmp m n in
+                if n > 0 && site.s_ktotal = n && replant site box then
+                  Symtab.note_visits st (2 * live)
                 else begin
                   Rules.check_kernel_arg m.m_p ~fn arr box;
                   plant st site arr box;
-                  let buf = kbuf m n and tmp = ktmp m n in
                   (* a partial cover reads as zeros: transitional
                      segments without storage contribute nothing,
                      exactly like the fresh buffer the reference
                      engine allocates *)
-                  if site.s_ktotal < n then Array.fill buf 0 n 0.0;
-                  plan_read site buf;
-                  Xdp.Kernels.dht_sub ~buf ~tmp ~off:0 ~stride:1 ~n;
-                  Symtab.note_visits st live;
-                  plan_write site buf
+                  if site.s_ktotal < n then Array.fill buf 0 n 0.0
                 end;
+                plan_read site buf;
+                Xdp.Kernels.dht_sub ~buf ~tmp ~off:0 ~stride:1 ~n;
+                Symtab.note_visits st live;
+                plan_write site buf;
                 let flops = 5.0 *. float_of_int n *. Xdp.Kernels.log2f n in
                 Rules.charge_kernel m.m_p ~flops ~elems:n
               in
@@ -1892,7 +1771,8 @@ and cstmt_k ctx (s : stmt) : sc =
 (* Group each block's maximal runs of fusable statements into
    superinstructions; a singleton run is only worth the fused unit
    when the statement collapses turns by itself.  An unfusable
-   await-free guard becomes a scannable [U_guard]. *)
+   await-free guard becomes a scannable [U_guard] (without guard
+   scans: alltoall wall 1.37x, minor words +14%). *)
 and cblock ctx stmts : blk =
   let scs = List.map (cstmt ctx) stmts in
   let b_fast =

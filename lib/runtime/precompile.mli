@@ -17,8 +17,8 @@
       table's {!Xdp_symtab.Symtab.generation} counter, so steady-state
       reads and writes are array loads/stores;
     - section resolutions whose subscripts are literals resolve to
-      their box at compile time; those whose subscripts also use
-      [mypid]/[nprocs] are memoized per machine;
+      their box at compile time; every other section is resolved on
+      each execution, as the interpreter does;
     - intrinsic queries ([iown], [accessible], [await]) call the
       descriptor-charged oracles of {!Rules} directly, like the
       interpreter (no per-site cache: it never hit);
@@ -54,8 +54,9 @@
     directly over the segments' float chunks, allocation-free.  A loop
     the check rejects runs charged, statement by statement, so it
     aborts with the interpreter's clock.  An [fft1D] [Apply] of the
-    stock kernel inlines the {!Xdp.Kernels.dht_sub} call path over
-    reusable machine buffers.  Fusion is always on; the interpreter
+    stock kernel inlines the {!Xdp.Kernels.dht_sub} call path: a
+    per-site marshalling plan, revalidated on every call, copies the
+    section into a reusable machine buffer and back.  Fusion is always on; the interpreter
     is the reference it is checked against.  The scheduler decides per
     turn whether running fused is sound (no receive in flight for this
     processor) and otherwise falls back to the statement-at-a-time

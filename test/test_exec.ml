@@ -562,6 +562,69 @@ let test_batched_loop_parity () =
          rule" );
     ]
 
+(* The staged engine inlines fft1D over a memoized marshalling plan
+   that it revalidates on every call; the reference engine packs and
+   unpacks through the symbol table.  Both must agree on the arrays,
+   the stats record and every processor's descriptor visits for a
+   plan over one segment, a plan over two, a re-apply at the same site
+   to the section translated along its dimension (the plan's runs
+   shift), and a re-apply after one piece left and came back through
+   an ownership transfer (the plan is stale and rebuilt). *)
+let test_inlined_fft_parity () =
+  let a16 seg =
+    [
+      decl ~name:"A" ~shape:[ 16 ] ~dist:[ Xdp_dist.Dist.Block ]
+        ~grid:(grid 2) ~seg_shape:[ seg ] ();
+    ]
+  in
+  let on1 body = (mypid =: i 1) @: body in
+  let fft lo hi = apply "fft1D" [ sec "A" [ slice lo hi ] ] in
+  let jv = var "j" in
+  let moved = sec "A" [ slice (i 5) (i 8) ] in
+  let cases =
+    [
+      ("one segment", 8, [ on1 [ fft (i 1) (i 8) ] ]);
+      ("two segments", 4, [ on1 [ fft (i 1) (i 8) ] ]);
+      ( "translated re-apply",
+        8,
+        [
+          loop "j" (i 0) (i 1)
+            [ on1 [ fft (i 1 +: (jv *: i 4)) (i 4 +: (jv *: i 4)) ] ];
+        ] );
+      ( "re-apply after a transfer",
+        4,
+        [
+          loop "j" (i 1) (i 2)
+            [
+              on1 [ fft (i 1) (i 8) ];
+              on1 [ send_owner_value moved ];
+              (mypid =: i 2)
+              @: [
+                   recv_owner_value moved;
+                   await moved @: [ send_owner_value moved ];
+                 ];
+              on1 [ recv_owner_value moved; await moved @: [] ];
+            ];
+        ] );
+    ]
+  in
+  let init _ idx = float_of_int ((List.hd idx * 7 mod 11) - 5) in
+  List.iter
+    (fun (name, seg, body) ->
+      let p = program ~name:"exec-test" ~decls:(a16 seg) body in
+      let run engine = Exec.run ~engine ~init ~nprocs:2 p in
+      let c = run `Compiled and r = run `Interp in
+      Alcotest.(check bool) (name ^ ": arrays") true
+        (Xdp_util.Tensor.equal ~eps:0.0 (Exec.array r "A") (Exec.array c "A"));
+      Alcotest.(check bool) (name ^ ": stats") true (r.stats = c.stats);
+      let visits res =
+        Array.to_list
+          (Array.map Xdp_symtab.Symtab.descriptor_visits res.Exec.symtabs)
+      in
+      Alcotest.(check (list int)) (name ^ ": descriptor visits") (visits r)
+        (visits c))
+    cases
+
 let () =
   Alcotest.run "exec"
     [
@@ -601,5 +664,7 @@ let () =
             test_batched_loop_parity;
           Alcotest.test_case "range kernel allocation independent of trips"
             `Quick test_range_kernel_alloc;
+          Alcotest.test_case "inlined fft1D: engine parity" `Quick
+            test_inlined_fft_parity;
         ] );
     ]
