@@ -80,15 +80,18 @@ let ladder ?(keys = fun _ -> []) section runs =
 
 (* Rows over a processor-count sweep [(p, run)], carrying each run's
    parallel efficiency against the first (smallest) count. *)
-let scaling section runs =
+let efficiency runs =
   let p0, r0 = List.hd runs in
   List.map
     (fun (p, r) ->
       let speedup = r0.stats.makespan /. r.stats.makespan in
-      row section r
-        ~keys:
-          [ ("efficiency", ratio (speedup *. float_of_int p0 /. float_of_int p)) ])
+      (p, speedup *. float_of_int p0 /. float_of_int p))
     runs
+
+let scaling section runs =
+  List.map2
+    (fun (_, r) (_, e) -> row section r ~keys:[ ("efficiency", ratio e) ])
+    runs (efficiency runs)
 
 (* Rows carrying each run's peak storage in partitions. *)
 let storage section partition runs =
@@ -169,9 +172,9 @@ let t2 () =
   let b =
     stages ~cost:(Costmodel.serialized slow) ~n:32 ~nprocs:4 Fft3d.all_stages
   in
-  (* At n = 32, P = 4 the fused and pipelined forms are hand-scheduled
-     (loop interchange first); with one plane per processor they are
-     the Fuse pass's own output, so these runs pin the pass itself. *)
+  (* Every fused and pipelined form is the passes' output: at n = 32,
+     P = 4 Fuse interchanges the dim-1 FFT nest before fusing it with
+     the sends; with one plane per processor there is no nest. *)
   let one_plane =
     stages ~prefix:"P=16 " ~cost:slow ~n:16 ~nprocs:16
       Fft3d.[ Localized; Fused ]
@@ -437,9 +440,16 @@ let t7 () =
       [ (1, 4); (4, 1); (2, 2) ]
   in
   let bytes v = (find grids v).stats.bytes in
+  let at16 runs = List.assoc 16 (efficiency runs) in
+  let makespans = List.map (fun (_, r) -> r.stats.makespan) halo in
   ( scaling "T7.a" vecadd @ scaling "T7.b" halo @ scaling "T7.c" fft
     @ List.map (row "T7.d") grids,
     [
+      (at16 vecadd >= 0.85, "T7.a: vector-add efficiency at P=16 below 0.85");
+      (at16 fft >= 0.70, "T7.c: FFT pipeline efficiency at P=16 below 0.70");
+      ( List.fold_left Float.max 0.0 makespans
+        <= 1.10 *. List.fold_left Float.min infinity makespans,
+        "T7.b: Jacobi halo makespan varies by more than 10% across P" );
       ( bytes "2x2" < bytes "1x4" && bytes "2x2" < bytes "4x1",
         "T7.d: 2x2 tiles do not move fewer halo bytes than the strips" );
     ] )

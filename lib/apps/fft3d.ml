@@ -112,78 +112,16 @@ let build ~n ~nprocs ?seg_rows ~stage () =
   match stage with
   | Baseline ->
       Xdp.Simplify.program (program ~name:(name Baseline) ~decls:ds (pre @ post))
-  | Localized ->
-      let body =
-        Xdp.Localize.run_stmts ~decls:ds pre
-        @ Xdp.Localize.run_stmts ~decls:updated post
-      in
-      program ~name:(name Localized) ~decls:ds body
-  | Fused | Pipelined ->
-      let b = n / nprocs in
+  | Localized | Fused | Pipelined ->
       let localized =
-        program ~name:(name Localized) ~decls:ds
+        program ~name:(name stage) ~decls:ds
           (Xdp.Localize.run_stmts ~decls:ds pre
           @ Xdp.Localize.run_stmts ~decls:updated post)
       in
-      if b = 1 then
-        let p =
-          match stage with
-          | Fused -> Xdp.Fuse.run localized
-          | _ -> Xdp.Sink_await.run (Xdp.Fuse.run localized)
-        in
-        { p with prog_name = name stage }
-      else begin
-        (* General block size: hand-scheduled form of the same
-           transformations (loop interchange on the dim-1 FFT sweep,
-           fusion with the ownership sends, sunk awaits). *)
-        let c = seg_rows in
-        let j = var "j" and q = var "q" in
-        let lo3 = ((mypid -: i 1) *: i b) +: i 1 and hi3 = mypid *: i b in
-        let loop1 =
-          loop "k" lo3 hi3
-            [ loop "i" (i 1) (i n) [ fft (sec "A" [ at (var "i"); all; at (var "k") ]) ] ]
-        in
-        let fused =
-          loop "j" (i 1) (i n)
-            (loop "k" lo3 hi3 [ fft (sec "A" [ all; at j; at (var "k") ]) ]
-            :: row_pieces ~n ~c (fun rows ->
-                   send_owner_value (sec "A" [ rows; at j; blk ~b mypid ])))
-        in
-        let recvs =
-          loop "j" lo3 hi3
-            [
-              loop "q" (i 1) (i nprocs)
-                (row_pieces ~n ~c (fun rows ->
-                     recv_owner_value (sec "A" [ rows; at j; blk ~b q ])));
-            ]
-        in
-        let loop4 =
-          match stage with
-          | Pipelined ->
-              (* sunk awaits: per-line synchronization *)
-              loop "j" lo3 hi3
-                [
-                  loop "i" (i 1) (i n)
-                    [
-                      await (sec "A" [ at (var "i"); at j; all ])
-                      @: [ fft (sec "A" [ at (var "i"); at j; all ]) ];
-                    ];
-                ]
-          | _ ->
-              (* whole-slice await per j *)
-              loop "j" lo3 hi3
-                [
-                  await (sec "A" [ all; at j; all ])
-                  @: [
-                       loop "i" (i 1) (i n)
-                         [ fft (sec "A" [ at (var "i"); at j; all ]) ];
-                     ];
-                ]
-        in
-        Xdp.Simplify.program
-          (program ~name:(name stage) ~decls:ds
-             [ loop1; fused; recvs; loop4 ])
-      end
+      (match stage with
+      | Fused -> Xdp.Fuse.run localized
+      | Pipelined -> Xdp.Sink_await.run (Xdp.Fuse.run localized)
+      | _ -> localized)
 
 let sequential ~n ~nprocs =
   let ds = decls ~n ~nprocs ~seg_rows:n in

@@ -7,19 +7,24 @@
     is then redistributed to [( *, BLOCK, * )] using [-=>] / [<=-]
     ownership transfers so the dimension-3 FFTs are local too.
 
-    The three stages are the paper's three listings:
+    The four stages follow the paper's listings:
 
     - [Baseline]: iown-guarded loops over all processors plus the
       guarded redistribution Loop 3;
     - [Localized]: after compute-rule elimination and single-iteration
       collapse — every loop runs only its owner's iterations and
       references [mypid] directly;
-    - [Fused]: after fusing the dimension-1 FFT loop with the
-      ownership-send loop, so each slice's transfer is initiated as
-      soon as it is computed (the paper's pipelining step);
-    - [Pipelined]: additionally sinking the final [await] into the
-      dimension-3 FFT loop for per-slice synchronization (the paper
-      notes this "might incur a greater run-time overhead").
+    - [Fused]: {!Xdp.Fuse} applied to [Localized], which fuses the
+      dimension-1 FFT loop with the ownership-send loop, so each
+      slice's transfer is initiated as soon as it is computed (the
+      paper's pipelining step); with more than one plane per
+      processor it interchanges the FFT nest first;
+    - [Pipelined]: {!Xdp.Sink_await} applied to [Fused], sinking the
+      final [await] into the dimension-3 FFT loop for per-slice
+      synchronization (the paper notes this "might incur a greater
+      run-time overhead").
+
+    Both are pass output at every block size [n / nprocs].
 
     [seg_rows] controls segment granularity: each processor's
     partition is segmented into [seg_rows × 1 × 1] chunks, and the

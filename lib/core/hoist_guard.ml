@@ -1,39 +1,5 @@
 open Ir
 
-(* Scalars and arrays an expression reads. *)
-let rec expr_reads e =
-  match e with
-  | Int _ | Float _ | Bool _ | Mypid | Nprocs -> ([], [])
-  | Var v -> ([ v ], [])
-  | Elem (a, idxs) ->
-      List.fold_left
-        (fun (vs, ars) i ->
-          let v, a' = expr_reads i in
-          (v @ vs, a' @ ars))
-        ([], [ a ]) idxs
-  | Bin (_, a, b) ->
-      let va, aa = expr_reads a and vb, ab = expr_reads b in
-      (va @ vb, aa @ ab)
-  | Un (_, a) -> expr_reads a
-  | Mylb (s, _) | Myub (s, _) | Iown s | Accessible s | Await s ->
-      let vs, ars =
-        List.fold_left
-          (fun acc sel ->
-            match sel with
-            | All -> acc
-            | At e ->
-                let v, a = expr_reads e in
-                (v @ fst acc, a @ snd acc)
-            | Slice (a, b, c) ->
-                List.fold_left
-                  (fun (vs, ars) e ->
-                    let v, a' = expr_reads e in
-                    (v @ vs, a' @ ars))
-                  acc [ a; b; c ])
-          ([], []) s.sel
-      in
-      (vs, s.arr :: ars)
-
 (* await must not move (it is a synchronization point), and
    accessible() can flip asynchronously when a pre-loop receive's
    delivery lands mid-loop, so neither may be hoisted.  iown() is
@@ -48,43 +14,20 @@ let rec has_unstable = function
   | Mypid | Nprocs ->
       false
 
-(* Scalars written, arrays written, and arrays whose ownership state
-   may change inside a statement list. *)
-let body_effects body =
-  let scalars = ref [] and arrays = ref [] and own = ref [] in
-  let rec stmt = function
-    | Assign (Lvar v, _) -> scalars := v :: !scalars
-    | Assign (Lelem (a, _), _) -> arrays := a :: !arrays
-    | Guard (_, b) -> List.iter stmt b
-    | For fl ->
-        scalars := fl.var :: !scalars;
-        List.iter stmt fl.body
-    | If (_, a, b) ->
-        List.iter stmt a;
-        List.iter stmt b
-    | Send_value _ -> ()
-    | Send_owner s | Send_owner_value s | Recv_owner s | Recv_owner_value s
-      ->
-        own := s.arr :: !own
-    | Recv_value { into; _ } ->
-        arrays := into.arr :: !arrays;
-        own := into.arr :: !own (* accessibility state changes *)
-    | Apply { args; _ } ->
-        List.iter (fun (s : section) -> arrays := s.arr :: !arrays) args
-  in
-  List.iter stmt body;
-  (!scalars, !arrays, !own)
-
+(* The body writes no scalar and no array the guard reads; ownership
+   transfers and receives count as writes of their array. *)
 let hoistable fl g =
   (not (has_unstable g))
   && (not (List.mem fl.var (free_vars_expr g)))
   &&
-  let reads_v, reads_a = expr_reads g in
-  let writes_v, writes_a, own = body_effects fl.body in
-  List.for_all (fun v -> not (List.mem v writes_v)) reads_v
+  let eff = effects fl.body in
+  List.for_all
+    (fun v -> not (List.mem v (eff.scalar_writes @ eff.loop_vars)))
+    (free_vars_expr g)
   && List.for_all
-       (fun a -> (not (List.mem a writes_a)) && not (List.mem a own))
-       reads_a
+       (fun a ->
+         not (List.exists (fun w -> w.acc_write && w.acc_arr = a) eff.accesses))
+       (arrays_of_expr g)
 
 let run p =
   let body =

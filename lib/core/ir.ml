@@ -227,3 +227,83 @@ let rec free_vars_expr = function
         s.sel
 
 let free_vars_expr e = List.sort_uniq compare (free_vars_expr e)
+
+type access = {
+  acc_arr : string;
+  acc_sel : dim_sel list;
+  acc_write : bool;
+  acc_owner_op : bool;
+  acc_loops : for_loop list;
+}
+
+type effects = {
+  accesses : access list;
+  scalar_writes : string list;
+  loop_vars : string list;
+  scalar_reads : string list;
+}
+
+let effects body =
+  let accs = ref [] and writes = ref [] and binders = ref []
+  and reads = ref [] in
+  let rec stmt loops st =
+    let rec add acc_write acc_owner_op s =
+      accs :=
+        { acc_arr = s.arr; acc_sel = s.sel; acc_write; acc_owner_op;
+          acc_loops = loops }
+        :: !accs;
+      List.iter
+        (function
+          | All -> ()
+          | At e -> expr e
+          | Slice (a, b, c) -> List.iter expr [ a; b; c ])
+        s.sel
+    and expr = function
+      | Int _ | Float _ | Bool _ | Mypid | Nprocs -> ()
+      | Var x ->
+          if not (List.exists (fun fl -> fl.var = x) loops) then
+            reads := x :: !reads
+      | Elem (a, idxs) ->
+          add false false { arr = a; sel = List.map (fun e -> At e) idxs }
+      | Bin (_, a, b) ->
+          expr a;
+          expr b
+      | Un (_, e) -> expr e
+      | Mylb (s, _) | Myub (s, _) | Iown s | Accessible s | Await s ->
+          add false true s
+    in
+    match st with
+    | Assign (Lvar v, e) ->
+        writes := v :: !writes;
+        expr e
+    | Assign (Lelem (a, idxs), e) ->
+        add true false { arr = a; sel = List.map (fun e -> At e) idxs };
+        expr e
+    | Guard (g, b) ->
+        expr g;
+        List.iter (stmt loops) b
+    | For fl ->
+        List.iter expr [ fl.lo; fl.hi; fl.step ];
+        binders := fl.var :: !binders;
+        List.iter (stmt (fl :: loops)) fl.body
+    | If (c, a, b) ->
+        expr c;
+        List.iter (stmt loops) a;
+        List.iter (stmt loops) b
+    | Send_value (s, d) -> (
+        add false false s;
+        match d with Unspecified -> () | Directed es -> List.iter expr es)
+    | Send_owner s | Send_owner_value s | Recv_owner s | Recv_owner_value s ->
+        add true true s
+    | Recv_value { into; from } ->
+        add true false into;
+        add false false from
+    | Apply { args; _ } -> List.iter (add true false) args
+  in
+  List.iter (stmt []) body;
+  {
+    accesses = List.rev !accs;
+    scalar_writes = List.sort_uniq compare !writes;
+    loop_vars = List.sort_uniq compare !binders;
+    scalar_reads = List.sort_uniq compare !reads;
+  }

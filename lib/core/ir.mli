@@ -144,3 +144,30 @@ val size : stmt list -> int
 
 (** Variables with free occurrences in an expression. *)
 val free_vars_expr : expr -> string list
+
+(** {1 Effects of a statement list}
+
+    One walk shared by the passes that ask what a block touches
+    ({!Fuse}, {!Sink_await}, {!Hoist_guard}). *)
+
+type access = {
+  acc_arr : string;
+  acc_sel : dim_sel list;  (** an element reference as [At] subscripts *)
+  acc_write : bool;
+      (** assigned, received into, passed to a kernel, or an ownership
+          transfer *)
+  acc_owner_op : bool;  (** ownership transfer or query *)
+  acc_loops : for_loop list;
+      (** the loops of the walked list that enclose the access,
+          innermost first *)
+}
+
+type effects = {
+  accesses : access list;  (** in program order *)
+  scalar_writes : string list;  (** assigned scalars *)
+  loop_vars : string list;  (** variables of the loops in the list *)
+  scalar_reads : string list;
+      (** scalars read outside every loop of the list that binds them *)
+}
+
+val effects : stmt list -> effects

@@ -15,48 +15,9 @@ let narrowing_dims v outer inner =
 
 (* All section-shaped references to array [arr] in a statement list. *)
 let refs_to arr body =
-  let out = ref [] in
-  let add s = if s.arr = arr then out := s.sel :: !out in
-  let add_elem a idxs = if a = arr then out := List.map (fun e -> At e) idxs :: !out in
-  let rec expr = function
-    | Int _ | Float _ | Bool _ | Var _ | Mypid | Nprocs -> ()
-    | Elem (a, idxs) ->
-        add_elem a idxs;
-        List.iter expr idxs
-    | Bin (_, a, b) ->
-        expr a;
-        expr b
-    | Un (_, e) -> expr e
-    | Mylb (s, _) | Myub (s, _) | Iown s | Accessible s | Await s -> add s
-  in
-  let rec stmt = function
-    | Assign (Lvar _, e) -> expr e
-    | Assign (Lelem (a, idxs), e) ->
-        add_elem a idxs;
-        List.iter expr idxs;
-        expr e
-    | Guard (g, body) ->
-        expr g;
-        List.iter stmt body
-    | For fl ->
-        expr fl.lo;
-        expr fl.hi;
-        expr fl.step;
-        List.iter stmt fl.body
-    | If (c, a, b) ->
-        expr c;
-        List.iter stmt a;
-        List.iter stmt b
-    | Send_value (s, _) | Send_owner s | Send_owner_value s | Recv_owner s
-    | Recv_owner_value s ->
-        add s
-    | Recv_value { into; from } ->
-        add into;
-        add from
-    | Apply { args; _ } -> List.iter add args
-  in
-  List.iter stmt body;
-  List.rev !out
+  List.filter_map
+    (fun a -> if a.acc_arr = arr then Some a.acc_sel else None)
+    (effects body).accesses
 
 let sink = function
   | Guard (Await s, [ For fl ]) -> (

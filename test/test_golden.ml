@@ -124,6 +124,77 @@ do i = 1, 4
 enddo|}
     (Xdp.Pp.stmts_to_string p.body)
 
+(* The §4 stages at two planes per processor and two-row segments:
+   the dim-1 FFT nest is interchanged so each column is sent as soon
+   as its planes are transformed. *)
+let test_ex4_fused_blocks () =
+  let p =
+    Xdp_apps.Fft3d.build ~n:8 ~nprocs:4 ~seg_rows:2
+      ~stage:Xdp_apps.Fft3d.Fused ()
+  in
+  check_golden "§4 fused n=8 P=4 seg_rows=2"
+    {|do k = (((mypid - 1) * 2) + 1), (mypid * 2)
+  do i = 1, 8
+    fft1D(A[i,*,k])
+  enddo
+enddo
+do j = 1, 8
+  do k = (((mypid - 1) * 2) + 1), (mypid * 2)
+    fft1D(A[*,j,k])
+  enddo
+  do r = 1, 4
+    A[(((r - 1) * 2) + 1):(r * 2),j,(((mypid - 1) * 2) + 1):(mypid * 2)] -=>
+  enddo
+enddo
+do j = (((mypid - 1) * 2) + 1), (mypid * 2)
+  do q = 1, 4
+    do r = 1, 4
+      A[(((r - 1) * 2) + 1):(r * 2),j,(((q - 1) * 2) + 1):(q * 2)] <=-
+    enddo
+  enddo
+enddo
+do j = (((mypid - 1) * 2) + 1), (mypid * 2)
+  await(A[*,j,*]) : {
+    do i = 1, 8
+      fft1D(A[i,j,*])
+    enddo
+  }
+enddo|}
+    (Xdp.Pp.stmts_to_string p.body)
+
+let test_ex4_pipelined_blocks () =
+  let p =
+    Xdp_apps.Fft3d.build ~n:8 ~nprocs:4 ~seg_rows:2
+      ~stage:Xdp_apps.Fft3d.Pipelined ()
+  in
+  check_golden "§4 pipelined n=8 P=4 seg_rows=2"
+    {|do k = (((mypid - 1) * 2) + 1), (mypid * 2)
+  do i = 1, 8
+    fft1D(A[i,*,k])
+  enddo
+enddo
+do j = 1, 8
+  do k = (((mypid - 1) * 2) + 1), (mypid * 2)
+    fft1D(A[*,j,k])
+  enddo
+  do r = 1, 4
+    A[(((r - 1) * 2) + 1):(r * 2),j,(((mypid - 1) * 2) + 1):(mypid * 2)] -=>
+  enddo
+enddo
+do j = (((mypid - 1) * 2) + 1), (mypid * 2)
+  do q = 1, 4
+    do r = 1, 4
+      A[(((r - 1) * 2) + 1):(r * 2),j,(((q - 1) * 2) + 1):(q * 2)] <=-
+    enddo
+  enddo
+enddo
+do j = (((mypid - 1) * 2) + 1), (mypid * 2)
+  do i = 1, 8
+    await(A[i,j,*]) : { fft1D(A[i,j,*]) }
+  enddo
+enddo|}
+    (Xdp.Pp.stmts_to_string p.body)
+
 (* The ownership-migration alternative of §2.2: moving each A[i] to
    B[i]'s owner instead of sending values.  Built with the eDSL and
    checked against the paper's fragment. *)
@@ -471,5 +542,9 @@ let () =
           Alcotest.test_case "§4 baseline" `Quick test_ex4_baseline;
           Alcotest.test_case "§4 localized" `Quick test_ex4_localized;
           Alcotest.test_case "§4 pipelined" `Quick test_ex4_pipelined;
+          Alcotest.test_case "§4 fused, n=8 P=4 seg_rows=2" `Quick
+            test_ex4_fused_blocks;
+          Alcotest.test_case "§4 pipelined, n=8 P=4 seg_rows=2" `Quick
+            test_ex4_pipelined_blocks;
         ] );
     ]
