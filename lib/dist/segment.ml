@@ -2,15 +2,59 @@ open Xdp_util
 
 type desc = { id : int; box : Box.t }
 
-(* Split [l] into chunks of [n] (last may be shorter). *)
-let chunks n l =
-  let rec go acc cur k = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | x :: rest ->
-        if k = n then go (List.rev cur :: acc) [ x ] 1 rest
-        else go acc (x :: cur) (k + 1) rest
+(* One dimension's tiles: the owned triplets, read as one ascending
+   index stream, cut into consecutive chunks of [s] indices.  Each
+   chunk is built from the triplet pieces it spans in closed form (a
+   triplet's members from position [k] on are [lo + k*stride], ...),
+   so no index is ever listed.  A chunk is one triplet when every step
+   inside and between its pieces is the same positive stride. *)
+let tile_dim ~s ~dim owned =
+  let not_ap () =
+    invalid_arg
+      (Printf.sprintf
+         "Segment.tile: segment extent %d in dim %d does not yield an \
+          arithmetic progression (tile within distribution blocks)"
+         s dim)
   in
-  go [] [] 0 l
+  let out = ref [] in
+  (* the chunk under construction: [n] members from [first] to [last],
+     with common difference [diff] (0 until it has two members) *)
+  let n = ref 0 and first = ref 0 and last = ref 0 and diff = ref 0 in
+  let close () =
+    if !n > 0 then begin
+      out :=
+        Triplet.make ~lo:!first ~hi:!last ~stride:(Int.max 1 !diff) :: !out;
+      n := 0
+    end
+  in
+  let add lo stride take =
+    let hi = lo + ((take - 1) * stride) in
+    if !n = 0 then begin
+      first := lo;
+      diff := if take > 1 then stride else 0
+    end
+    else begin
+      let gap = lo - !last in
+      if !diff = 0 then diff := gap;
+      if gap <> !diff || gap <= 0 || (take > 1 && stride <> !diff) then
+        not_ap ()
+    end;
+    last := hi;
+    n := !n + take;
+    if !n = s then close ()
+  in
+  List.iter
+    (fun (tr : Triplet.t) ->
+      let count = Triplet.count tr in
+      let k = ref 0 in
+      while !k < count do
+        let take = Int.min (count - !k) (s - !n) in
+        add (tr.lo + (!k * tr.stride)) tr.stride take;
+        k := !k + take
+      done)
+    owned;
+  close ();
+  List.rev !out
 
 let tile layout ~pid ~seg_shape =
   let rank = Layout.rank layout in
@@ -22,22 +66,7 @@ let tile layout ~pid ~seg_shape =
   let per_dim =
     List.mapi
       (fun d0 s ->
-        let owned =
-          List.concat_map Triplet.to_list
-            (Layout.owned_triplets layout pid (d0 + 1))
-        in
-        List.map
-          (fun chunk ->
-            match Triplet.of_sorted_list chunk with
-            | Some tr -> tr
-            | None ->
-                invalid_arg
-                  (Printf.sprintf
-                     "Segment.tile: segment extent %d in dim %d does not \
-                      yield an arithmetic progression (tile within \
-                      distribution blocks)"
-                     s (d0 + 1)))
-          (chunks s owned))
+        tile_dim ~s ~dim:(d0 + 1) (Layout.owned_triplets layout pid (d0 + 1)))
       seg_shape
   in
   if List.exists (fun l -> l = []) per_dim then []

@@ -256,18 +256,24 @@ let step_compiled pr =
       if c.ip >= Array.length c.codes then k.frames <- frames
       else
         match c.codes.(c.ip) with
-        | Precompile.U_fuse f when r.inflight.(p.pid) = 0 ->
+        | Precompile.U_fuse f when Rules.unobserved p f.Precompile.fu_arrays
+          ->
             (* the whole superinstruction runs in this turn, charging
-               and counting exactly what the statements would *)
+               and counting exactly what the statements would.  It
+               posts nothing and emits no trace event, and no receive
+               in flight targets an array it touches, so a delivery
+               landing mid-run could change nothing it reads, writes
+               or queries (DESIGN.md §4d) *)
             c.ip <- c.ip + 1;
             let before = r.steps in
             f.Precompile.fu_fast k.m;
             k.turns <- k.turns + 1;
             k.covered <- k.covered + (r.steps - before)
         | Precompile.U_fuse f ->
-            (* a receive is in flight: its delivery must be able to
-               land between statements, so run the region one turn at
-               a time (an uncounted, uncharged frame push) *)
+            (* a receive into an array the region touches is in
+               flight: its delivery must be able to land between
+               statements, so run the region one turn at a time (an
+               uncounted, uncharged frame push) *)
             c.ip <- c.ip + 1;
             k.frames <- Code { codes = f.Precompile.fu_slow; ip = 0 } :: k.frames
         | Precompile.U_guard g ->
@@ -288,8 +294,7 @@ let step_compiled pr =
               else if c.ip >= Array.length codes then n
               else
                 match Array.unsafe_get codes c.ip with
-                | Precompile.U_guard g' when g'.g_pure || r.inflight.(p.pid) = 0
-                  ->
+                | Precompile.U_guard g' when g'.g_pure || p.inflight = 0 ->
                     scan g' (n + 1)
                 | _ -> n
             in
@@ -523,6 +528,8 @@ let make_procs (r : Rules.run) ~init ~free_on_release (p : program) =
         times = { clock = 0.0; busy = 0.0 };
         guard_evals = 0;
         guard_hits = 0;
+        inflight = 0;
+        inflight_into = Array.make (List.length p.decls) 0;
       })
 
 (* Gather distributed arrays into global tensors. *)
@@ -633,8 +640,8 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
       tr;
       wire;
       fabric;
+      arrays = Rules.array_ids p;
       pending = Hashtbl.create 64;
-      inflight = Array.make nprocs 0;
       tokens = 0;
       ownership_transfers = 0;
       steps = 0;

@@ -71,15 +71,17 @@ and code = machine -> act
    on a transfer, executed by [fu_fast] in a single scheduler turn.
    [fu_slow] is the same run statement-at-a-time; the scheduler falls
    back to it whenever fusing could reorder an observable event (the
-   processor has a receive in flight).  A [U_guard] is an
-   owner-computes guard whose body blocks: the scheduler may evaluate a
-   run of consecutive false ones in one turn (DESIGN.md §4d). *)
+   processor has a receive in flight into one of [fu_arrays]).  A
+   [U_guard] is an owner-computes guard whose body blocks: the
+   scheduler may evaluate a run of consecutive false ones in one turn
+   (DESIGN.md §4d). *)
 and unit_ = U_stmt of code | U_fuse of fuse | U_guard of guard
 and units = unit_ array
 
 and fuse = {
   fu_fast : machine -> unit;  (** run everything, counting each statement *)
   fu_slow : units;  (** the same statements, one scheduler turn each *)
+  fu_arrays : int array;  (** ids of every array the statements touch *)
 }
 
 and guard = {
@@ -263,6 +265,7 @@ type ctx = {
   tys : (string, sty) Hashtbl.t;
   slots : (string, slot) Hashtbl.t;
   shape_of : string -> int list;
+  arr_ids : (string, int) Hashtbl.t; (* {!Rules.array_ids} *)
   mutable nsites : int;
   mutable site_ranks : int list; (* reversed *)
   (* Quiet compilation ([quietly]): every charge diverts into [qtally]
@@ -577,21 +580,6 @@ let rec ci ctx e : int frag =
       lift (fun m ->
           if Bytes.unsafe_get m.m_bnd id = '\000' then raise ex;
           Array.unsafe_get m.m_ints off)
-  | Bin (((Add | Sub) as op), Var v, Int n) ->
-      (* var ± literal, the shape of every stencil subscript: one
-         closure instead of a combinator chain (same check, same
-         charge, same left-to-right order; stencil wall 1.04x without
-         it, DESIGN.md §4d) *)
-      let sl = slot ctx v in
-      let ex =
-        Invalid_argument (Printf.sprintf "unbound scalar variable %s" v)
-      in
-      let off = sl.v_off and id = sl.v_id in
-      let n = match op with Add -> n | _ -> -n in
-      tcost ctx Costmodel.tally_int_op
-        (lift (fun m ->
-             if Bytes.unsafe_get m.m_bnd id = '\000' then raise ex;
-             Array.unsafe_get m.m_ints off + n))
   | Bin (op, a, b) ->
       let ca = ci ctx a and cb_ = ci ctx b in
       let c =
@@ -1774,39 +1762,55 @@ and cstmt_k ctx (s : stmt) : sc =
    await-free guard becomes a scannable [U_guard] (without guard
    scans: alltoall wall 1.37x, minor words +14%). *)
 and cblock ctx stmts : blk =
-  let scs = List.map (cstmt ctx) stmts in
+  let scs = List.map (fun s -> (s, cstmt ctx s)) stmts in
   let b_fast =
     match
       List.find_map
-        (fun sc -> match sc.sc_fast with Error why -> Some why | Ok _ -> None)
+        (fun (_, sc) ->
+          match sc.sc_fast with Error why -> Some why | Ok _ -> None)
         scs
     with
     | Some why -> Error why
     | None ->
         Ok
           (compose_fast
-             (Array.of_list (List.map (fun sc -> Result.get_ok sc.sc_fast) scs)))
+             (Array.of_list
+                (List.map (fun (_, sc) -> Result.get_ok sc.sc_fast) scs)))
   in
   let units = ref [] in
   let flush = function
     | [] -> ()
-    | [ sc ] when not sc.sc_solo -> units := U_stmt sc.sc_code :: !units
+    | [ (_, sc) ] when not sc.sc_solo -> units := U_stmt sc.sc_code :: !units
     | rev_run ->
-        let run = List.rev rev_run in
+        let stmts, run = List.split (List.rev rev_run) in
         let fasts =
           Array.of_list (List.map (fun sc -> Result.get_ok sc.sc_fast) run)
         in
         let slow =
           Array.of_list (List.map (fun sc -> U_stmt sc.sc_code) run)
         in
+        (* the footprint: every array the statements read, write or
+           query, kernel arguments included *)
+        let arrays =
+          List.filter_map
+            (fun (a : access) -> Hashtbl.find_opt ctx.arr_ids a.acc_arr)
+            (effects stmts).accesses
+        in
         record_run ctx (Array.length fasts);
-        units := U_fuse { fu_fast = compose_fast fasts; fu_slow = slow } :: !units
+        units :=
+          U_fuse
+            {
+              fu_fast = compose_fast fasts;
+              fu_slow = slow;
+              fu_arrays = Array.of_list (List.sort_uniq compare arrays);
+            }
+          :: !units
   in
   let pending = ref [] in
   List.iter
-    (fun sc ->
+    (fun ((_, sc) as s) ->
       match sc.sc_fast with
-      | Ok _ -> pending := sc :: !pending
+      | Ok _ -> pending := s :: !pending
       | Error _ ->
           flush !pending;
           pending := [];
@@ -1891,6 +1895,7 @@ let compile ~cost ~kernels ~scalars (p : program) =
       slots;
       shape_of =
         (fun name -> Xdp_dist.Layout.shape (decl_of p name).layout);
+      arr_ids = Rules.array_ids p;
       nsites = 0;
       site_ranks = [];
       quiet = false;

@@ -58,10 +58,10 @@
     per-site marshalling plan, revalidated on every call, copies the
     section into a reusable machine buffer and back.  Fusion is always on; the interpreter
     is the reference it is checked against.  The scheduler decides per
-    turn whether running fused is sound (no receive in flight for this
-    processor) and otherwise falls back to the statement-at-a-time
-    units, so traces, Gantt charts and fault interleavings are
-    bit-identical either way.
+    turn whether running fused is sound (no receive this processor has
+    in flight targets an array the run touches) and otherwise falls
+    back to the statement-at-a-time units, so traces, Gantt charts and
+    fault interleavings are bit-identical either way.
 
     Guards that cannot fuse because their body blocks (an
     owner-computes [iown(S) : send ...] or [mypid = k : recv ...])
@@ -99,9 +99,16 @@ and fuse = {
       (** execute the whole run in this turn, counting every statement
           (loop iterations included) through {!Rules.count_step} as it
           goes, so the step budget stops it exactly where it stops the
-          interpreter.  Only sound when the processor has no receive
-          in flight. *)
-  fu_slow : units;  (** the same statements, one scheduler turn each *)
+          interpreter.  Only sound when no receive the processor has in
+          flight targets one of [fu_arrays] ({!Rules.unobserved}). *)
+  fu_slow : units;
+      (** the same statements, one scheduler turn each: what the
+          scheduler runs while a receive into one of [fu_arrays] is in
+          flight, so its delivery can land between any two of them *)
+  fu_arrays : int array;
+      (** the run's footprint: the ids ({!Rules.array_ids}) of every
+          array its statements read, write or query, kernel arguments
+          included, from one {!Xdp.Ir.effects} walk; ascending *)
 }
 
 (** A guard whose condition has no [await] and whose body has no fused

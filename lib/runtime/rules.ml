@@ -10,7 +10,7 @@ module Fabric = Xdp_nic.Fabric
 exception Deadlock of string
 exception Xdp_misuse of string
 
-type pending = { p_kind : Board.kind; p_into : string * Box.t }
+type pending = { p_kind : Board.kind; p_into : string * Box.t; p_arr : int }
 
 type run = {
   prog_name : string;
@@ -19,8 +19,8 @@ type run = {
   tr : Trace.t;
   wire : Transport.t;
   fabric : Fabric.t;
-  pending : (int, int * pending) Hashtbl.t;
-  inflight : int array;
+  arrays : (string, int) Hashtbl.t;
+  pending : (int, pending) Hashtbl.t;
   mutable tokens : int;
   mutable ownership_transfers : int;
   mutable steps : int;
@@ -36,7 +36,16 @@ type proc = {
   times : times;
   mutable guard_evals : int;
   mutable guard_hits : int;
+  mutable inflight : int;
+  inflight_into : int array;
 }
+
+let array_ids (p : Xdp.Ir.program) =
+  let ids = Hashtbl.create 16 in
+  List.iteri
+    (fun id (d : Xdp.Ir.array_decl) -> Hashtbl.replace ids d.arr_name id)
+    p.decls;
+  ids
 
 let section_name arr box = arr ^ Box.to_string box
 
@@ -164,10 +173,21 @@ let send_owner p ~with_value ~arr ~box =
 (* Register a receive as pending and in flight; returns its token. *)
 let post_recv p ~kind ~into =
   let r = p.run in
+  let a = Hashtbl.find r.arrays (fst into) in
   r.tokens <- r.tokens + 1;
-  Hashtbl.replace r.pending r.tokens (p.pid, { p_kind = kind; p_into = into });
-  r.inflight.(p.pid) <- r.inflight.(p.pid) + 1;
+  Hashtbl.replace r.pending r.tokens
+    { p_kind = kind; p_into = into; p_arr = a };
+  p.inflight <- p.inflight + 1;
+  p.inflight_into.(a) <- p.inflight_into.(a) + 1;
   r.tokens
+
+let unobserved p arrs =
+  p.inflight = 0
+  ||
+  let rec clear i =
+    i < 0 || (p.inflight_into.(arrs.(i)) = 0 && clear (i - 1))
+  in
+  clear (Array.length arrs - 1)
 
 let recv_owner p ~with_value ~arr ~box =
   let r = p.run in
@@ -226,7 +246,7 @@ let apply p ~fn (k : Xdp.Kernels.t) pairs =
 
 let deliver p (d : Board.delivery) =
   let r = p.run in
-  let poster, pend =
+  let pend =
     match Hashtbl.find_opt r.pending d.token with
     | Some x -> x
     | None ->
@@ -235,7 +255,8 @@ let deliver p (d : Board.delivery) =
              (Printf.sprintf "delivery with unknown token for %s" d.name))
   in
   Hashtbl.remove r.pending d.token;
-  r.inflight.(poster) <- r.inflight.(poster) - 1;
+  p.inflight <- p.inflight - 1;
+  p.inflight_into.(pend.p_arr) <- p.inflight_into.(pend.p_arr) - 1;
   let arr, box = pend.p_into in
   (match pend.p_kind with
   | Board.Value ->

@@ -24,7 +24,11 @@ exception Xdp_misuse of string
     or sending what you do not own, ...), or the step budget running
     out. *)
 
-type pending = { p_kind : Xdp_sim.Board.kind; p_into : string * Box.t }
+type pending = {
+  p_kind : Xdp_sim.Board.kind;
+  p_into : string * Box.t;
+  p_arr : int;  (** the id of [p_into]'s array *)
+}
 (** A posted receive awaiting its delivery: what kind, and into which
     section. *)
 
@@ -36,13 +40,12 @@ type run = {
   tr : Xdp_sim.Trace.t;
   wire : Xdp_net.Transport.t;  (** receives post here *)
   fabric : Xdp_nic.Fabric.t;  (** sends post here (above [wire]) *)
-  pending : (int, int * pending) Hashtbl.t;
-      (** receive token -> (posting pid, receive) *)
-  inflight : int array;
-      (** receives in flight per posting processor.  While a processor
-          has none, no delivery can change its symbol table, which is
-          what makes running several of its statements in one
-          scheduler turn sound. *)
+  arrays : (string, int) Hashtbl.t;
+      (** {!array_ids} of the program: the numbering {!Precompile}
+          records footprints in *)
+  pending : (int, pending) Hashtbl.t;
+      (** receive token -> the receive; its delivery completes on the
+          processor that posted it *)
   mutable tokens : int;  (** last receive token issued *)
   mutable ownership_transfers : int;
   mutable steps : int;  (** statements executed, by both engines *)
@@ -66,7 +69,18 @@ type proc = {
   times : times;
   mutable guard_evals : int;
   mutable guard_hits : int;
+  mutable inflight : int;
+      (** receives this processor has posted that are not delivered
+          yet.  While there are none, no delivery can change its
+          symbol table, which is what makes running several of its
+          statements in one scheduler turn sound. *)
+  inflight_into : int array;
+      (** the same count per target array id; a delivery changes only
+          its target array's elements and descriptors *)
 }
+
+val array_ids : Xdp.Ir.program -> (string, int) Hashtbl.t
+(** Each declared array's id: its position in the declarations. *)
 
 val section_name : string -> Box.t -> string
 (** ["A[1:4]"], as diagnostics and trace events print a section. *)
@@ -80,6 +94,13 @@ val reserve_steps : run -> int -> bool
     has room for all of them, and otherwise counts nothing and returns
     [false]; the caller then runs them one {!count_step} at a time, so
     the budget stops it at the exact statement. *)
+
+val unobserved : proc -> int array -> bool
+(** [unobserved p arrs]: no receive [p] has in flight targets any of
+    the arrays [arrs] (ids), so no delivery that lands before [p]'s
+    next statement can change what a run of statements touching only
+    those arrays reads, writes or queries.  Reads [p]'s own counts
+    only. *)
 
 val charge : proc -> float -> unit
 (** Advance the clock and the busy time by a cost. *)
@@ -154,5 +175,6 @@ val apply : proc -> fn:string -> Xdp.Kernels.t -> (string * Box.t) list -> unit
 
 val deliver : proc -> Xdp_sim.Board.delivery -> unit
 (** Complete the receive a delivery matches, on its destination
-    processor [p]: update [p]'s symbol table and the in-flight count
-    of the poster.  Waking blocked processors is the scheduler's job. *)
+    processor [p], which posted it: update [p]'s symbol table and its
+    in-flight counts.  Waking blocked processors is the scheduler's
+    job. *)

@@ -670,8 +670,26 @@ let print_scfg c =
     (Xdp_net.Faultplan.describe (scan_fault c))
     (Xdp.Pp.program_to_string (scan_program c))
 
-(* One configuration's observable outcome: everything a caller can
-   see, rendered to strings so any difference prints. *)
+(* A run's observable outcome: everything a caller can see of the
+   rank-1 [arrays] (name, extent), the stats and the full trace,
+   rendered to a string so any difference prints. *)
+let observable (r : Exec.result) arrays =
+  let arrays =
+    List.map
+      (fun (a, n) ->
+        let t = Exec.array r a in
+        String.concat " "
+          (List.init n (fun k ->
+               Printf.sprintf "%h" (Xdp_util.Tensor.get t [ k + 1 ]))))
+      arrays
+  in
+  String.concat "\n" arrays
+  ^ Format.asprintf "\n%a" Xdp_sim.Trace.pp_stats r.stats
+  ^ Printf.sprintf "\nstatements=%d guard_evals=%d trace=%s"
+      r.stats.statements r.stats.guard_evals
+      (Digest.to_hex
+         (Digest.string (Format.asprintf "%a" Xdp_sim.Trace.pp r.trace)))
+
 let scan_outcome c engine =
   let p = scan_program c in
   let cost = scan_costs.(c.s_cost) in
@@ -680,21 +698,8 @@ let scan_outcome c engine =
       ~nprocs:c.s_nprocs p
   with
   | r ->
-      let arrays =
-        List.map
-          (fun (a, n) ->
-            let t = Exec.array r a in
-            String.concat " "
-              (List.init n (fun k ->
-                   Printf.sprintf "%h" (Xdp_util.Tensor.get t [ k + 1 ]))))
-          [ ("A", 2 * c.s_nprocs); ("B", c.s_nprocs); ("T", c.s_nprocs) ]
-      in
-      ( String.concat "\n" arrays
-        ^ Format.asprintf "\n%a" Xdp_sim.Trace.pp_stats r.stats
-        ^ Printf.sprintf "\nstatements=%d guard_evals=%d trace=%s"
-            r.stats.statements r.stats.guard_evals
-            (Digest.to_hex
-               (Digest.string (Format.asprintf "%a" Xdp_sim.Trace.pp r.trace))),
+      ( observable r
+          [ ("A", 2 * c.s_nprocs); ("B", c.s_nprocs); ("T", c.s_nprocs) ],
         r.Exec.fusion.Exec.fused_turns )
   | exception e -> ("raised " ^ Printexc.to_string e, 0)
 
@@ -726,6 +731,175 @@ let test_guard_scans_happen () =
   in
   Alcotest.(check bool) "some turns scanned several guards" true (scans > 0);
   List.iter (fun c -> Alcotest.(check bool) "agree" true (check_scfg c)) cases
+
+(* ---- run-ahead (DESIGN.md §4d): a fused run executes in one turn
+   while receives are in flight, provided none targets an array it
+   touches.  Generated programs post value receives into T (B -> T)
+   and ownership receives of single-element segments of O, run fused
+   loops that read or write A, B, T or O, and await.  A loop over T or
+   O races the receives into it: its outcome depends on whether a
+   delivery landed mid-loop.  The compiled engine and the interpreter
+   must agree on arrays, the stats record, the full trace and any
+   diagnostic text. *)
+
+type rtarget = R_A | R_B | R_T | R_O
+
+type ritem =
+  | Post_value of { src : int; dst : int }
+      (** the value of B[src+1] goes into T[dst+1] *)
+  | Post_owner of { j : int; src : int; dst : int }
+      (** ownership and value of O[j] move from [src] to [dst] *)
+  | Run of { target : rtarget; trips : int; write : bool }
+  | Await of rtarget
+
+type racfg = {
+  ra_nprocs : int;
+  ra_items : ritem list;
+  ra_cost : int;  (** index into [scan_costs] *)
+}
+
+let gen_racfg =
+  G.(
+    let* p = int_range 2 4 in
+    let* nitems = int_range 1 8 in
+    let* ra_cost = int_range 0 (Array.length scan_costs - 1) in
+    let owner = Array.init (2 * p) (fun j -> j / 2) in
+    let other src = map (fun k -> (src + 1 + k) mod p) (int_range 0 (p - 2)) in
+    let target = oneofl [ R_A; R_B; R_T; R_O ] in
+    let gen_item =
+      frequency
+        [
+          ( 2,
+            let* src = int_range 0 (p - 1) in
+            let* dst = other src in
+            return (Post_value { src; dst }) );
+          ( 2,
+            let* j = int_range 1 (2 * p) in
+            let src = owner.(j - 1) in
+            let* dst = other src in
+            owner.(j - 1) <- dst;
+            return (Post_owner { j; src; dst }) );
+          ( 4,
+            let* target = target
+            and* trips = int_range 1 60
+            and* write = bool in
+            return (Run { target; trips; write }) );
+          (1, map (fun t -> Await t) target);
+        ]
+    in
+    (* the ownership model is sequential state: draw items in order *)
+    let rec items k acc =
+      if k = 0 then return (List.rev acc)
+      else
+        let* it = gen_item in
+        items (k - 1) (it :: acc)
+    in
+    let* ra_items = items nitems [] in
+    return { ra_nprocs = p; ra_items; ra_cost })
+
+let run_ahead_program c =
+  let p = c.ra_nprocs in
+  let grid = Xdp_dist.Grid.linear p in
+  let one name n =
+    decl ~name ~shape:[ n ] ~dist:[ Xdp_dist.Dist.Block ] ~grid ~seg_shape:[ 1 ]
+      ()
+  in
+  let on pid body = (mypid =: i (pid + 1)) @: body in
+  let o j = sec "O" [ at (i j) ] in
+  (* each processor's element of A, B and T, and the first element of
+     O it started with (reads and writes only while accessible) *)
+  let mine = function
+    | R_A -> ("A", mypid)
+    | R_B -> ("B", mypid)
+    | R_T -> ("T", mypid)
+    | R_O -> ("O", (i 2 *: mypid) -: i 1)
+  in
+  let awaits = function
+    | R_O -> List.init (2 * p) (fun j -> await (o (j + 1)) @: [])
+    | t ->
+        let a, k = mine t in
+        [ await (sec a [ at k ]) @: [] ]
+  in
+  let item = function
+    | Post_value { src; dst } ->
+        let b = sec "B" [ at (i (src + 1)) ] in
+        [
+          on src [ send b ];
+          on dst [ recv ~into:(sec "T" [ at mypid ]) ~from:b ];
+        ]
+    | Post_owner { j; src; dst } ->
+        [ on src [ send_owner_value (o j) ]; on dst [ recv_owner_value (o j) ] ]
+    | Run { target; trips; write } ->
+        let a, k = mine target in
+        let body =
+          if write then set a [ k ] (elem a [ k ] +: f 1.0)
+          else setv "acc" (var "acc" +: elem a [ k ])
+        in
+        let body =
+          if target = R_O then accessible (sec a [ at k ]) @: [ body ] else body
+        in
+        [ loop "j" (i 1) (i trips) [ body ] ]
+    | Await t -> awaits t
+  in
+  program ~name:"run-ahead"
+    ~decls:[ one "A" p; one "B" p; one "T" p; one "O" (2 * p) ]
+    ((setv "acc" (f 0.0) :: List.concat_map item c.ra_items)
+    @ awaits R_T @ awaits R_O
+    @ [ set "A" [ mypid ] (elem "A" [ mypid ] +: var "acc") ])
+
+let run_ahead_init name idx =
+  match (name, idx) with
+  | "B", [ k ] -> float_of_int (1000 + k)
+  | "O", [ j ] -> float_of_int (100 * j)
+  | _ -> 0.0
+
+let print_racfg c =
+  Printf.sprintf "P=%d cost=%s\n%s" c.ra_nprocs
+    scan_costs.(c.ra_cost).Xdp_sim.Costmodel.name
+    (Xdp.Pp.program_to_string (run_ahead_program c))
+
+let run_ahead_outcome c engine =
+  let p = c.ra_nprocs in
+  match
+    Exec.run ~engine ~cost:scan_costs.(c.ra_cost) ~init:run_ahead_init
+      ~trace:true ~nprocs:p (run_ahead_program c)
+  with
+  | r ->
+      ( observable r [ ("A", p); ("B", p); ("T", p); ("O", 2 * p) ],
+        r.Exec.fusion.Exec.fused_statements )
+  | exception e -> ("raised " ^ Printexc.to_string e, 0)
+
+let check_racfg c =
+  let fused, _ = run_ahead_outcome c `Compiled in
+  let interp, _ = run_ahead_outcome c `Interp in
+  if fused <> interp then
+    QCheck.Test.fail_reportf
+      "fused compiled vs interp differ:\n--- %s\n+++ %s\n%s" interp fused
+      (print_racfg c);
+  true
+
+let prop_run_ahead =
+  QCheck.Test.make ~name:"run-ahead: fused = interp with receives in flight"
+    ~count:300
+    (QCheck.make ~print:print_racfg gen_racfg)
+    check_racfg
+
+(* The property above is only as good as its coverage: on a fixed
+   sample, runs must complete rather than agree on a diagnostic, and
+   fused runs must cover most statements. *)
+let test_run_ahead_coverage () =
+  let rand = Random.State.make [| 0x4EAD |] in
+  let cases = G.generate ~rand ~n:100 gen_racfg in
+  let outcomes = List.map (fun c -> run_ahead_outcome c `Compiled) cases in
+  let completed =
+    List.filter
+      (fun (o, _) -> not (String.starts_with ~prefix:"raised" o))
+      outcomes
+  in
+  Alcotest.(check bool) "most runs complete" true (List.length completed > 90);
+  Alcotest.(check bool) "fused runs happen" true
+    (List.exists (fun (_, fused) -> fused > 0) completed);
+  List.iter (fun c -> Alcotest.(check bool) "agree" true (check_racfg c)) cases
 
 (* A couple of fixed regression seeds that exercise every spec form. *)
 let test_fixed_cases () =
@@ -1063,6 +1237,12 @@ let () =
           Alcotest.test_case "outcomes covered, engines agree" `Quick
             test_batched_coverage;
           QCheck_alcotest.to_alcotest prop_batched_loops;
+        ] );
+      ( "run-ahead",
+        [
+          Alcotest.test_case "runs complete, engines agree" `Quick
+            test_run_ahead_coverage;
+          QCheck_alcotest.to_alcotest prop_run_ahead;
         ] );
       ( "guard scans",
         [

@@ -282,6 +282,32 @@ let test_step_budget () =
         (outcome ~nprocs:4 ~init engine (steps - 1) redist))
     configs
 
+(* The races below: P1 sends A[1] = 41.0 to P2 on both engines. *)
+let race_runs p =
+  let init _ idx = if idx = [ 1 ] then 41.0 else 0.0 in
+  List.map
+    (fun (name, engine) -> (name, run_config ~init ~nprocs:2 engine p))
+    configs
+
+(* Every run agrees with the interpreter's on A, T, the stats and the
+   full trace; returns the interpreter's. *)
+let agree case runs =
+  let ref_ = List.assoc "interp" runs in
+  List.iter
+    (fun (name, (r : Exec.result)) ->
+      let what x = Printf.sprintf "%s, %s: %s" case name x in
+      List.iter
+        (fun a ->
+          Alcotest.(check bool) (what a) true
+            (Xdp_util.Tensor.equal ~eps:0.0 (Exec.array r a)
+               (Exec.array ref_ a)))
+        [ "A"; "T" ];
+      Alcotest.(check bool) (what "stats") true (r.stats = ref_.stats);
+      Alcotest.(check string) (what "trace") (trace_digest ref_)
+        (trace_digest r))
+    runs;
+  ref_
+
 (* The case the in-flight rule exists for.  P2 posts a value receive,
    then walks 600 pure guards (scanned in one turn even with the
    receive pending) whose cost carries its clock past the delivery's
@@ -306,26 +332,54 @@ let test_delivery_mid_scan () =
              ];
         ])
   in
-  let init _ idx = if idx = [ 1 ] then 41.0 else 0.0 in
-  let runs =
-    List.map
-      (fun (name, engine) -> (name, run_config ~init ~nprocs:2 engine p))
-      configs
-  in
-  let ref_ = List.assoc "interp" runs in
+  let runs = race_runs p in
+  let ref_ = agree "mid-scan" runs in
   Alcotest.(check (float 0.0)) "the delivery landed before the guard" 42.0
     (Xdp_util.Tensor.get (Exec.array ref_ "A") [ 5 ]);
   Alcotest.(check bool) "fused run scanned" true
-    ((List.assoc "fused" runs).fusion.fused_turns > 0);
-  List.iter
-    (fun (name, (r : Exec.result)) ->
-      Alcotest.(check bool) (name ^ ": arrays") true
-        (Xdp_util.Tensor.equal ~eps:0.0 (Exec.array r "A")
-           (Exec.array ref_ "A"));
-      Alcotest.(check bool) (name ^ ": stats") true (r.stats = ref_.stats);
-      Alcotest.(check string) (name ^ ": trace") (trace_digest ref_)
-        (trace_digest r))
-    runs
+    ((List.assoc "fused" runs).fusion.fused_turns > 0)
+
+(* The same race for fused runs.  P2 posts a value receive into T[2],
+   then runs a 2000-iteration loop whose cost carries its clock past
+   the delivery's arrival.  A loop over A alone cannot observe the
+   delivery, so it runs in one turn with the receive in flight; a loop
+   reading T[2] must run a turn per statement, so that iterations after
+   the arrival read the delivered 41.0, as in the reference. *)
+let test_delivery_mid_fused_run () =
+  let t2 = sec "T" [ at mypid ] and me = mypid *: i 4 and trips = 2000 in
+  let race loop_body =
+    prog
+      [
+        iown (sec "A" [ at (i 1) ]) @: [ send (sec "A" [ at (i 1) ]) ];
+        (mypid =: i 2) @: [ recv ~into:t2 ~from:(sec "A" [ at (i 1) ]) ];
+        setv "x" (f 0.0);
+        loop "j" (i 1) (i trips) [ loop_body ];
+        set "A" [ me ] (elem "A" [ me ] +: var "x");
+        (mypid =: i 2)
+        @: [ await t2 @: [ set "A" [ i 5 ] (elem "T" [ mypid ]) ] ];
+      ]
+  in
+  (* a loop over another array runs ahead in one turn *)
+  let ahead = race_runs (race (set "A" [ me ] (elem "A" [ me ] +: f 1.0))) in
+  let ref_ = agree "loop over A" ahead in
+  Alcotest.(check (float 0.0)) "the delivery landed" 41.0
+    (Xdp_util.Tensor.get (Exec.array ref_ "A") [ 5 ]);
+  (* a loop is its header and [trips] iterations *)
+  let fused_statements runs =
+    (List.assoc "fused" runs).Exec.fusion.fused_statements
+  in
+  Alcotest.(check bool) "both processors' loops ran fused" true
+    (fused_statements ahead >= 2 * (trips + 1));
+  (* a loop over the receive's own array falls back *)
+  let observed = race_runs (race (setv "x" (var "x" +: elem "T" [ mypid ]))) in
+  let ref_ = agree "loop over T" observed in
+  Alcotest.(check bool) "P2's loop ran a turn per statement" true
+    (fused_statements observed < 2 * (trips + 1));
+  let x = Xdp_util.Tensor.get (Exec.array ref_ "A") [ 8 ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "the delivery landed mid-loop (x = %g)" x)
+    true
+    (x > 0.0 && x < float_of_int trips *. 41.0)
 
 (* Turn-count tripwire: on the naive all-to-all almost every statement
    is a false owner-computes guard, and the fused engine must take
@@ -341,6 +395,27 @@ let test_guard_scan_tripwire () =
       "only %d of %d statements ran in multi-statement turns (%.2f, bound 0.8)"
       scanned total
       (float_of_int scanned /. float_of_int total)
+
+(* Turn-count tripwire for overlap: an optimized 1-D Jacobi sweeps its
+   interior while the halo receives are in flight.  The sweep touches
+   neither halo array, so it must still run fused; statement by
+   statement, only about 71% of the statements would run in
+   multi-statement turns. *)
+let test_overlap_run_ahead_tripwire () =
+  let nprocs = 4 in
+  let seq =
+    Xdp_apps.Jacobi.build ~n:1024 ~nprocs ~sweeps:4
+      ~stage:Xdp_apps.Jacobi.Sequential ()
+  in
+  let p = (Xdp.Compile.optimize ~nprocs seq).compiled in
+  let r = run_config ~nprocs `Compiled p in
+  let fused = r.fusion.fused_statements and total = r.stats.statements in
+  if float_of_int fused < 0.95 *. float_of_int total then
+    Alcotest.failf
+      "only %d of %d statements ran in multi-statement turns (%.2f, bound \
+       0.95)"
+      fused total
+      (float_of_int fused /. float_of_int total)
 
 let test_trace_events_recorded () =
   let p =
@@ -434,8 +509,8 @@ let tripwire_proc ~max_steps st =
       tr;
       wire;
       fabric;
+      arrays = Hashtbl.create 1;
       pending = Hashtbl.create 1;
-      inflight = [| 0 |];
       tokens = 0;
       ownership_transfers = 0;
       steps = 0;
@@ -449,6 +524,8 @@ let tripwire_proc ~max_steps st =
     times = { clock = 0.0; busy = 0.0 };
     guard_evals = 0;
     guard_hits = 0;
+    inflight = 0;
+    inflight_into = [||];
   }
 
 let words f =
@@ -655,8 +732,13 @@ let () =
             test_compiled_heap_tripwire;
           Alcotest.test_case "delivery lands mid-scan" `Quick
             test_delivery_mid_scan;
+          Alcotest.test_case "delivery lands mid-fused-run" `Quick
+            test_delivery_mid_fused_run;
           Alcotest.test_case "guard scans >= 0.8 of statements (redist P=32)"
             `Quick test_guard_scan_tripwire;
+          Alcotest.test_case
+            "overlapped sweeps run fused >= 0.95 of statements (jacobi P=4)"
+            `Quick test_overlap_run_ahead_tripwire;
           Alcotest.test_case "engine names" `Quick test_engine_names;
           Alcotest.test_case "false iown and charge allocate nothing" `Quick
             test_zero_alloc_tripwire;

@@ -116,6 +116,113 @@ let prop_tile_partitions =
           Segment.total_elements segs = Layout.local_size l pid)
         (List.init procs Fun.id))
 
+(* The enumerating tiler [Segment.tile] replaced, kept as its oracle:
+   list every owned index of a dimension, chunk the list, and parse
+   each chunk back into a triplet. *)
+let chunks n l =
+  let rec go acc cur k = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | x :: rest ->
+        if k = n then go (List.rev cur :: acc) [ x ] 1 rest
+        else go acc (x :: cur) (k + 1) rest
+  in
+  go [] [] 0 l
+
+let enumerated_tile layout ~pid ~seg_shape =
+  let per_dim =
+    List.mapi
+      (fun d0 s ->
+        let owned =
+          List.concat_map Triplet.to_list
+            (Layout.owned_triplets layout pid (d0 + 1))
+        in
+        List.map
+          (fun chunk ->
+            match Triplet.of_sorted_list chunk with
+            | Some tr -> tr
+            | None ->
+                invalid_arg
+                  (Printf.sprintf
+                     "Segment.tile: segment extent %d in dim %d does not \
+                      yield an arithmetic progression (tile within \
+                      distribution blocks)"
+                     s (d0 + 1)))
+          (chunks s owned))
+      seg_shape
+  in
+  if List.exists (fun l -> l = []) per_dim then []
+  else
+    let product =
+      List.fold_right
+        (fun triplets acc ->
+          List.concat_map
+            (fun tr -> List.map (fun rest -> tr :: rest) acc)
+            triplets)
+        per_dim [ [] ]
+    in
+    List.mapi (fun id ts -> { Segment.id; box = Box.make ts }) product
+
+(* Rank 1-3 layouts over BLOCK, CYCLIC, CYCLIC(k) and undistributed
+   dimensions (at least one distributed), a grid axis of 1-4
+   processors per distributed dimension, and seg extents 1-7, which
+   straddle CYCLIC(k) blocks often enough to exercise the error. *)
+let gen_tiling =
+  QCheck.Gen.(
+    let dim =
+      triple (int_range 1 13)
+        (frequency
+           [
+             (3, return Dist.Block);
+             (3, return Dist.Cyclic);
+             (3, map (fun k -> Dist.Block_cyclic k) (int_range 1 4));
+             (1, return Dist.Star);
+           ])
+        (pair (int_range 1 4) (int_range 1 7))
+    in
+    list_size (int_range 1 3) dim
+    >|= fun dims ->
+    let dims =
+      if List.exists (fun (_, d, _) -> Dist.distributed d) dims then dims
+      else
+        match dims with
+        | (n, _, x) :: rest -> (n, Dist.Block, x) :: rest
+        | [] -> assert false
+    in
+    let shape = List.map (fun (n, _, _) -> n) dims in
+    let dist = List.map (fun (_, d, _) -> d) dims in
+    let axes =
+      List.filter_map
+        (fun (_, d, (p, _)) -> if Dist.distributed d then Some p else None)
+        dims
+    in
+    let seg_shape = List.map (fun (_, _, (_, s)) -> s) dims in
+    (Layout.make ~shape ~dist ~grid:(Grid.make axes), seg_shape))
+
+let print_tiling (l, seg_shape) =
+  Printf.sprintf "shape %s dist %s grid %s seg %s"
+    (String.concat "x" (List.map string_of_int (Layout.shape l)))
+    (String.concat "," (List.map Dist.to_string (Layout.dist l)))
+    (String.concat "x" (List.map string_of_int (Grid.shape (Layout.grid l))))
+    (String.concat "x" (List.map string_of_int seg_shape))
+
+let prop_tile_matches_enumeration =
+  QCheck.Test.make ~name:"closed-form tiling = enumerated tiling" ~count:500
+    (QCheck.make ~print:print_tiling gen_tiling)
+    (fun (l, seg_shape) ->
+      let outcome f =
+        match f l ~seg_shape with
+        | descs ->
+            Ok
+              (List.map
+                 (fun (d : Segment.desc) -> (d.id, Box.to_string d.box, d.box))
+                 descs)
+        | exception Invalid_argument m -> Error m
+      in
+      List.for_all
+        (fun pid ->
+          outcome (Segment.tile ~pid) = outcome (enumerated_tile ~pid))
+        (List.init (Layout.nprocs l) Fun.id))
+
 let () =
   Alcotest.run "segment"
     [
@@ -132,5 +239,7 @@ let () =
           Alcotest.test_case "segment map (Figure 3)" `Quick
             test_segment_map_fig3;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_tile_partitions ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_tile_partitions; prop_tile_matches_enumeration ] );
     ]
