@@ -1,5 +1,6 @@
-(* The paper's experiments T1-T10 (and, through [Figures.fig1], Figure
-   1's conformance matrix) as the rows of BENCH_paper.json.  Each
+(* The paper's experiments T1-T10 (and, through [Figures], Figure 1's
+   conformance matrix, Figure 2's and 4's counts and the worked
+   listings' digests) as the rows of BENCH_paper.json.  Each
    section turns one of the paper's qualitative performance claims into
    measured rows on the simulated machine, one row per (section,
    variant), and arms the claim as a named tripwire.  Every row's
@@ -570,7 +571,13 @@ let run () =
     List.split
       (List.map
          (fun section -> section ())
-         [ Figures.fig1; t1; t2; t3; t4; t5; t6; t7; t8; t9; t10 ])
+         [
+           Figures.fig1;
+           Figures.fig2_rows;
+           Figures.fig4_rows;
+           Figures.listing_rows;
+           t1; t2; t3; t4; t5; t6; t7; t8; t9; t10;
+         ])
   in
   let rows = List.concat rows in
   let failed =
@@ -579,7 +586,9 @@ let run () =
       rows
   in
   Runs.report ~bench:"paper" ~smoke:false
-    ~title:"the paper's Figure 1 and claims T1-T10 on the simulated machine"
+    ~title:
+      "the paper's Figures 1, 2 and 4, listings and claims T1-T10 on the \
+       simulated machine"
     rows;
   Runs.check ~bench:"paper" rows
     (( failed = [],

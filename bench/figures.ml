@@ -1,7 +1,8 @@
 (* Programmatic regeneration of the paper's Figures 1-4 and the §2.2 /
    §4 worked listings (experiment ids FIG1-FIG4, EX22, EX4).  FIG1's
-   conformance rows are part of the paper bench (Experiments.run);
-   the others print. *)
+   conformance rows, FIG2's and FIG4's counts and the listings' digests
+   are rows of the paper bench (Experiments.run); [fig2] .. [ex4]
+   print the figures and listings whole. *)
 
 open Xdp_dist
 module Symtab = Xdp_symtab.Symtab
@@ -158,18 +159,42 @@ let fig1 () =
 
 (* ---- Figure 2: the run-time symbol table ---- *)
 
-let fig2 () =
-  hr "Figure 2: XDP run-time symbol table (processor P4 of a 2x2 grid)";
-  (* A has one distributed dimension; the paper draws it on the same
-     2x2 machine, so its BLOCK dimension maps onto a 2-extent axis and
-     only grid row changes ownership of B. We print P4's table. *)
+(* B on P4 of the 2x2 grid, as the paper draws it. *)
+let fig2_b () =
   let st = Symtab.create ~pid:3 () in
   Symtab.declare st ~name:"B"
     ~layout:
       (Layout.make ~shape:[ 16; 16 ] ~dist:[ Dist.Block; Dist.Cyclic ]
          ~grid:(Grid.make [ 2; 2 ]))
     ~seg_shape:[ 4; 2 ];
-  Format.printf "%a@." Symtab.pp_table st;
+  st
+
+(* Figure 2's counts: B on P4 has 8 segments of 4x2 elements, with
+   stride 2 in the CYCLIC dimension. *)
+let fig2_rows () =
+  let segs = Symtab.segments (fig2_b ()) "B" in
+  let dims (s : Symtab.seg) = Xdp_util.Box.dims s.seg_box in
+  let all f = List.for_all f segs in
+  let shape =
+    all (fun s -> List.map Xdp_util.Triplet.count (dims s) = [ 4; 2 ])
+  and stride = all (fun s -> (List.nth (dims s) 1).stride = 2) in
+  let ok = List.length segs = 8 && shape && stride in
+  ( [
+      Runs.row "FIG2 B on P4"
+        ~config:[ ("grid", Xdp_util.Jsonw.Str "2x2") ]
+        ~identical:ok
+        [ ("segments", Xdp_util.Jsonw.Int (List.length segs));
+          ("seg_4x2", Xdp_util.Jsonw.Bool shape);
+          ("stride_2", Xdp_util.Jsonw.Bool stride) ];
+    ],
+    [ (ok, "FIG2: B on P4 is not 8 segments of 4x2 with stride 2") ] )
+
+let fig2 () =
+  hr "Figure 2: XDP run-time symbol table (processor P4 of a 2x2 grid)";
+  (* A has one distributed dimension; the paper draws it on the same
+     2x2 machine, so its BLOCK dimension maps onto a 2-extent axis and
+     only grid row changes ownership of B. We print P4's table. *)
+  Format.printf "%a@." Symtab.pp_table (fig2_b ());
   let st2 = Symtab.create ~pid:1 () in
   Symtab.declare st2 ~name:"A"
     ~layout:
@@ -213,6 +238,26 @@ let fig3 () =
 
 (* ---- Figure 4: the 3-D FFT redistribution ---- *)
 
+(* Figure 4's plan at n=4, P=4: 12 moves carry 48 elements, and the 16
+   on the diagonal stay put. *)
+let fig4_rows () =
+  let n = 4 and nprocs = 4 in
+  let src = Xdp_apps.Fft3d.layout_before ~n ~nprocs
+  and dst = Xdp_apps.Fft3d.layout_after ~n ~nprocs in
+  let plan = Redistribution.plan ~src ~dst in
+  let moves = List.length plan
+  and moved = Redistribution.volume plan
+  and stationary = Redistribution.stationary ~src ~dst in
+  let ok = moves = 12 && moved = 48 && stationary = 16 in
+  let int k v = (k, Xdp_util.Jsonw.Int v) in
+  ( [
+      Runs.row "FIG4 plan"
+        ~config:[ int "n" n; int "procs" nprocs ]
+        ~identical:ok
+        [ int "moves" moves; int "moved" moved; int "stationary" stationary ];
+    ],
+    [ (ok, "FIG4: the plan is not 12 moves, 48 elements moved, 16 stay") ] )
+
 let fig4 () =
   hr "Figure 4: 3-D FFT data layout before and after redistribution";
   let n = 4 and nprocs = 4 in
@@ -243,6 +288,58 @@ let fig4 () =
     plan
 
 (* ---- the worked listings ---- *)
+
+(* The listings test/test_golden.ml pins, each with the MD5 of its
+   pinned text (trimmed); test_golden checks that its texts hash to
+   the [listing_md5] these rows report. *)
+let listing_rows () =
+  let vec stage = Xdp_apps.Vecadd.build ~n:8 ~nprocs:4 ~stage () in
+  let fft ?seg_rows n stage =
+    Xdp_apps.Fft3d.build ~n ~nprocs:4 ?seg_rows ~stage ()
+  in
+  let rows =
+    List.map
+      (fun (label, (p : Xdp.Ir.program), pinned) ->
+        let md5 =
+          Digest.to_hex
+            (Digest.string (String.trim (Xdp.Pp.stmts_to_string p.body)))
+        in
+        (label, md5 = pinned, md5))
+      [
+        ( "EX22 naive",
+          vec Xdp_apps.Vecadd.Naive,
+          "b60d332c61ff752edabbdbe6d529d6d9" );
+        ( "EX22 optimized",
+          vec Xdp_apps.Vecadd.Localized,
+          "c29e340843525ef63b08e821001a43a6" );
+        ( "EX4 baseline",
+          fft 4 Xdp_apps.Fft3d.Baseline,
+          "816b10c14899033977c76757c5bb7e02" );
+        ( "EX4 localized",
+          fft 4 Xdp_apps.Fft3d.Localized,
+          "08980f344bfaa0e95e83ff62bd9c2209" );
+        ( "EX4 pipelined",
+          fft 4 Xdp_apps.Fft3d.Pipelined,
+          "2a780c9987beaa3ef68214b8ee609102" );
+        ( "EX4 fused n=8 seg_rows=2",
+          fft ~seg_rows:2 8 Xdp_apps.Fft3d.Fused,
+          "df2025529c78d45f9b6d1929cbb9fe39" );
+        ( "EX4 pipelined n=8 seg_rows=2",
+          fft ~seg_rows:2 8 Xdp_apps.Fft3d.Pipelined,
+          "ca0191f83aace9b1e1382443539a550a" );
+      ]
+  in
+  let differ = List.filter (fun (_, ok, _) -> not ok) rows in
+  ( List.map
+      (fun (label, ok, md5) ->
+        Runs.row label ~identical:ok
+          [ ("listing_md5", Xdp_util.Jsonw.Str md5) ])
+      rows,
+    [
+      ( differ = [],
+        "EX22/EX4: listings that differ from the text test_golden.ml pins: "
+        ^ String.concat ", " (List.map (fun (l, _, _) -> l) differ) );
+    ] )
 
 let ex22 () =
   hr "§2.2 worked example: machine-generated IL+XDP listings";

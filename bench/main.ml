@@ -1,11 +1,13 @@
 (* bench/main.exe — regenerates every figure and experiment of the
    reproduction (see DESIGN.md §3 for the index):
 
-     paper        Figure 1's conformance rows and the experiments
-                  T1..T10 derived from the paper's qualitative
-                  performance claims, written to BENCH_paper.json
-     FIG2..FIG4   the paper's other figures, printed
-     EX22, EX4    the worked listings of §2.2 and §4
+     paper        Figure 1's conformance rows, Figure 2's and 4's
+                  counts, the worked listings' digests and the
+                  experiments T1..T10 derived from the paper's
+                  qualitative performance claims, written to
+                  BENCH_paper.json
+     FIG2..FIG4   the paper's other figures, printed whole
+     EX22, EX4    the worked listings of §2.2 and §4, printed
      micro        MB, ns per operation of the run-time structures,
                   and the board hot paths (BENCH_board.json)
      net .. search  the subsystem drivers (BENCH_<id>.json)

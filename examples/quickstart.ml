@@ -52,13 +52,18 @@ let () =
   print_endline "--- after owner-computes lowering ---";
   print_string (Xdp.Pp.program_to_string naive);
 
-  (* 5. The optimization pipeline. *)
+  (* 5. The §2.2 optimizations, one pass at a time. *)
+  let pass name f p =
+    let p = f p in
+    Printf.printf "--- after pass %s ---\n%s" name
+      (Xdp.Pp.program_to_string p);
+    p
+  in
   let optimized =
-    Xdp.Passes.run_pipeline
-      ~observe:(fun name p ->
-        Printf.printf "--- after pass %s ---\n%s" name
-          (Xdp.Pp.program_to_string p))
-      Xdp.Passes.standard naive
+    naive
+    |> pass "elim-comm" Xdp.Elim_comm.run
+    |> pass "localize" Xdp.Localize.run
+    |> pass "simplify" Xdp.Simplify.program
   in
 
   (* 6. Execute both on the simulated machine and verify. *)

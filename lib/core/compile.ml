@@ -19,24 +19,21 @@ let rec has_xdp stmts =
 let optimize ?observe ~nprocs p =
   if has_xdp p.body then
     invalid_arg "Compile.optimize: input already contains XDP constructs";
-  let obs name q =
-    match observe with Some f -> f name q | None -> ()
+  let pass name f q =
+    let q = f q in
+    Option.iter (fun f -> f name q) observe;
+    q
   in
-  let q = Shift_halo.run ~nprocs p in
-  obs "shift-halo" q;
-  let q = Lower.run ~allow_xdp:true ~nprocs q in
-  obs "lower" q;
   let q =
-    Passes.run_pipeline ?observe
-      [
-        Passes.elim_comm;
-        Passes.localize;
-        Passes.hoist_guard;
-        Passes.fuse;
-        Passes.bind;
-        Passes.simplify;
-      ]
-      q
+    p
+    |> pass "shift-halo" (Shift_halo.run ~nprocs)
+    |> pass "lower" (Lower.run ~allow_xdp:true ~nprocs)
+    |> pass "elim-comm" Elim_comm.run
+    |> pass "localize" Localize.run
+    |> pass "hoist-guard" Hoist_guard.run
+    |> pass "fuse" Fuse.run
+    |> pass "bind" Bind.run
+    |> pass "simplify" Simplify.program
   in
   Wf.check_exn q;
   { compiled = q; balance = Match_check.check q }

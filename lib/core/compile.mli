@@ -10,8 +10,8 @@
     ({!Fuse}), send binding ({!Bind}) and simplification — then checks
     well-formedness and the send/receive balance.
 
-    Use the individual passes (see {!Passes}) when you want to observe
-    or reorder stages; this is the downstream-user entry point. *)
+    Apply the passes directly when you want to reorder stages; this is
+    the downstream-user entry point. *)
 
 open Ir
 
@@ -22,6 +22,9 @@ type result = {
 }
 
 (** [optimize ~nprocs p] — compile sequential IL (Assign/For/If/Apply
-    only). @raise Invalid_argument if [p] already contains XDP
-    constructs or fails well-formedness. *)
+    only).  [observe] (if given) is called with each pass name
+    ([shift-halo], [lower], [elim-comm], [localize], [hoist-guard],
+    [fuse], [bind], [simplify]) and its output program, in order.
+    @raise Invalid_argument if [p] already contains XDP constructs or
+    fails well-formedness. *)
 val optimize : ?observe:(string -> program -> unit) -> nprocs:int -> program -> result

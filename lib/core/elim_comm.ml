@@ -146,7 +146,7 @@ let run p =
   let body = map_stmts rewrite p.body in
   let body = splice_true body in
   (* Drop temp declarations that are no longer referenced. *)
-  let used = arrays_of_stmts body in
+  let used = arrays (effects body) in
   let decls =
     List.filter
       (fun d ->

@@ -4,7 +4,7 @@ type refusal = { reason : string }
 
 let refuse fmt = Printf.ksprintf (fun reason -> Error { reason }) fmt
 let ( let* ) = Result.bind
-let mentions v e = List.mem v (free_vars_expr e)
+let mentions v e = List.mem v (expr_effects e).scalar_reads
 
 let sel_mentions v = function
   | All -> false

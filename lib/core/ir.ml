@@ -68,49 +68,6 @@ let decl_of p name =
   | Some d -> d
   | None -> invalid_arg (Printf.sprintf "Ir.decl_of: undeclared array %s" name)
 
-let rec arrays_of_expr = function
-  | Int _ | Float _ | Bool _ | Var _ | Mypid | Nprocs -> []
-  | Elem (a, idxs) -> a :: List.concat_map arrays_of_expr idxs
-  | Bin (_, a, b) -> arrays_of_expr a @ arrays_of_expr b
-  | Un (_, e) -> arrays_of_expr e
-  | Mylb (s, _) | Myub (s, _) | Iown s | Accessible s | Await s ->
-      arrays_of_section s
-
-and arrays_of_section s =
-  s.arr
-  :: List.concat_map
-       (function
-         | All -> []
-         | At e -> arrays_of_expr e
-         | Slice (a, b, c) ->
-             arrays_of_expr a @ arrays_of_expr b @ arrays_of_expr c)
-       s.sel
-
-let rec arrays_of_stmt = function
-  | Assign (Lvar _, e) -> arrays_of_expr e
-  | Assign (Lelem (a, idxs), e) ->
-      (a :: List.concat_map arrays_of_expr idxs) @ arrays_of_expr e
-  | Guard (g, body) -> arrays_of_expr g @ arrays_of_stmts body
-  | For { lo; hi; step; body; _ } ->
-      arrays_of_expr lo @ arrays_of_expr hi @ arrays_of_expr step
-      @ arrays_of_stmts body
-  | If (c, a, b) -> arrays_of_expr c @ arrays_of_stmts a @ arrays_of_stmts b
-  | Send_value (s, d) ->
-      arrays_of_section s
-      @ (match d with
-        | Unspecified -> []
-        | Directed es -> List.concat_map arrays_of_expr es)
-  | Send_owner s | Send_owner_value s | Recv_owner s | Recv_owner_value s ->
-      arrays_of_section s
-  | Recv_value { into; from } ->
-      arrays_of_section into @ arrays_of_section from
-  | Apply { args; _ } -> List.concat_map arrays_of_section args
-
-and arrays_of_stmts stmts =
-  List.sort_uniq compare (List.concat_map arrays_of_stmt stmts)
-
-let arrays_of_expr e = List.sort_uniq compare (arrays_of_expr e)
-
 let equal_expr (a : expr) (b : expr) = a = b
 let equal_section (a : section) (b : section) = a = b
 let equal_stmt (a : stmt) (b : stmt) = a = b
@@ -211,23 +168,6 @@ let rec size stmts =
       | _ -> 1)
     0 stmts
 
-let rec free_vars_expr = function
-  | Int _ | Float _ | Bool _ | Mypid | Nprocs -> []
-  | Var x -> [ x ]
-  | Elem (_, idxs) -> List.concat_map free_vars_expr idxs
-  | Bin (_, a, b) -> free_vars_expr a @ free_vars_expr b
-  | Un (_, e) -> free_vars_expr e
-  | Mylb (s, _) | Myub (s, _) | Iown s | Accessible s | Await s ->
-      List.concat_map
-        (function
-          | All -> []
-          | At e -> free_vars_expr e
-          | Slice (a, b, c) ->
-              free_vars_expr a @ free_vars_expr b @ free_vars_expr c)
-        s.sel
-
-let free_vars_expr e = List.sort_uniq compare (free_vars_expr e)
-
 type access = {
   acc_arr : string;
   acc_sel : dim_sel list;
@@ -241,69 +181,127 @@ type effects = {
   scalar_writes : string list;
   loop_vars : string list;
   scalar_reads : string list;
+  awaits : bool;
+  tests_accessible : bool;
+  transfers : bool;
 }
 
-let effects body =
-  let accs = ref [] and writes = ref [] and binders = ref []
-  and reads = ref [] in
-  let rec stmt loops st =
-    let rec add acc_write acc_owner_op s =
-      accs :=
-        { acc_arr = s.arr; acc_sel = s.sel; acc_write; acc_owner_op;
-          acc_loops = loops }
-        :: !accs;
-      List.iter
-        (function
-          | All -> ()
-          | At e -> expr e
-          | Slice (a, b, c) -> List.iter expr [ a; b; c ])
-        s.sel
-    and expr = function
-      | Int _ | Float _ | Bool _ | Mypid | Nprocs -> ()
-      | Var x ->
-          if not (List.exists (fun fl -> fl.var = x) loops) then
-            reads := x :: !reads
-      | Elem (a, idxs) ->
-          add false false { arr = a; sel = List.map (fun e -> At e) idxs }
-      | Bin (_, a, b) ->
-          expr a;
-          expr b
-      | Un (_, e) -> expr e
-      | Mylb (s, _) | Myub (s, _) | Iown s | Accessible s | Await s ->
-          add false true s
-    in
-    match st with
-    | Assign (Lvar v, e) ->
-        writes := v :: !writes;
-        expr e
-    | Assign (Lelem (a, idxs), e) ->
-        add true false { arr = a; sel = List.map (fun e -> At e) idxs };
-        expr e
-    | Guard (g, b) ->
-        expr g;
-        List.iter (stmt loops) b
-    | For fl ->
-        List.iter expr [ fl.lo; fl.hi; fl.step ];
-        binders := fl.var :: !binders;
-        List.iter (stmt (fl :: loops)) fl.body
-    | If (c, a, b) ->
-        expr c;
-        List.iter (stmt loops) a;
-        List.iter (stmt loops) b
-    | Send_value (s, d) -> (
-        add false false s;
-        match d with Unspecified -> () | Directed es -> List.iter expr es)
-    | Send_owner s | Send_owner_value s | Recv_owner s | Recv_owner_value s ->
-        add true true s
-    | Recv_value { into; from } ->
-        add true false into;
-        add false false from
-    | Apply { args; _ } -> List.iter (add true false) args
+(* The one walk: a statement list and a lone expression are described
+   by the same accumulators.  Top-level recursion over one state
+   record, so a walk allocates only what it reports. *)
+type walker = {
+  mutable w_accs : access list;
+  mutable w_writes : string list;
+  mutable w_binders : string list;
+  mutable w_reads : string list;
+  mutable w_awaits : bool;
+  mutable w_accessible : bool;
+  mutable w_transfers : bool;
+}
+
+let rec bound x = function
+  | [] -> false
+  | fl :: rest -> String.equal fl.var x || bound x rest
+
+let rec add w loops acc_write acc_owner_op s =
+  w.w_accs <-
+    { acc_arr = s.arr; acc_sel = s.sel; acc_write; acc_owner_op;
+      acc_loops = loops }
+    :: w.w_accs;
+  sel w loops s.sel
+
+and sel w loops = function
+  | [] -> ()
+  | All :: rest -> sel w loops rest
+  | At e :: rest ->
+      expr w loops e;
+      sel w loops rest
+  | Slice (a, b, c) :: rest ->
+      expr w loops a;
+      expr w loops b;
+      expr w loops c;
+      sel w loops rest
+
+and expr w loops = function
+  | Int _ | Float _ | Bool _ | Mypid | Nprocs -> ()
+  | Var x -> if not (bound x loops) then w.w_reads <- x :: w.w_reads
+  | Elem (a, idxs) ->
+      add w loops false false { arr = a; sel = List.map (fun e -> At e) idxs }
+  | Bin (_, a, b) ->
+      expr w loops a;
+      expr w loops b
+  | Un (_, e) -> expr w loops e
+  | Mylb (s, _) | Myub (s, _) | Iown s -> add w loops false true s
+  | Accessible s ->
+      w.w_accessible <- true;
+      add w loops false true s
+  | Await s ->
+      w.w_awaits <- true;
+      add w loops false true s
+
+let rec stmt w loops = function
+  | Assign (Lvar v, e) ->
+      w.w_writes <- v :: w.w_writes;
+      expr w loops e
+  | Assign (Lelem (a, idxs), e) ->
+      add w loops true false { arr = a; sel = List.map (fun e -> At e) idxs };
+      expr w loops e
+  | Guard (g, b) ->
+      expr w loops g;
+      stmts w loops b
+  | For fl ->
+      expr w loops fl.lo;
+      expr w loops fl.hi;
+      expr w loops fl.step;
+      w.w_binders <- fl.var :: w.w_binders;
+      stmts w (fl :: loops) fl.body
+  | If (c, a, b) ->
+      expr w loops c;
+      stmts w loops a;
+      stmts w loops b
+  | Send_value (s, d) -> (
+      w.w_transfers <- true;
+      add w loops false false s;
+      match d with
+      | Unspecified -> ()
+      | Directed es -> List.iter (expr w loops) es)
+  | Send_owner s | Send_owner_value s | Recv_owner s | Recv_owner_value s ->
+      w.w_transfers <- true;
+      add w loops true true s
+  | Recv_value { into; from } ->
+      w.w_transfers <- true;
+      add w loops true false into;
+      add w loops false false from
+  | Apply { args; _ } -> List.iter (add w loops true false) args
+
+and stmts w loops = function
+  | [] -> ()
+  | s :: rest ->
+      stmt w loops s;
+      stmts w loops rest
+
+let walk f =
+  let w =
+    { w_accs = []; w_writes = []; w_binders = []; w_reads = [];
+      w_awaits = false; w_accessible = false; w_transfers = false }
   in
-  List.iter (stmt []) body;
+  f w;
+  let names = function
+    | ([] | [ _ ]) as l -> l
+    | l -> List.sort_uniq String.compare l
+  in
   {
-    accesses = List.rev !accs;
-    scalar_writes = List.sort_uniq compare !writes;
-    loop_vars = List.sort_uniq compare !binders;
-    scalar_reads = List.sort_uniq compare !reads;
+    accesses = List.rev w.w_accs;
+    scalar_writes = names w.w_writes;
+    loop_vars = names w.w_binders;
+    scalar_reads = names w.w_reads;
+    awaits = w.w_awaits;
+    tests_accessible = w.w_accessible;
+    transfers = w.w_transfers;
   }
+
+let effects body = walk (fun w -> stmts w [] body)
+let expr_effects e = walk (fun w -> expr w [] e)
+
+let arrays eff =
+  List.sort_uniq String.compare (List.map (fun a -> a.acc_arr) eff.accesses)

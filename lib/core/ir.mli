@@ -118,11 +118,6 @@ type program = {
 
 val decl_of : program -> string -> array_decl
 
-(** Arrays referenced anywhere in an expression / statement list. *)
-val arrays_of_expr : expr -> string list
-
-val arrays_of_stmts : stmt list -> string list
-
 (** Structural equality (no normalization). *)
 val equal_expr : expr -> expr -> bool
 
@@ -142,13 +137,12 @@ val map_stmts : (stmt list -> stmt list) -> stmt list -> stmt list
 (** Count of statements (for reporting). *)
 val size : stmt list -> int
 
-(** Variables with free occurrences in an expression. *)
-val free_vars_expr : expr -> string list
+(** {1 Effects of an IR fragment}
 
-(** {1 Effects of a statement list}
-
-    One walk shared by the passes that ask what a block touches
-    ({!Fuse}, {!Sink_await}, {!Hoist_guard}). *)
+    The one query over IR fragments: which sections a statement list
+    or an expression reads, writes, queries, awaits or transfers, and
+    which scalars it reads, assigns or binds.  Every pass and the
+    staged engine ask it instead of walking the tree themselves. *)
 
 type access = {
   acc_arr : string;
@@ -158,16 +152,24 @@ type access = {
           transfer *)
   acc_owner_op : bool;  (** ownership transfer or query *)
   acc_loops : for_loop list;
-      (** the loops of the walked list that enclose the access,
+      (** the loops of the walked fragment that enclose the access,
           innermost first *)
 }
 
 type effects = {
   accesses : access list;  (** in program order *)
   scalar_writes : string list;  (** assigned scalars *)
-  loop_vars : string list;  (** variables of the loops in the list *)
+  loop_vars : string list;  (** variables of the loops in the fragment *)
   scalar_reads : string list;
-      (** scalars read outside every loop of the list that binds them *)
+      (** scalars read outside every loop of the fragment that binds
+          them; for an expression, its free variables *)
+  awaits : bool;  (** evaluates [await], the one blocking query *)
+  tests_accessible : bool;  (** evaluates [accessible] *)
+  transfers : bool;  (** contains a send or receive statement *)
 }
 
 val effects : stmt list -> effects
+val expr_effects : expr -> effects
+
+(** The arrays of [accesses], sorted, without repeats. *)
+val arrays : effects -> string list

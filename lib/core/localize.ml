@@ -172,7 +172,7 @@ let collapse_stmts stmts =
           (function
             | For fl
               when Simplify.expr fl.lo = Simplify.expr fl.hi
-                   && free_vars_expr fl.lo = [] ->
+                   && (expr_effects fl.lo).scalar_reads = [] ->
                 List.map (subst_stmt fl.var (Simplify.expr fl.lo)) fl.body
             | s -> [ s ])
           stmts)

@@ -162,7 +162,7 @@ let rec lower_stmt ctx = function
   | If (c, a, b) ->
       (* The condition must be universally evaluable; array refs in
          conditions are not supported by this lowering. *)
-      if arrays_of_expr c <> [] then
+      if (expr_effects c).accesses <> [] then
         invalid_arg "Lower: array reference in if-condition unsupported";
       [ If (c, lower_stmts ctx a, lower_stmts ctx b) ]
   | Apply { fn; args } ->

@@ -111,26 +111,9 @@ let collect (p : program) =
         match guard_factor ~nprocs g with
         | `Procs n -> List.iter (stmt ~guarded:true (mul_const n ctx)) body
         | `Unknown why ->
-            if arrays_of_stmts body <> [] || body <> [] then begin
-              (* only matters if the body contains transfers *)
-              let has_transfer =
-                let found = ref false in
-                let rec scan = function
-                  | Send_value _ | Send_owner _ | Send_owner_value _
-                  | Recv_value _ | Recv_owner _ | Recv_owner_value _ ->
-                      found := true
-                  | Guard (_, b) | For { body = b; _ } -> List.iter scan b
-                  | If (_, a, b) ->
-                      List.iter scan a;
-                      List.iter scan b
-                  | _ -> ()
-                in
-                List.iter scan body;
-                !found
-              in
-              if has_transfer then unknowns := why :: !unknowns
-              else List.iter (stmt ~guarded ctx) body
-            end)
+            (* only matters if the body contains transfers *)
+            if (effects body).transfers then unknowns := why :: !unknowns
+            else List.iter (stmt ~guarded ctx) body)
     | For fl -> (
         match trip_count fl with
         | Some n -> List.iter (stmt ~guarded (mul_const n ctx)) fl.body
@@ -142,24 +125,8 @@ let collect (p : program) =
                     ctx))
               fl.body)
     | If (_, a, b) ->
-        let has_transfer body =
-          let found = ref false in
-          let rec scan = function
-            | Send_value _ | Send_owner _ | Send_owner_value _
-            | Recv_value _ | Recv_owner _ | Recv_owner_value _ ->
-                found := true
-            | Guard (_, b) | For { body = b; _ } -> List.iter scan b
-            | If (_, x, y) ->
-                List.iter scan x;
-                List.iter scan y
-            | _ -> ()
-          in
-          List.iter scan body;
-          !found
-        in
-        if has_transfer a || has_transfer b then
+        if (effects (a @ b)).transfers then
           unknowns := "transfer under data-dependent if" :: !unknowns
-        else ()
     | Send_value (s, dest) ->
         let fanout =
           match dest with

@@ -81,7 +81,7 @@ let rec stmt = function
       Assign (Lelem (a, List.map expr idxs), expr e)
   | Guard (g, body) -> (
       match expr g with
-      | Bool true -> Guard (Bool true, stmts body) (* kept; Passes drop it *)
+      | Bool true -> Guard (Bool true, stmts body) (* kept; later passes drop it *)
       | g -> Guard (g, stmts body))
   | For fl ->
       For

@@ -150,7 +150,7 @@ let exec_stmt (p : Rules.proc) t s =
       Hashtbl.replace t.env v x
   | Assign (Lelem (a, idxs), e) ->
       let idx = List.map (Evalexpr.eval_int h t.env) idxs in
-      if not (Symtab.iown p.st a (Box.point idx)) then
+      if not (Symtab.owned_element p.st a (Array.of_list idx)) then
         Rules.unowned_write p a (Box.point idx);
       let x = Value.to_float (value p t e) in
       Rules.charge p cost.time_mem;
@@ -281,8 +281,8 @@ let step_compiled pr =
                ones that follow it; each is counted and charged in
                program order.  A false guard has no effect beyond its
                clock charge, so only a delivery landing mid-run could
-               tell the difference — and it can only reach a guard
-               that reads the symbol table. *)
+               tell the difference — and, as for a fused run, it can
+               only reach a guard whose footprint it targets. *)
             let codes = c.codes in
             let rec scan (g : Precompile.guard) n =
               c.ip <- c.ip + 1;
@@ -294,7 +294,8 @@ let step_compiled pr =
               else if c.ip >= Array.length codes then n
               else
                 match Array.unsafe_get codes c.ip with
-                | Precompile.U_guard g' when g'.g_pure || p.inflight = 0 ->
+                | Precompile.U_guard g'
+                  when Rules.unobserved p g'.Precompile.g_arrays ->
                     scan g' (n + 1)
                 | _ -> n
             in
@@ -528,7 +529,6 @@ let make_procs (r : Rules.run) ~init ~free_on_release (p : program) =
         times = { clock = 0.0; busy = 0.0 };
         guard_evals = 0;
         guard_hits = 0;
-        inflight = 0;
         inflight_into = Array.make (List.length p.decls) 0;
       })
 

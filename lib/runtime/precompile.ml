@@ -87,7 +87,7 @@ and fuse = {
 and guard = {
   g_test : machine -> bool;  (** counted, charged guard evaluation *)
   g_body : units;  (** pushed when the guard holds *)
-  g_pure : bool;  (** the condition reads no symbol-table state *)
+  g_arrays : int array;  (** the condition's footprint *)
 }
 
 and loop = {
@@ -148,69 +148,15 @@ let rec ty_of tys miss e =
           | (SInt | SFloat), (SInt | SFloat) -> SFloat
           | _ -> SDyn))
 
-(* All scalar names appearing in the program or the preload, in first
-   occurrence order (stable slot numbering). *)
-let collect_vars (p : program) scalars =
-  let seen = Hashtbl.create 32 in
-  let order = ref [] in
-  let note v =
-    if not (Hashtbl.mem seen v) then begin
-      Hashtbl.add seen v ();
-      order := v :: !order
-    end
-  in
-  List.iter (fun (v, _) -> note v) scalars;
-  let rec ex = function
-    | Int _ | Float _ | Bool _ | Mypid | Nprocs -> ()
-    | Var v -> note v
-    | Elem (_, es) -> List.iter ex es
-    | Bin (_, a, b) ->
-        ex a;
-        ex b
-    | Un (_, a) -> ex a
-    | Mylb (s, _) | Myub (s, _) | Iown s | Accessible s | Await s -> sec s
-  and sec s =
-    List.iter
-      (function
-        | All -> ()
-        | At e -> ex e
-        | Slice (a, b, c) ->
-            ex a;
-            ex b;
-            ex c)
-      s.sel
-  and st = function
-    | Assign (Lvar v, e) ->
-        note v;
-        ex e
-    | Assign (Lelem (_, idxs), e) ->
-        List.iter ex idxs;
-        ex e
-    | Guard (g, body) ->
-        ex g;
-        List.iter st body
-    | For { var; lo; hi; step; body; _ } ->
-        note var;
-        ex lo;
-        ex hi;
-        ex step;
-        List.iter st body
-    | If (c, a, b) ->
-        ex c;
-        List.iter st a;
-        List.iter st b
-    | Send_value (s, d) -> (
-        sec s;
-        match d with Unspecified -> () | Directed es -> List.iter ex es)
-    | Send_owner s | Send_owner_value s | Recv_owner s | Recv_owner_value s ->
-        sec s
-    | Recv_value { into; from } ->
-        sec into;
-        sec from
-    | Apply { args; _ } -> List.iter sec args
-  in
-  List.iter st p.body;
-  List.rev !order
+(* All scalar names appearing in the preload or the program, without
+   repeats: the preload's first (stable slot numbering). *)
+let scalar_names (p : program) scalars =
+  let eff = effects p.body in
+  List.fold_left
+    (fun acc v -> if List.mem v acc then acc else acc @ [ v ])
+    []
+    (List.map fst scalars
+    @ eff.scalar_writes @ eff.loop_vars @ eff.scalar_reads)
 
 let infer_types (p : program) scalars vars =
   let tys = Hashtbl.create 32 in
@@ -287,6 +233,16 @@ type ctx = {
   mutable fs_blockers : (string * int) list; (* blocking reason -> count *)
 }
 
+(* A fragment's footprint, as {!Rules.unobserved} takes it: the
+   ascending ids of every array it reads, writes or queries, kernel
+   arguments included. *)
+let footprint ctx eff =
+  Array.of_list
+    (List.sort_uniq compare
+       (List.filter_map
+          (fun a -> Hashtbl.find_opt ctx.arr_ids a.acc_arr)
+          eff.accesses))
+
 let record_run ctx len =
   ctx.fs_units <- ctx.fs_units + 1;
   ctx.fs_run_hist <-
@@ -305,7 +261,7 @@ let ty ctx e = ty_of ctx.tys SDyn e
 let slot ctx v =
   match Hashtbl.find_opt ctx.slots v with
   | Some s -> s
-  | None -> assert false (* collect_vars saw every name *)
+  | None -> assert false (* scalar_names saw every name *)
 
 let new_site ctx rank =
   let k = ctx.nsites in
@@ -931,30 +887,7 @@ let c_float_rhs ctx e =
    fatal diagnostics, not yields, and may still end a fused run
    mid-flight. *)
 
-let rec no_await_e = function
-  | Int _ | Float _ | Bool _ | Mypid | Nprocs | Var _ -> true
-  | Await _ -> false
-  | Elem (_, es) -> List.for_all no_await_e es
-  | Bin (_, a, b) -> no_await_e a && no_await_e b
-  | Un (_, a) -> no_await_e a
-  | Mylb (s, _) | Myub (s, _) | Iown s | Accessible s -> no_await_sec s
-
-and no_await_sec s =
-  List.for_all
-    (function
-      | All -> true
-      | At e -> no_await_e e
-      | Slice (a, b, c) -> no_await_e a && no_await_e b && no_await_e c)
-    s.sel
-
-(* A table-free expression reads nothing a delivery can change: no
-   placement intrinsics, no bounds queries, no element reads.  A guard
-   over one may be evaluated early even while a receive is in flight. *)
-let rec table_free_e = function
-  | Int _ | Float _ | Bool _ | Mypid | Nprocs | Var _ -> true
-  | Elem _ | Iown _ | Accessible _ | Await _ | Mylb _ | Myub _ -> false
-  | Bin (_, a, b) -> table_free_e a && table_free_e b
-  | Un (_, a) -> table_free_e a
+let awaits e = (expr_effects e).awaits
 
 (* A fixed-cost expression charges the same static tally on every
    evaluation: no short-circuit operators (data-dependent charges), no
@@ -1062,13 +995,6 @@ type kernel = {
 
 exception Not_kernel
 
-let rec invariant v = function
-  | Int _ | Float _ | Bool _ | Mypid | Nprocs -> true
-  | Var x -> x <> v
-  | Bin (_, a, b) -> invariant v a && invariant v b
-  | Un (_, a) -> invariant v a
-  | Elem _ | Mylb _ | Myub _ | Iown _ | Accessible _ | Await _ -> false
-
 (* The float operations [cf] compiles, by operator ([kflt] admits no
    other). *)
 let[@inline] fop op x y =
@@ -1102,7 +1028,9 @@ let kcompile ctx v a idxs e =
     | Var x when x = v -> Kv 0
     | Bin (Add, Var x, Int c) when x = v -> Kv c
     | Bin (Sub, Var x, Int c) when x = v -> Kv (-c)
-    | e when invariant v e ->
+    | e
+      when let eff = expr_effects e in
+           eff.accesses = [] && not (List.mem v eff.scalar_reads) ->
         Kc (fst (quietly ctx (fun () -> (c_idx ctx e).run)))
     | _ -> raise Not_kernel
   in
@@ -1509,10 +1437,10 @@ and cstmt_k ctx (s : stmt) : sc =
               m.m_vals.(off) <- x;
               Bytes.unsafe_set m.m_bnd id '\001'
       in
-      plain (no_await_e e) "await-in-expr" run
+      plain (not (awaits e)) "await-in-expr" run
   | Assign (Lelem (a, idxs), e) ->
       plain
-        (List.for_all no_await_e (e :: idxs))
+        (not (effects [ s ]).awaits)
         "await-in-expr"
         (compile_elem_assign ctx a idxs e)
   | Guard (g, body) ->
@@ -1530,7 +1458,8 @@ and cstmt_k ctx (s : stmt) : sc =
         if b then p.Rules.guard_hits <- p.Rules.guard_hits + 1;
         b
       in
-      let scannable = no_await_e g in
+      let ge = expr_effects g in
+      let scannable = not ge.awaits in
       {
         sc_code = (fun m -> if test m then A_block bodyb.b_units else A_next);
         sc_fast =
@@ -1545,7 +1474,11 @@ and cstmt_k ctx (s : stmt) : sc =
         sc_guard =
           (if scannable then
              Some
-               { g_test = test; g_body = bodyb.b_units; g_pure = table_free_e g }
+               {
+                 g_test = test;
+                 g_body = bodyb.b_units;
+                 g_arrays = footprint ctx ge;
+               }
            else None);
       }
   | For { var; lo; hi; step; body; _ } ->
@@ -1598,7 +1531,7 @@ and cstmt_k ctx (s : stmt) : sc =
       in
       let fast =
         match (body, bodyb.b_fast) with
-        | _ when not (List.for_all no_await_e [ lo; hi; step ]) ->
+        | _ when List.exists awaits [ lo; hi; step ] ->
             Error "await-in-bounds"
         | _, Error why -> Error why
         | [ Assign (Lelem (a, idxs), e) ], Ok bf
@@ -1646,7 +1579,7 @@ and cstmt_k ctx (s : stmt) : sc =
           (fun m -> A_block (if run_cond m then ca.b_units else cbk.b_units));
         sc_fast =
           (match (ca.b_fast, cbk.b_fast) with
-          | _ when not (no_await_e c) -> Error "await-in-cond"
+          | _ when awaits c -> Error "await-in-cond"
           | Ok fa, Ok fb ->
               Ok
                 (fun m ->
@@ -1705,7 +1638,7 @@ and cstmt_k ctx (s : stmt) : sc =
           let names = List.map (fun (s : section) -> s.arr) args in
           let r = charged ctx (seq_list ctx (List.map (csec ctx) args)) in
           let sc =
-            plain (List.for_all no_await_sec args) "await-in-args" (fun m ->
+            plain (not (effects [ s ]).awaits) "await-in-args" (fun m ->
                 let boxes = r m in
                 Rules.apply m.m_p ~fn k (List.combine names boxes))
           in
@@ -1789,20 +1722,13 @@ and cblock ctx stmts : blk =
         let slow =
           Array.of_list (List.map (fun sc -> U_stmt sc.sc_code) run)
         in
-        (* the footprint: every array the statements read, write or
-           query, kernel arguments included *)
-        let arrays =
-          List.filter_map
-            (fun (a : access) -> Hashtbl.find_opt ctx.arr_ids a.acc_arr)
-            (effects stmts).accesses
-        in
         record_run ctx (Array.length fasts);
         units :=
           U_fuse
             {
               fu_fast = compose_fast fasts;
               fu_slow = slow;
-              fu_arrays = Array.of_list (List.sort_uniq compare arrays);
+              fu_arrays = footprint ctx (effects stmts);
             }
           :: !units
   in
@@ -1866,7 +1792,7 @@ let fusion_digest cp =
 let fuse_default = true
 
 let compile ~cost ~kernels ~scalars (p : program) =
-  let vars = collect_vars p scalars in
+  let vars = scalar_names p scalars in
   let tys = infer_types p scalars vars in
   let slots = Hashtbl.create 32 in
   let ni = ref 0 and nf = ref 0 and nv = ref 0 in

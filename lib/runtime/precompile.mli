@@ -119,18 +119,19 @@ and fuse = {
     other unit.  A false guard posts nothing, consumes nothing and
     emits no trace event, so evaluating it early is unobservable
     unless a delivery could change its outcome or its charge mid-run:
-    an impure guard is therefore only scanned while the processor has
-    no receive in flight, a pure one always. *)
+    a following guard is therefore scanned under the same licence as
+    a fused run, while no receive in flight targets one of its
+    [g_arrays] ({!Rules.unobserved}). *)
 and guard = {
   g_test : machine -> bool;
       (** count the evaluation, charge its static head and any
           descriptor visits, and report whether it holds (counting the
           hit) — exactly what the statement's turn does *)
   g_body : units;
-  g_pure : bool;
-      (** the condition reads no symbol-table state: only literals,
-          [mypid], [nprocs] and variables — no [iown]/[accessible]/
-          [mylb]/[myub] queries and no element reads *)
+  g_arrays : int array;
+      (** the condition's footprint, computed like [fu_arrays]: every
+          array it reads or queries; empty when it reads only
+          literals, [mypid], [nprocs] and variables *)
 }
 
 and loop = {

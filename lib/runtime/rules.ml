@@ -36,7 +36,6 @@ type proc = {
   times : times;
   mutable guard_evals : int;
   mutable guard_hits : int;
-  mutable inflight : int;
   inflight_into : int array;
 }
 
@@ -177,17 +176,15 @@ let post_recv p ~kind ~into =
   r.tokens <- r.tokens + 1;
   Hashtbl.replace r.pending r.tokens
     { p_kind = kind; p_into = into; p_arr = a };
-  p.inflight <- p.inflight + 1;
   p.inflight_into.(a) <- p.inflight_into.(a) + 1;
   r.tokens
 
-let unobserved p arrs =
-  p.inflight = 0
-  ||
-  let rec clear i =
-    i < 0 || (p.inflight_into.(arrs.(i)) = 0 && clear (i - 1))
-  in
-  clear (Array.length arrs - 1)
+(* Top-level recursion: a guard scan asks once per guard, and a local
+   closure would allocate on every call. *)
+let rec clear counts arrs i =
+  i < 0 || (counts.(arrs.(i)) = 0 && clear counts arrs (i - 1))
+
+let unobserved p arrs = clear p.inflight_into arrs (Array.length arrs - 1)
 
 let recv_owner p ~with_value ~arr ~box =
   let r = p.run in
@@ -255,7 +252,6 @@ let deliver p (d : Board.delivery) =
              (Printf.sprintf "delivery with unknown token for %s" d.name))
   in
   Hashtbl.remove r.pending d.token;
-  p.inflight <- p.inflight - 1;
   p.inflight_into.(pend.p_arr) <- p.inflight_into.(pend.p_arr) - 1;
   let arr, box = pend.p_into in
   (match pend.p_kind with

@@ -69,14 +69,12 @@ type proc = {
   times : times;
   mutable guard_evals : int;
   mutable guard_hits : int;
-  mutable inflight : int;
-      (** receives this processor has posted that are not delivered
-          yet.  While there are none, no delivery can change its
-          symbol table, which is what makes running several of its
-          statements in one scheduler turn sound. *)
   inflight_into : int array;
-      (** the same count per target array id; a delivery changes only
-          its target array's elements and descriptors *)
+      (** receives this processor has posted that are not delivered
+          yet, per target array id.  A delivery changes only its
+          target array's elements and descriptors, so a run of
+          statements whose arrays have none in flight can take one
+          scheduler turn ({!unobserved}). *)
 }
 
 val array_ids : Xdp.Ir.program -> (string, int) Hashtbl.t
@@ -98,9 +96,10 @@ val reserve_steps : run -> int -> bool
 val unobserved : proc -> int array -> bool
 (** [unobserved p arrs]: no receive [p] has in flight targets any of
     the arrays [arrs] (ids), so no delivery that lands before [p]'s
-    next statement can change what a run of statements touching only
-    those arrays reads, writes or queries.  Reads [p]'s own counts
-    only. *)
+    next statement can change what a run of statements or guards
+    touching only those arrays reads, writes or queries.  The one
+    licence for every multi-statement turn (fused runs and guard
+    scans).  Reads [p]'s own counts only. *)
 
 val charge : proc -> float -> unit
 (** Advance the clock and the busy time by a cost. *)

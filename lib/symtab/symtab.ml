@@ -568,14 +568,11 @@ let set t name idx v =
    unowned overlaps), so the first live segment containing the index
    is the only one. *)
 
-let rec owned_in t idx = function
+let rec owned_in idx = function
   | [] -> false
   | s :: rest ->
-      if s.status = State.Unowned then owned_in t idx rest
-      else begin
-        t.visits <- t.visits + 1;
-        Box.mem_arr idx s.seg_box || owned_in t idx rest
-      end
+      (s.status <> State.Unowned && Box.mem_arr idx s.seg_box)
+      || owned_in idx rest
 
 (* Equivalent to [iown t name (Box.point idx)] for a single element
    (disjointness makes covered-by degenerate to exists); raises the
@@ -583,7 +580,7 @@ let rec owned_in t idx = function
    the list-path diagnostics. *)
 let owned_element t name idx =
   if Array.length idx = 0 then invalid_arg "Box.make: rank 0";
-  owned_in t idx (entry t name).live
+  owned_in idx (entry t name).live
 
 (* First segment with storage containing [idx] — the cacheable result
    of a [get_a]/[set_a] lookup; [None] when the element has no backing

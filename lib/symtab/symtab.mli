@@ -151,7 +151,8 @@ val set_a : t -> string -> int array -> float -> unit
 
 (** [owned_element t name idx] — is the single element [idx] owned
     (accessible or transitional)?  Equivalent to
-    [iown t name (Box.point idx)] without building the point box. *)
+    [iown t name (Box.point idx)] without building the point box, and
+    counts no {!descriptor_visits}. *)
 val owned_element : t -> string -> int array -> bool
 
 (** [elem_seg t name idx] — the segment whose storage backs element
@@ -203,9 +204,12 @@ val allocated_elements : t -> int
 
 val peak_elements : t -> int
 
-(** Number of segment-descriptor visits performed by intrinsic
-    queries so far (the cost the paper says "more efficient algorithms
-    could be developed" for; measured in micro-benchmarks). *)
+(** Number of segment-descriptor visits performed by covering queries
+    so far (the cost the paper says "more efficient algorithms could
+    be developed" for; measured in micro-benchmarks).  Only table
+    work counts: {!owned_element}, the per-element check both engines
+    make on array reads and writes, visits nothing here, so the count
+    is the same on either engine. *)
 val descriptor_visits : t -> int
 
 val note_visits : t -> int -> unit

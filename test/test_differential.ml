@@ -732,15 +732,18 @@ let test_guard_scans_happen () =
   Alcotest.(check bool) "some turns scanned several guards" true (scans > 0);
   List.iter (fun c -> Alcotest.(check bool) "agree" true (check_scfg c)) cases
 
-(* ---- run-ahead (DESIGN.md §4d): a fused run executes in one turn
-   while receives are in flight, provided none targets an array it
-   touches.  Generated programs post value receives into T (B -> T)
-   and ownership receives of single-element segments of O, run fused
-   loops that read or write A, B, T or O, and await.  A loop over T or
-   O races the receives into it: its outcome depends on whether a
-   delivery landed mid-loop.  The compiled engine and the interpreter
-   must agree on arrays, the stats record, the full trace and any
-   diagnostic text. *)
+(* ---- run-ahead (DESIGN.md §4d): a fused run or a guard scan
+   executes in one turn while receives are in flight, provided none
+   targets an array it touches.  Generated programs post value
+   receives into T (B -> T) and ownership receives of single-element
+   segments of O, run fused loops that read or write A, B, T or O,
+   scan runs of guards whose conditions query ([iown], with its
+   charged descriptor visits) or read elements of A, B, T or O, and
+   await.  A loop or a guard over T or O races the receives into it:
+   its outcome or its charge depends on whether a delivery landed
+   first.  The compiled engine and the interpreter must agree on
+   arrays, the stats record, the full trace and any diagnostic
+   text. *)
 
 type rtarget = R_A | R_B | R_T | R_O
 
@@ -750,6 +753,9 @@ type ritem =
   | Post_owner of { j : int; src : int; dst : int }
       (** ownership and value of O[j] move from [src] to [dst] *)
   | Run of { target : rtarget; trips : int; write : bool }
+  | Scan of { target : rtarget; guards : int }
+      (** guards over [target] whose bodies await, so they have no
+          fused form and a turn scans them *)
   | Await of rtarget
 
 type racfg = {
@@ -784,6 +790,9 @@ let gen_racfg =
             and* trips = int_range 1 60
             and* write = bool in
             return (Run { target; trips; write }) );
+          ( 2,
+            let* target = target and* guards = int_range 1 6 in
+            return (Scan { target; guards }) );
           (1, map (fun t -> Await t) target);
         ]
     in
@@ -839,6 +848,16 @@ let run_ahead_program c =
           if target = R_O then accessible (sec a [ at k ]) @: [ body ] else body
         in
         [ loop "j" (i 1) (i trips) [ body ] ]
+    | Scan { target; guards } ->
+        (* an [iown] query that never holds, and an element read that
+           holds once the element exceeds 500 (B always, T once
+           delivered, some of O) *)
+        let a, k = mine target in
+        List.init guards (fun g ->
+            (if g mod 2 = 0 then
+               iown (sec a [ at k ]) &&: (mypid =: nprocs +: i 1)
+             else elem a [ k ] >: f 500.0)
+            @: [ await (sec a [ at k ]) @: [] ])
     | Await t -> awaits t
   in
   program ~name:"run-ahead"

@@ -49,7 +49,7 @@ let test_aligned_eliminated () =
   Alcotest.(check int) "temp decls dropped" 2 (List.length p.decls);
   (* direct reference restored *)
   Alcotest.(check bool) "reads B directly" true
-    (List.mem "B" (arrays_of_stmts p.body))
+    (List.mem "B" (arrays (effects p.body)))
 
 let test_misaligned_kept () =
   let p =

@@ -339,6 +339,74 @@ let test_delivery_mid_scan () =
   Alcotest.(check bool) "fused run scanned" true
     ((List.assoc "fused" runs).fusion.fused_turns > 0)
 
+(* Guard scans and fused runs share one licence: a guard may run ahead
+   while no receive in flight targets an array its condition reads.
+   P1 sends B[1]; P2 posts a value receive into A[5], then walks 600
+   impure guards over B ([iown] queries and element reads, each false
+   on P2) whose charges carry its clock past the delivery's arrival,
+   then meets [accessible(A[5])].  The guards over B are scanned with
+   the receive pending; the guard over A is not, so it sees the
+   delivered value as in the reference.  The second variant ends in a
+   misuse, whose diagnostic (clock included) must match too. *)
+let test_impure_scan_past_pending_receive () =
+  let block name =
+    decl ~name ~shape:[ 8 ] ~dist:[ Xdp_dist.Dist.Block ] ~grid:(grid 2)
+      ~seg_shape:[ 4 ] ()
+  in
+  let decls = [ block "A"; block "B"; List.nth (decls 2) 1 ] in
+  let a5 = sec "A" [ at (i 5) ] in
+  let over_b k =
+    let cond =
+      if k mod 2 = 0 then iown (sec "B" [ at (i 5) ]) &&: (mypid =: i 3)
+      else elem "B" [ i 6 ] =: f (-1.0)
+    in
+    cond @: [ send (sec "B" [ at (i 1) ]) ]
+  in
+  let race last =
+    program ~name:"exec-test" ~decls
+      ([
+         iown (sec "B" [ at (i 1) ]) @: [ send (sec "B" [ at (i 1) ]) ];
+         (mypid =: i 2) @: [ recv ~into:a5 ~from:(sec "B" [ at (i 1) ]) ];
+       ]
+      @ List.init 600 over_b
+      @ [ (accessible a5 &&: (mypid =: i 2)) @: last ])
+  in
+  let init name idx =
+    if name = "B" && idx = [ 1 ] then 41.0 else float_of_int (List.hd idx)
+  in
+  let runs p =
+    List.map
+      (fun (name, engine) -> (name, run_config ~init ~nprocs:2 engine p))
+      configs
+  in
+  let ok =
+    runs
+      (race
+         [ set "T" [ mypid ] (elem "A" [ i 5 ] +: f 1.0);
+           send (sec "T" [ at mypid ]) ])
+  in
+  let ref_ = agree "impure scan" ok in
+  List.iter
+    (fun (name, (r : Exec.result)) ->
+      Alcotest.(check bool) (name ^ ": B agrees") true
+        (Xdp_util.Tensor.equal ~eps:0.0 (Exec.array r "B")
+           (Exec.array ref_ "B")))
+    ok;
+  Alcotest.(check (float 0.0)) "the delivery landed before the guard" 42.0
+    (Xdp_util.Tensor.get (Exec.array ref_ "T") [ 2 ]);
+  Alcotest.(check bool) "both processors scanned the guards over B" true
+    ((List.assoc "fused" ok).fusion.fused_statements >= 2 * 600);
+  let outcome (_, engine) =
+    match
+      run_config ~init ~nprocs:2 engine
+        (race [ set "A" [ i 1 ] (elem "A" [ i 5 ]) ])
+    with
+    | _ -> "no abort"
+    | exception Exec.Xdp_misuse m -> m
+  in
+  Alcotest.(check string) "diagnostic" (outcome ("interp", `Interp))
+    (outcome ("fused", `Compiled))
+
 (* The same race for fused runs.  P2 posts a value receive into T[2],
    then runs a 2000-iteration loop whose cost carries its clock past
    the delivery's arrival.  A loop over A alone cannot observe the
@@ -416,6 +484,52 @@ let test_overlap_run_ahead_tripwire () =
        0.95)"
       fused total
       (float_of_int fused /. float_of_int total)
+
+(* [Symtab.descriptor_visits] counts table work only, which both
+   engines do alike: per processor, the counts agree on every batch
+   app and stage (redist and dlstack over their strategy and placement
+   axes too).  Element-ownership checks, which the engines make
+   differently, count nothing. *)
+let test_visits_engine_independent () =
+  let module W = Xdp_batch.Workload in
+  let base = Xdp_batch.Manifest.default_spec in
+  let specs =
+    List.concat_map
+      (fun app ->
+        List.concat_map
+          (fun stage ->
+            let s = { base with app; stage } in
+            match app with
+            | "fft3d" -> [ { s with n = 4 } ]
+            | "farm" -> [ { s with n = 8 } ]
+            | "redist" ->
+                List.map
+                  (fun redist -> { s with procs = 8; redist })
+                  [ "naive"; "collectives" ]
+            | "dlstack" ->
+                List.map
+                  (fun placement ->
+                    { s with n = 32; dim = 8; layers = 3; placement })
+                  [ "naive"; "hand"; "search" ]
+            | _ -> [ s ])
+          (W.stages_of app))
+      W.known_apps
+  in
+  List.iter
+    (fun spec ->
+      let spec = Result.get_ok (W.check_spec spec) in
+      let w = W.build spec in
+      let visits engine =
+        let r =
+          Exec.run ~engine ~init:w.init ~nic:w.nic
+            ~redist_stages:w.redist_stages ~nprocs:spec.procs w.prog
+        in
+        Array.to_list (Array.map Xdp_symtab.Symtab.descriptor_visits r.symtabs)
+      in
+      Alcotest.(check (list int))
+        (Xdp_batch.Manifest.label_of_spec spec)
+        (visits `Interp) (visits `Compiled))
+    specs
 
 let test_trace_events_recorded () =
   let p =
@@ -524,7 +638,6 @@ let tripwire_proc ~max_steps st =
     times = { clock = 0.0; busy = 0.0 };
     guard_evals = 0;
     guard_hits = 0;
-    inflight = 0;
     inflight_into = [||];
   }
 
@@ -726,6 +839,8 @@ let () =
           Alcotest.test_case "nprocs mismatch" `Quick
             test_layout_procs_mismatch;
           Alcotest.test_case "step budget" `Quick test_step_budget;
+          Alcotest.test_case "descriptor visits equal across engines" `Quick
+            test_visits_engine_independent;
           Alcotest.test_case "trace recorded" `Quick
             test_trace_events_recorded;
           Alcotest.test_case "compiled heap <= 2x interp (redist P=32)" `Quick
@@ -734,6 +849,8 @@ let () =
             test_delivery_mid_scan;
           Alcotest.test_case "delivery lands mid-fused-run" `Quick
             test_delivery_mid_fused_run;
+          Alcotest.test_case "impure guards scan past a pending receive"
+            `Quick test_impure_scan_past_pending_receive;
           Alcotest.test_case "guard scans >= 0.8 of statements (redist P=32)"
             `Quick test_guard_scan_tripwire;
           Alcotest.test_case

@@ -8,41 +8,26 @@ let check_golden name expected actual =
     Alcotest.failf "%s:\n--- expected ---\n%s\n--- got ---\n%s" name expected
       actual
 
-(* §2.2, first listing: the straightforward owner-computes translation. *)
-let test_ex22_naive () =
-  let p =
-    Xdp_apps.Vecadd.build ~n:8 ~nprocs:4 ~stage:Xdp_apps.Vecadd.Naive ()
-  in
-  check_golden "§2.2 naive"
-    {|do i = 1, 8
+(* The listings our passes must print, pinned verbatim.  The paper
+   bench reports each one's MD5 as a BENCH_paper.json row
+   ([listing_md5], labelled as in [pinned]); the last test below checks
+   the committed file against these texts. *)
+let ex22_naive =
+  {|do i = 1, 8
   iown(B[i]) : { B[i] -> }
   iown(A[i]) : {
     __T1[mypid] <- B[i]
     await(__T1[mypid]) : { A[i] = (A[i] + __T1[mypid]) }
   }
 enddo|}
-    (Xdp.Pp.stmts_to_string p.body)
 
-(* §2.2, optimized: transfers eliminated, loop bounds adjusted so each
-   reference is local, ownership test eliminated. *)
-let test_ex22_optimized () =
-  let p =
-    Xdp_apps.Vecadd.build ~n:8 ~nprocs:4 ~stage:Xdp_apps.Vecadd.Localized ()
-  in
-  check_golden "§2.2 optimized"
-    {|do i = (((mypid - 1) * 2) + 1), (mypid * 2)
+let ex22_optimized =
+  {|do i = (((mypid - 1) * 2) + 1), (mypid * 2)
   A[i] = (A[i] + B[i])
 enddo|}
-    (Xdp.Pp.stmts_to_string p.body)
 
-(* §4, first listing: baseline FFT with guarded loops and the
-   redistribution via ownership transfer. *)
-let test_ex4_baseline () =
-  let p =
-    Xdp_apps.Fft3d.build ~n:4 ~nprocs:4 ~stage:Xdp_apps.Fft3d.Baseline ()
-  in
-  check_golden "§4 baseline"
-    {|do k = 1, 4
+let ex4_baseline =
+  {|do k = 1, 4
   iown(A[*,*,k]) : {
     do i = 1, 4
       fft1D(A[i,*,k])
@@ -75,15 +60,9 @@ do j = 1, 4
     enddo
   }
 enddo|}
-    (Xdp.Pp.stmts_to_string p.body)
 
-(* §4, second listing: after compute-rule elimination and collapse. *)
-let test_ex4_localized () =
-  let p =
-    Xdp_apps.Fft3d.build ~n:4 ~nprocs:4 ~stage:Xdp_apps.Fft3d.Localized ()
-  in
-  check_golden "§4 localized"
-    {|do i = 1, 4
+let ex4_localized =
+  {|do i = 1, 4
   fft1D(A[i,*,mypid])
 enddo
 do j = 1, 4
@@ -100,16 +79,9 @@ await(A[*,mypid,*]) : {
     fft1D(A[i,mypid,*])
   enddo
 }|}
-    (Xdp.Pp.stmts_to_string p.body)
 
-(* §4, third listing: loop fusion pipelines the ownership sends and
-   the await is sunk into the final loop. *)
-let test_ex4_pipelined () =
-  let p =
-    Xdp_apps.Fft3d.build ~n:4 ~nprocs:4 ~stage:Xdp_apps.Fft3d.Pipelined ()
-  in
-  check_golden "§4 pipelined"
-    {|do i = 1, 4
+let ex4_pipelined =
+  {|do i = 1, 4
   fft1D(A[i,*,mypid])
 enddo
 do j = 1, 4
@@ -122,18 +94,9 @@ enddo
 do i = 1, 4
   await(A[i,mypid,*]) : { fft1D(A[i,mypid,*]) }
 enddo|}
-    (Xdp.Pp.stmts_to_string p.body)
 
-(* The §4 stages at two planes per processor and two-row segments:
-   the dim-1 FFT nest is interchanged so each column is sent as soon
-   as its planes are transformed. *)
-let test_ex4_fused_blocks () =
-  let p =
-    Xdp_apps.Fft3d.build ~n:8 ~nprocs:4 ~seg_rows:2
-      ~stage:Xdp_apps.Fft3d.Fused ()
-  in
-  check_golden "§4 fused n=8 P=4 seg_rows=2"
-    {|do k = (((mypid - 1) * 2) + 1), (mypid * 2)
+let ex4_fused_blocks =
+  {|do k = (((mypid - 1) * 2) + 1), (mypid * 2)
   do i = 1, 8
     fft1D(A[i,*,k])
   enddo
@@ -160,15 +123,9 @@ do j = (((mypid - 1) * 2) + 1), (mypid * 2)
     enddo
   }
 enddo|}
-    (Xdp.Pp.stmts_to_string p.body)
 
-let test_ex4_pipelined_blocks () =
-  let p =
-    Xdp_apps.Fft3d.build ~n:8 ~nprocs:4 ~seg_rows:2
-      ~stage:Xdp_apps.Fft3d.Pipelined ()
-  in
-  check_golden "§4 pipelined n=8 P=4 seg_rows=2"
-    {|do k = (((mypid - 1) * 2) + 1), (mypid * 2)
+let ex4_pipelined_blocks =
+  {|do k = (((mypid - 1) * 2) + 1), (mypid * 2)
   do i = 1, 8
     fft1D(A[i,*,k])
   enddo
@@ -193,6 +150,78 @@ do j = (((mypid - 1) * 2) + 1), (mypid * 2)
     await(A[i,j,*]) : { fft1D(A[i,j,*]) }
   enddo
 enddo|}
+
+let pinned =
+  [
+    ("EX22 naive", ex22_naive);
+    ("EX22 optimized", ex22_optimized);
+    ("EX4 baseline", ex4_baseline);
+    ("EX4 localized", ex4_localized);
+    ("EX4 pipelined", ex4_pipelined);
+    ("EX4 fused n=8 seg_rows=2", ex4_fused_blocks);
+    ("EX4 pipelined n=8 seg_rows=2", ex4_pipelined_blocks);
+  ]
+
+(* §2.2, first listing: the straightforward owner-computes translation. *)
+let test_ex22_naive () =
+  let p =
+    Xdp_apps.Vecadd.build ~n:8 ~nprocs:4 ~stage:Xdp_apps.Vecadd.Naive ()
+  in
+  check_golden "§2.2 naive" ex22_naive
+    (Xdp.Pp.stmts_to_string p.body)
+
+(* §2.2, optimized: transfers eliminated, loop bounds adjusted so each
+   reference is local, ownership test eliminated. *)
+let test_ex22_optimized () =
+  let p =
+    Xdp_apps.Vecadd.build ~n:8 ~nprocs:4 ~stage:Xdp_apps.Vecadd.Localized ()
+  in
+  check_golden "§2.2 optimized" ex22_optimized
+    (Xdp.Pp.stmts_to_string p.body)
+
+(* §4, first listing: baseline FFT with guarded loops and the
+   redistribution via ownership transfer. *)
+let test_ex4_baseline () =
+  let p =
+    Xdp_apps.Fft3d.build ~n:4 ~nprocs:4 ~stage:Xdp_apps.Fft3d.Baseline ()
+  in
+  check_golden "§4 baseline" ex4_baseline
+    (Xdp.Pp.stmts_to_string p.body)
+
+(* §4, second listing: after compute-rule elimination and collapse. *)
+let test_ex4_localized () =
+  let p =
+    Xdp_apps.Fft3d.build ~n:4 ~nprocs:4 ~stage:Xdp_apps.Fft3d.Localized ()
+  in
+  check_golden "§4 localized" ex4_localized
+    (Xdp.Pp.stmts_to_string p.body)
+
+(* §4, third listing: loop fusion pipelines the ownership sends and
+   the await is sunk into the final loop. *)
+let test_ex4_pipelined () =
+  let p =
+    Xdp_apps.Fft3d.build ~n:4 ~nprocs:4 ~stage:Xdp_apps.Fft3d.Pipelined ()
+  in
+  check_golden "§4 pipelined" ex4_pipelined
+    (Xdp.Pp.stmts_to_string p.body)
+
+(* The §4 stages at two planes per processor and two-row segments:
+   the dim-1 FFT nest is interchanged so each column is sent as soon
+   as its planes are transformed. *)
+let test_ex4_fused_blocks () =
+  let p =
+    Xdp_apps.Fft3d.build ~n:8 ~nprocs:4 ~seg_rows:2
+      ~stage:Xdp_apps.Fft3d.Fused ()
+  in
+  check_golden "§4 fused n=8 P=4 seg_rows=2" ex4_fused_blocks
+    (Xdp.Pp.stmts_to_string p.body)
+
+let test_ex4_pipelined_blocks () =
+  let p =
+    Xdp_apps.Fft3d.build ~n:8 ~nprocs:4 ~seg_rows:2
+      ~stage:Xdp_apps.Fft3d.Pipelined ()
+  in
+  check_golden "§4 pipelined n=8 P=4 seg_rows=2" ex4_pipelined_blocks
     (Xdp.Pp.stmts_to_string p.body)
 
 (* The ownership-migration alternative of §2.2: moving each A[i] to
@@ -509,6 +538,38 @@ let test_redist_schedule_digest () =
   Alcotest.(check bool) "naive over budget" true
     (info.Xdp.Plan_redist.naive_peak > 400)
 
+(* The committed BENCH_paper.json's EX22/EX4 rows report the MD5s of
+   exactly the texts pinned above, so the paper bench's [identical]
+   column for them means "matches test_golden.ml". *)
+let test_bench_rows_match_pins () =
+  let module J = Xdp_util.Jsonw in
+  let rows =
+    match
+      Xdp_batch.Json.parse
+        (In_channel.with_open_bin "../BENCH_paper.json" In_channel.input_all)
+    with
+    | J.Obj fields -> (
+        match List.assoc "rows" fields with J.Arr rows -> rows | _ -> [])
+    | _ -> []
+  in
+  let field k = function
+    | J.Obj fields -> List.assoc_opt k fields
+    | _ -> None
+  in
+  List.iter
+    (fun (label, text) ->
+      match
+        List.find_opt (fun r -> field "label" r = Some (J.Str label)) rows
+      with
+      | None -> Alcotest.failf "BENCH_paper.json has no row %S" label
+      | Some r ->
+          Alcotest.(check (option string)) label
+            (Some (Digest.to_hex (Digest.string (String.trim text))))
+            (match field "listing_md5" r with
+            | Some (J.Str d) -> Some d
+            | _ -> None))
+    pinned
+
 let () =
   Alcotest.run "golden"
     [
@@ -546,5 +607,7 @@ let () =
             test_ex4_fused_blocks;
           Alcotest.test_case "§4 pipelined, n=8 P=4 seg_rows=2" `Quick
             test_ex4_pipelined_blocks;
+          Alcotest.test_case "BENCH_paper.json listing rows match the pins"
+            `Quick test_bench_rows_match_pins;
         ] );
     ]

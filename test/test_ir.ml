@@ -48,16 +48,18 @@ let test_subst_section_and_transfers () =
   | Send_owner_value s2 -> Alcotest.(check bool) "stmt subst" true (equal_section s2 s')
   | _ -> Alcotest.fail "expected send"
 
-let test_free_vars () =
+(* An expression's [scalar_reads] are its free variables. *)
+let test_effects_free_vars () =
+  let reads e = (expr_effects e).scalar_reads in
   Alcotest.(check (list string)) "collects and sorts"
     [ "i"; "j" ]
-    (free_vars_expr (elem "A" [ iv ] +: (var "j" *: iv)));
+    (reads (elem "A" [ iv ] +: (var "j" *: iv)));
   Alcotest.(check (list string)) "mypid is not a var" []
-    (free_vars_expr (mypid +: nprocs));
+    (reads (mypid +: nprocs));
   Alcotest.(check (list string)) "section exprs" [ "k" ]
-    (free_vars_expr (iown (sec "B" [ at (var "k"); all ])))
+    (reads (iown (sec "B" [ at (var "k"); all ])))
 
-let test_arrays_of () =
+let test_effects_arrays () =
   let stmts =
     [
       set "A" [ iv ] (elem "B" [ iv ] +: elem "C" [ i 1 ]);
@@ -66,7 +68,33 @@ let test_arrays_of () =
   in
   Alcotest.(check (list string)) "all arrays"
     [ "A"; "B"; "C"; "D" ]
-    (arrays_of_stmts stmts)
+    (arrays (effects stmts));
+  Alcotest.(check (list string)) "arrays in subscripts" [ "A"; "B" ]
+    (arrays (expr_effects (elem "A" [ elem "B" [ iv ] ])))
+
+(* The three facts that are not accesses: await, accessible and
+   transfers, each found however deep it sits. *)
+let test_effects_facts () =
+  let e = expr_effects and facts (f : effects) =
+    [ f.awaits; f.tests_accessible; f.transfers ]
+  in
+  let check name want f = Alcotest.(check (list bool)) name want (facts f) in
+  check "iown is none of them" [ false; false; false ]
+    (e (iown (sec "A" [ all ])));
+  check "await" [ true; false; false ]
+    (e (enot (await (sec "A" [ at iv ]))));
+  check "accessible" [ false; true; false ]
+    (e (iown (sec "A" [ all ]) &&: accessible (sec "B" [ all ])));
+  check "a nested send" [ false; false; true ]
+    (effects
+       [
+         loop "i" (i 1) (i 2)
+           [ iown (sec "A" [ at iv ]) @: [ send (sec "A" [ at iv ]) ] ];
+       ]);
+  check "a guard's await" [ true; false; false ]
+    (effects [ await (sec "A" [ all ]) @: [ setv "x" (i 1) ] ]);
+  check "a kernel is no transfer" [ false; false; false ]
+    (effects [ apply "fft1D" [ sec "A" [ at iv; all ] ] ])
 
 let test_map_stmts_bottom_up () =
   (* rewrite drops every send; must reach nested blocks *)
@@ -137,8 +165,9 @@ let () =
           Alcotest.test_case "subst shadowing" `Quick test_subst_shadowing;
           Alcotest.test_case "subst sections" `Quick
             test_subst_section_and_transfers;
-          Alcotest.test_case "free vars" `Quick test_free_vars;
-          Alcotest.test_case "arrays_of" `Quick test_arrays_of;
+          Alcotest.test_case "effects free vars" `Quick test_effects_free_vars;
+          Alcotest.test_case "effects arrays" `Quick test_effects_arrays;
+          Alcotest.test_case "effects facts" `Quick test_effects_facts;
           Alcotest.test_case "map_stmts" `Quick test_map_stmts_bottom_up;
           Alcotest.test_case "size" `Quick test_size;
           Alcotest.test_case "decl_of" `Quick test_decl_of;
