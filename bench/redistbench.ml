@@ -10,9 +10,14 @@
    (shape, window, stages) and its static estimate, and checks final
    tensors bit-identical to the reference contents.
 
-   Execution is bounded: an all-to-all lowers to O(P^2) statements and
-   every processor walks all of them, so executed time grows as P^3.
-   Past [exec_limit] the sweep therefore
+   Execution is bounded by memory: an all-to-all lowers to O(P^2)
+   statements, staged once and walked by every processor.  The naive
+   side's walk is cheap — a processor settles the guards that cannot
+   hold on it from its run's dispatch table (DESIGN.md §4d) with a few
+   clock adds each — but its program and the processors' symbol tables
+   grow as P^2: at P = 512 the naive run peaks near 1.2 GB, and
+   P = 1024 would need about four times that.  Past [exec_limit] the
+   sweep therefore
    reports the exact analytic naive bound (Collective.naive_peak:
    every processor posts its whole outgoing volume before anything
    drains) and the planner's certified estimate (est_peak,
@@ -39,7 +44,7 @@ module Costmodel = Xdp_sim.Costmodel
 module J = Xdp_util.Jsonw
 
 let m = 2
-let exec_limit = 256 (* largest P where runs are executed (see above) *)
+let exec_limit = 512 (* largest P where runs are executed (see above) *)
 
 let cost = Costmodel.message_passing
 

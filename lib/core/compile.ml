@@ -5,16 +5,9 @@ type result = { compiled : program; balance : Match_check.verdict }
 (* The driver's input must be plain sequential IL: the permissive
    lowering below exists only so Shift_halo's own output passes
    through. *)
-let rec has_xdp stmts =
-  List.exists
-    (function
-      | Guard _ | Send_value _ | Send_owner _ | Send_owner_value _
-      | Recv_value _ | Recv_owner _ | Recv_owner_value _ ->
-          true
-      | For { body; _ } -> has_xdp body
-      | If (_, a, b) -> has_xdp a || has_xdp b
-      | Assign _ | Apply _ -> false)
-    stmts
+let has_xdp stmts =
+  let e = effects stmts in
+  e.guards || e.transfers
 
 let optimize ?observe ~nprocs p =
   if has_xdp p.body then

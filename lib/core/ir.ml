@@ -184,6 +184,7 @@ type effects = {
   awaits : bool;
   tests_accessible : bool;
   transfers : bool;
+  guards : bool;
 }
 
 (* The one walk: a statement list and a lone expression are described
@@ -197,6 +198,7 @@ type walker = {
   mutable w_awaits : bool;
   mutable w_accessible : bool;
   mutable w_transfers : bool;
+  mutable w_guards : bool;
 }
 
 let rec bound x = function
@@ -247,6 +249,7 @@ let rec stmt w loops = function
       add w loops true false { arr = a; sel = List.map (fun e -> At e) idxs };
       expr w loops e
   | Guard (g, b) ->
+      w.w_guards <- true;
       expr w loops g;
       stmts w loops b
   | For fl ->
@@ -283,7 +286,8 @@ and stmts w loops = function
 let walk f =
   let w =
     { w_accs = []; w_writes = []; w_binders = []; w_reads = [];
-      w_awaits = false; w_accessible = false; w_transfers = false }
+      w_awaits = false; w_accessible = false; w_transfers = false;
+      w_guards = false }
   in
   f w;
   let names = function
@@ -298,6 +302,7 @@ let walk f =
     awaits = w.w_awaits;
     tests_accessible = w.w_accessible;
     transfers = w.w_transfers;
+    guards = w.w_guards;
   }
 
 let effects body = walk (fun w -> stmts w [] body)

@@ -166,6 +166,7 @@ type effects = {
   awaits : bool;  (** evaluates [await], the one blocking query *)
   tests_accessible : bool;  (** evaluates [accessible] *)
   transfers : bool;  (** contains a send or receive statement *)
+  guards : bool;  (** contains a compute rule ([Guard]) *)
 }
 
 val effects : stmt list -> effects

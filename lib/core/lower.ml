@@ -25,23 +25,16 @@ let fresh_temp ctx =
 (* Element references in [e] other than an exact reference to the
    assignment target itself. *)
 let remote_refs ~target e =
-  let refs = ref [] in
-  let rec go = function
-    | Int _ | Float _ | Bool _ | Var _ | Mypid | Nprocs -> ()
-    | Elem (a, idxs) ->
-        let r = (a, idxs) in
-        if Some r <> target && not (List.mem r !refs) then
-          refs := r :: !refs;
-        List.iter go idxs
-    | Bin (_, x, y) ->
-        go x;
-        go y
-    | Un (_, x) -> go x
-    | Mylb _ | Myub _ | Iown _ | Accessible _ | Await _ ->
-        invalid_arg "Lower: XDP intrinsic in sequential input"
-  in
-  go e;
-  List.rev !refs
+  List.fold_left
+    (fun refs a ->
+      if a.acc_owner_op then
+        invalid_arg "Lower: XDP intrinsic in sequential input";
+      let r =
+        (a.acc_arr, List.map (function At x -> x | _ -> assert false) a.acc_sel)
+      in
+      if Some r <> target && not (List.mem r refs) then r :: refs else refs)
+    [] (expr_effects e).accesses
+  |> List.rev
 
 let lower_assign ctx lhs rhs =
   match lhs with

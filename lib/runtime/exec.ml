@@ -47,7 +47,11 @@ let default_engine : engine =
 
 (* Superinstruction accounting, kept out of {!Trace.stats} so the
    engine-parity checks can keep comparing whole stats records. *)
-type fusion = { fused_turns : int; fused_statements : int }
+type fusion = {
+  fused_turns : int;
+  fused_statements : int;
+  settled_guards : int;
+}
 
 type result = {
   arrays : (string * Tensor.t) list;
@@ -245,7 +249,63 @@ type comp = {
   mutable frames : cframe list;
   mutable turns : int; (* scheduler turns that ran several statements *)
   mutable covered : int; (* the statements those turns ran *)
+  mutable settled : int; (* guards settled without evaluating them *)
 }
+
+(* The licence of the guard at [codes.(i)]: no receive in flight
+   targets its footprint. *)
+let guard_unobserved p codes i =
+  match Array.unsafe_get codes i with
+  | Precompile.U_guard g -> Rules.unobserved p g.Precompile.g_arrays
+  | _ -> assert false
+
+(* The first run position in [j, stop) whose guard the licence
+   refuses, else [stop]. *)
+let rec licensed p codes base j stop =
+  if j >= stop then stop
+  else if guard_unobserved p codes (base + j) then
+    licensed p codes base (j + 1) stop
+  else j
+
+(* The step budget runs out among guards [a, b): evaluate them one by
+   one, so it stops the scan at the interpreter's statement. *)
+let rec evaluate k p codes base a b =
+  if a < b then begin
+    Rules.count_step p.Rules.run;
+    (match codes.(base + a) with
+    | Precompile.U_guard g -> ignore (g.Precompile.g_test k.m : bool)
+    | _ -> assert false);
+    evaluate k p codes base (a + 1) b
+  end
+
+(* A guard scan over a run with a dispatch table ({!Guardrun}), from
+   run position [pos]: settle the false guards before the processor's
+   next candidate, evaluate that candidate, and go on until a guard
+   holds, the run ends or the licence refuses a guard after the turn's
+   [first].  These are exactly the guards, and the stopping point, of
+   a scan that evaluates every guard.  Returns the position after the
+   last guard covered, negated when that guard held.  Top-level
+   recursion over plain arguments, so a scan allocates nothing but a
+   candidate rebuild. *)
+let rec scan_run k p codes tab cur base first pos =
+  let nc = Guardrun.next tab cur p.Rules.st pos in
+  let e = licensed p codes base (if pos > first then pos else first + 1) nc in
+  if e > pos then
+    if Rules.reserve_steps p.run (e - pos) then begin
+      Guardrun.settle tab cur p pos e;
+      k.settled <- k.settled + (e - pos)
+    end
+    else evaluate k p codes base pos e;
+  if e < nc || nc >= Guardrun.length tab then e
+  else if nc > first && not (guard_unobserved p codes (base + nc)) then nc
+  else begin
+    Rules.count_step p.run;
+    match codes.(base + nc) with
+    | Precompile.U_guard g ->
+        if g.Precompile.g_test k.m then -(nc + 1)
+        else scan_run k p codes tab cur base first (nc + 1)
+    | _ -> assert false
+  end
 
 let step_compiled pr =
   let k = pr.x and p = pr.rp in
@@ -276,13 +336,37 @@ let step_compiled pr =
                uncounted, uncharged frame push) *)
             c.ip <- c.ip + 1;
             k.frames <- Code { codes = f.Precompile.fu_slow; ip = 0 } :: k.frames
-        | Precompile.U_guard g ->
-            (* evaluate this guard and, while guards keep failing, the
-               ones that follow it; each is counted and charged in
+        | Precompile.U_guard ({ g_run = Some tab; _ } as g) ->
+            (* scan the run from this guard: the guards that cannot
+               hold on this processor are settled, charged and counted
+               as if evaluated, and the candidates evaluated, in
                program order.  A false guard has no effect beyond its
                clock charge, so only a delivery landing mid-run could
                tell the difference — and, as for a fused run, it can
-               only reach a guard whose footprint it targets. *)
+               only reach a guard whose footprint it targets (the same
+               holds in the arm below). *)
+            let first = g.Precompile.g_pos in
+            let base = c.ip - first in
+            let stop =
+              scan_run k p c.codes tab
+                (Precompile.run_cursor k.m tab)
+                base first first
+            in
+            c.ip <- base + abs stop;
+            (if stop < 0 then
+               match c.codes.(c.ip - 1) with
+               | Precompile.U_guard h ->
+                   k.frames <- Code { codes = h.g_body; ip = 0 } :: k.frames
+               | _ -> assert false);
+            let n = abs stop - first in
+            if n > 1 then begin
+              k.turns <- k.turns + 1;
+              k.covered <- k.covered + n
+            end
+        | Precompile.U_guard g ->
+            (* a run without a table: evaluate this guard and, while
+               guards keep failing, the ones that follow it that the
+               licence admits *)
             let codes = c.codes in
             let rec scan (g : Precompile.guard) n =
               c.ip <- c.ip + 1;
@@ -656,7 +740,7 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
         let shape_of name = Xdp_dist.Layout.shape (decl_of p name).layout in
         let tree rp = tree_of ~shape_of rp p.body in
         drive r board (Array.map (start tree) rps) step_tree;
-        { fused_turns = 0; fused_statements = 0 }
+        { fused_turns = 0; fused_statements = 0; settled_guards = 0 }
     | `Compiled ->
         (* Stage once, share the code across processors; each gets its
            own slot frames and inline caches.  A caller that runs the
@@ -677,6 +761,7 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
             frames = [ Code { codes; ip = 0 } ];
             turns = 0;
             covered = 0;
+            settled = 0;
           }
         in
         let procs = Array.map (start comp) rps in
@@ -685,6 +770,7 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
         {
           fused_turns = sum (fun k -> k.turns);
           fused_statements = sum (fun k -> k.covered);
+          settled_guards = sum (fun k -> k.settled);
         }
   in
   {

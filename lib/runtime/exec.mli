@@ -78,12 +78,19 @@ val default_engine : engine
     [Invalid_argument] at module initialization — a typo must not
     silently select an engine. *)
 
-type fusion = { fused_turns : int; fused_statements : int }
+type fusion = {
+  fused_turns : int;
+  fused_statements : int;
+  settled_guards : int;
+}
 (** Dynamic superinstruction accounting of a run: scheduler turns that
     executed several statements at once, and the statements those
     turns covered.  Such a turn either ran a fused run or scanned two
     or more owner-computes guards ({!Precompile.guard}; a scan turn
-    counts every guard it evaluated, the one that held included).
+    counts every guard it covered, the one that held included).
+    [settled_guards] counts the guards a scan settled from its run's
+    dispatch table ({!Guardrun}) instead of evaluating them; they are
+    counted and charged exactly as evaluated ones.
     Zero under the interpreter, or when every fused unit fell back to
     statement-at-a-time execution and no scan got past its first
     guard.  Kept out

@@ -60,6 +60,7 @@ type machine = {
   mutable m_klo : int;
   mutable m_kstep : int;
   m_kreg : float array; (* its register file *)
+  m_runs : Guardrun.cursor array; (* per guard run, built on first use *)
 }
 
 type act = A_next | A_block of units | A_loop of loop
@@ -73,7 +74,7 @@ and code = machine -> act
    back to it whenever fusing could reorder an observable event (the
    processor has a receive in flight into one of [fu_arrays]).  A
    [U_guard] is an owner-computes guard whose body blocks: the
-   scheduler may evaluate a run of consecutive false ones in one turn
+   scheduler may settle a run of consecutive false ones in one turn
    (DESIGN.md §4d). *)
 and unit_ = U_stmt of code | U_fuse of fuse | U_guard of guard
 and units = unit_ array
@@ -88,6 +89,10 @@ and guard = {
   g_test : machine -> bool;  (** counted, charged guard evaluation *)
   g_body : units;  (** pushed when the guard holds *)
   g_arrays : int array;  (** the condition's footprint *)
+  g_kind : Guardrun.kind;  (** its class in a run's dispatch table *)
+  g_head : float;  (** [g_test]'s static charge *)
+  mutable g_run : Guardrun.t option;  (** the run of two or more it joins *)
+  mutable g_pos : int;  (** its position in that run *)
 }
 
 and loop = {
@@ -211,7 +216,9 @@ type ctx = {
   tys : (string, sty) Hashtbl.t;
   slots : (string, slot) Hashtbl.t;
   shape_of : string -> int list;
+  decls : array_decl list;
   arr_ids : (string, int) Hashtbl.t; (* {!Rules.array_ids} *)
+  mutable nruns : int; (* guard runs, numbered in staging order *)
   mutable nsites : int;
   mutable site_ranks : int list; (* reversed *)
   (* Quiet compilation ([quietly]): every charge diverts into [qtally]
@@ -522,6 +529,22 @@ let literal_box sel shape =
   | b -> Some b
   | exception _ -> None
 
+(* Intrinsic placement queries call the descriptor-charged oracles of
+   {!Rules} directly, exactly as the interpreter's hooks do.  No
+   per-site cache: a hit needs the same box at the same site with no
+   ownership change in between, which straight-line transfer programs
+   (each guard runs once) and loops (the box moves with the loop
+   variable) almost never produce, while the cache cost one record
+   per query site per processor (DESIGN.md §4c). *)
+let query cs arr which =
+  let run =
+    match which with
+    | `Iown -> fun m -> Rules.iown m.m_p arr (cs.run m)
+    | `Accessible -> fun m -> Rules.accessible m.m_p arr (cs.run m)
+    | `Await -> fun m -> Rules.await m.m_p arr (cs.run m)
+  in
+  { cost = cs.cost; ab = true; run }
+
 let rec ci ctx e : int frag =
   match e with
   | Int n -> pure n
@@ -691,23 +714,7 @@ and cb ctx e : bool frag =
       tcost ctx Costmodel.tally_int_op c
   | _ -> assert false
 
-(* Intrinsic placement queries call the descriptor-charged oracles of
-   {!Rules} directly, exactly as the interpreter's hooks do.  No
-   per-site cache: a hit needs the same box at the same site with no
-   ownership change in between, which straight-line transfer programs
-   (each guard runs once) and loops (the box moves with the loop
-   variable) almost never produce, while the cache cost one record
-   per query site per processor (DESIGN.md §4c). *)
-and c_query ctx (s : section) which =
-  let cs = csec ctx s in
-  let arr = s.arr in
-  let run =
-    match which with
-    | `Iown -> fun m -> Rules.iown m.m_p arr (cs.run m)
-    | `Accessible -> fun m -> Rules.accessible m.m_p arr (cs.run m)
-    | `Await -> fun m -> Rules.await m.m_p arr (cs.run m)
-  in
-  { cost = cs.cost; ab = true; run }
+and c_query ctx (s : section) which = query (csec ctx s) s.arr which
 
 (* Any expression in boolean position (guards, if-conditions, and/or
    operands): statically-bool goes unboxed, everything else through
@@ -823,24 +830,32 @@ and celem ctx arr idxs =
    order), so stride, hi, lo — replicated here so charges interleave
    identically.  A literal-only section resolves at compile time to its
    box; the resolution cost is still charged on every execution. *)
-and csec ctx (s : section) : Box.t frag =
+and csec ctx s = csec_k ctx s (fun cs _ -> cs)
+
+(* [k] gets the section's fragment and, when its selectors are all
+   literals, its box. *)
+and csec_k : 'a. ctx -> section -> (Box.t frag -> Box.t option -> 'a) -> 'a =
+ fun ctx s k ->
   match
     match ctx.shape_of s.arr with
     | shape -> `Shape shape
     | exception e -> `Raise e
   with
-  | `Raise e -> { cost = Costmodel.tally_zero; ab = true; run = (fun _ -> raise e) }
+  | `Raise e ->
+      k { cost = Costmodel.tally_zero; ab = true; run = (fun _ -> raise e) } None
   | `Shape shape ->
       if List.length s.sel <> List.length shape then begin
         let msg =
           Printf.sprintf "section %s: rank mismatch"
             (Xdp.Pp.section_to_string s)
         in
-        {
-          cost = Costmodel.tally_zero;
-          ab = true;
-          run = (fun _ -> invalid_arg msg);
-        }
+        k
+          {
+            cost = Costmodel.tally_zero;
+            ab = true;
+            run = (fun _ -> invalid_arg msg);
+          }
+          None
       end
       else begin
         let dims =
@@ -860,11 +875,11 @@ and csec ctx (s : section) : Box.t frag =
             s.sel shape
         in
         let boxed = map Box.make (seq_list ctx dims) in
-        if boxed.ab then boxed
+        if boxed.ab then k boxed None
         else
           match literal_box s.sel shape with
-          | Some b -> { boxed with run = (fun _ -> b) }
-          | None -> boxed
+          | Some b as lit -> k { boxed with run = (fun _ -> b) } lit
+          | None -> k boxed None
       end
 
 (* ------------------------------------------------------------------ *)
@@ -1444,7 +1459,24 @@ and cstmt_k ctx (s : stmt) : sc =
         "await-in-expr"
         (compile_elem_assign ctx a idxs e)
   | Guard (g, body) ->
-      let cg = c_bool ctx g in
+      let cg, kind =
+        match g with
+        | Iown s ->
+            let cs, lit = csec_k ctx s (fun cs lit -> (cs, lit)) in
+            ( query cs s.arr `Iown,
+              match lit with
+              | Some b
+                when Box.count b > 0
+                     && not
+                          (List.exists
+                             (fun d -> d.arr_name = s.arr && d.universal)
+                             ctx.decls) ->
+                  Guardrun.Own (s.arr, b)
+              | _ -> Guardrun.Other )
+        | Bin (Eq, Mypid, Int k) | Bin (Eq, Int k, Mypid) ->
+            (c_bool ctx g, Guardrun.Pid k)
+        | _ -> (c_bool ctx g, Guardrun.Other)
+      in
       let head =
         Costmodel.tally_cost ctx.cm
           (Costmodel.tally_add Costmodel.tally_guard cg.cost)
@@ -1478,6 +1510,10 @@ and cstmt_k ctx (s : stmt) : sc =
                  g_test = test;
                  g_body = bodyb.b_units;
                  g_arrays = footprint ctx ge;
+                 g_kind = kind;
+                 g_head = head;
+                 g_run = None;
+                 g_pos = 0;
                }
            else None);
       }
@@ -1693,7 +1729,8 @@ and cstmt_k ctx (s : stmt) : sc =
    superinstructions; a singleton run is only worth the fused unit
    when the statement collapses turns by itself.  An unfusable
    await-free guard becomes a scannable [U_guard] (without guard
-   scans: alltoall wall 1.37x, minor words +14%). *)
+   scans: alltoall wall 1.37x, minor words +14%), and two or more in a
+   row share the dispatch table of their run ({!Guardrun}). *)
 and cblock ctx stmts : blk =
   let scs = List.map (fun s -> (s, cstmt ctx s)) stmts in
   let b_fast =
@@ -1732,20 +1769,49 @@ and cblock ctx stmts : blk =
             }
           :: !units
   in
-  let pending = ref [] in
+  let pending = ref [] and guards = ref [] in
+  let end_run () =
+    let n = List.length !guards in
+    if n >= 2 then begin
+      let run =
+        Guardrun.build ~id:ctx.nruns
+          ~geometry:(fun a ->
+            let d = List.find (fun d -> d.arr_name = a) ctx.decls in
+            (Xdp_dist.Layout.shape d.layout, d.seg_shape))
+          ~len:n
+          ~kind:(fun g -> g.g_kind)
+          ~head:(fun g -> g.g_head)
+          !guards
+      in
+      if Option.is_some run then begin
+        ctx.nruns <- ctx.nruns + 1;
+        List.iteri
+          (fun i g ->
+            g.g_run <- run;
+            g.g_pos <- n - 1 - i)
+          !guards
+      end
+    end;
+    guards := []
+  in
   List.iter
     (fun ((_, sc) as s) ->
       match sc.sc_fast with
-      | Ok _ -> pending := s :: !pending
-      | Error _ ->
+      | Ok _ ->
+          end_run ();
+          pending := s :: !pending
+      | Error _ -> (
           flush !pending;
           pending := [];
-          units :=
-            (match sc.sc_guard with
-            | Some g -> U_guard g
-            | None -> U_stmt sc.sc_code)
-            :: !units)
+          match sc.sc_guard with
+          | Some g ->
+              guards := g :: !guards;
+              units := U_guard g :: !units
+          | None ->
+              end_run ();
+              units := U_stmt sc.sc_code :: !units))
     scs;
+  end_run ();
   flush !pending;
   { b_units = Array.of_list (List.rev !units); b_fast }
 
@@ -1770,6 +1836,7 @@ type cprog = {
   c_nvars : int;
   c_site_ranks : int array;
   c_kregs : int;
+  c_nruns : int;
   c_seed : (slot * Value.t) list;
   c_fstats : fusion_stats;
 }
@@ -1821,7 +1888,9 @@ let compile ~cost ~kernels ~scalars (p : program) =
       slots;
       shape_of =
         (fun name -> Xdp_dist.Layout.shape (decl_of p name).layout);
+      decls = p.decls;
       arr_ids = Rules.array_ids p;
+      nruns = 0;
       nsites = 0;
       site_ranks = [];
       quiet = false;
@@ -1846,6 +1915,7 @@ let compile ~cost ~kernels ~scalars (p : program) =
     c_nvars = List.length vars;
     c_site_ranks = Array.of_list (List.rev ctx.site_ranks);
     c_kregs = ctx.kregs;
+    c_nruns = ctx.nruns;
     c_seed =
       List.map (fun (v, x) -> (Hashtbl.find slots v, x)) scalars;
     c_fstats =
@@ -1876,6 +1946,7 @@ let machine cp (p : Rules.proc) =
       m_klo = 0;
       m_kstep = 0;
       m_kreg = Array.make cp.c_kregs 0.0;
+      m_runs = Array.make cp.c_nruns Guardrun.cold;
     }
   in
   List.iter
@@ -1887,3 +1958,13 @@ let machine cp (p : Rules.proc) =
       Bytes.set m.m_bnd sl.v_id '\001')
     cp.c_seed;
   m
+
+let run_cursor m tab =
+  let k = Guardrun.id tab in
+  let c = Array.unsafe_get m.m_runs k in
+  if c != Guardrun.cold then c
+  else begin
+    let c = Guardrun.cursor tab ~pid:(m.m_pid1 - 1) in
+    m.m_runs.(k) <- c;
+    c
+  end

@@ -65,11 +65,16 @@
 
     Guards that cannot fuse because their body blocks (an
     owner-computes [iown(S) : send ...] or [mypid = k : recv ...])
-    compile to {e scannable guards} instead: the scheduler evaluates a
+    compile to {e scannable guards} instead: the scheduler covers a
     run of consecutive false ones in a single turn, each still counted
     and charged on its own, and stops at the first that holds.  SPMD
     transfer phases are mostly such false guards, so this collapses
-    an all-to-all's per-processor walk to about one turn per hit. *)
+    an all-to-all's per-processor walk to about one turn per hit.  A
+    run of two or more shares a dispatch table ({!Guardrun}): the
+    guards that cannot hold on a processor ([mypid = k] naming another
+    one, [iown] of a literal box meeting none of its descriptors) are
+    settled — counted and charged exactly as if evaluated — without
+    evaluating them. *)
 
 type machine
 (** The mutable state of one processor's compiled execution: slot
@@ -113,10 +118,12 @@ and fuse = {
 
 (** A guard whose condition has no [await] and whose body has no fused
     form (it blocks, typically on a transfer).  A turn that
-    reaches one evaluates it and, while it is false, the [U_guard]s
+    reaches one covers it and, while it is false, the [U_guard]s
     that directly follow it in the same block, stopping at the first
     that holds (its body is pushed exactly like [A_block]) or at any
-    other unit.  A false guard posts nothing, consumes nothing and
+    other unit; in a run with a dispatch table ([g_run]) the guards
+    that cannot hold on the processor are settled rather than
+    evaluated.  A false guard posts nothing, consumes nothing and
     emits no trace event, so evaluating it early is unobservable
     unless a delivery could change its outcome or its charge mid-run:
     a following guard is therefore scanned under the same licence as
@@ -132,6 +139,17 @@ and guard = {
       (** the condition's footprint, computed like [fu_arrays]: every
           array it reads or queries; empty when it reads only
           literals, [mypid], [nprocs] and variables *)
+  g_kind : Guardrun.kind;
+      (** its class in the dispatch table of a run ({!Guardrun.build}) *)
+  g_head : float;
+      (** the static part of [g_test]'s charge (guard overhead plus the
+          condition's static tally), charged before any query *)
+  mutable g_run : Guardrun.t option;
+      (** the dispatch table of the run of two or more consecutive
+          [U_guard]s this one belongs to; [None] for a lone guard or a
+          run with nothing to settle ({!Guardrun.build}).  Set once,
+          while the block is staged. *)
+  mutable g_pos : int;  (** this guard's position in [g_run] *)
 }
 
 and loop = {
@@ -201,3 +219,6 @@ val fusion_digest : cprog -> string
 (** [machine cp p] — fresh state for processor [p] (slots seeded from
     the scalar preload, caches cold). *)
 val machine : cprog -> Rules.proc -> machine
+
+val run_cursor : machine -> Guardrun.t -> Guardrun.cursor
+(** The machine's candidates over a guard run, built on first use. *)

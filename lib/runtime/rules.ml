@@ -121,6 +121,41 @@ let await p name box =
   | State.Accessible -> true
   | State.Transitional -> raise (Evalexpr.Blocked_on (name, box))
 
+(* What false guards [a, b) of a guard run would have done, without
+   their queries.  [cls] holds one class code per guard: [guard_pid]
+   for a [mypid = k] guard, which charges [pid_head]; below
+   [guard_slots], an [iown] guard of run-local array [code], which
+   charges [own_head] and then the visit charge of its array's
+   [live.(code)] descriptors.  These are the same float adds in the
+   same order as the guards' own, so the clock is bit-identical under
+   every cost model.  Top-level recursion, in this module with
+   [charge]: it allocates nothing. *)
+let guard_other = 255
+let guard_pid = 254
+let guard_slots = 254
+
+let rec replay_guards p pid_head own_head cls live td j b visits =
+  if j >= b then visits
+  else
+    let c = Char.code (Bytes.unsafe_get cls j) in
+    if c = guard_pid then begin
+      if pid_head <> 0.0 then charge p pid_head;
+      replay_guards p pid_head own_head cls live td (j + 1) b visits
+    end
+    else begin
+      if own_head <> 0.0 then charge p own_head;
+      let n = Array.unsafe_get live c in
+      charge p (float_of_int n *. td);
+      replay_guards p pid_head own_head cls live td (j + 1) b (visits + n)
+    end
+
+let settle_guards p ~pid_head ~own_head ~cls ~live a b =
+  let visits =
+    replay_guards p pid_head own_head cls live p.run.cost.time_desc a b 0
+  in
+  p.guard_evals <- p.guard_evals + (b - a);
+  Symtab.note_visits p.st visits
+
 let mylb p name box d = Symtab.mylb p.st name box d
 let myub p name box d = Symtab.myub p.st name box d
 

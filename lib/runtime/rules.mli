@@ -104,6 +104,35 @@ val unobserved : proc -> int array -> bool
 val charge : proc -> float -> unit
 (** Advance the clock and the busy time by a cost. *)
 
+val guard_other : int
+val guard_pid : int
+val guard_slots : int
+(** The class codes of {!settle_guards}: [guard_pid] marks a
+    [mypid = k] guard, a code below [guard_slots] an [iown] guard of
+    that run-local array, and [guard_other] a guard that is always
+    evaluated (never settled). *)
+
+val settle_guards :
+  proc ->
+  pid_head:float ->
+  own_head:float ->
+  cls:Bytes.t ->
+  live:int array ->
+  int ->
+  int ->
+  unit
+(** [settle_guards p ~pid_head ~own_head ~cls ~live a b] does for
+    guards [a] to [b - 1] of a run what evaluating them would do if
+    none holds, without evaluating them.  A guard of class
+    [guard_pid] charges [pid_head]; one of class [c < guard_slots] is
+    an [iown] guard that charges [own_head] and then the visits of the
+    [live.(c)] live descriptors its query would scan.  In program
+    order, each head is charged (skipped when zero, as evaluation does)
+    and then each visit charge; the guards are counted in
+    [guard_evals] and the visits recorded.  No guard in the range may
+    be of class [guard_other].  The step budget is the caller's
+    ({!reserve_steps}).  Allocates nothing. *)
+
 (** {1 Diagnostics}
 
     Each raises {!Xdp_misuse} with the text

@@ -30,6 +30,10 @@ type entry = {
   mutable n_live : int; (* List.length live, kept incrementally *)
   mutable next_id : int;
   mutable dynamic : bool; (* ownership has moved since declaration *)
+  mutable grown : int;
+      (* bumped whenever a descriptor joins [live] or gains storage;
+         releases never bump it, so an answer derived from the live
+         set stays a superset of the truth while it is unchanged *)
   ent_universal : bool;
   (* Spatial bucket index over the global index space: every live
      descriptor is registered in each bucket its box intersects, so a
@@ -89,7 +93,7 @@ let entry t name =
 (* Bucket geometry: start from the declared segment tile (buckets then
    align with the initial descriptors) and coarsen the busiest
    dimension until the table stays small. *)
-let ix_make ~shape ~seg_shape =
+let grid_geometry ~shape ~seg_shape ~cap =
   let r = List.length shape in
   let shp = Array.of_list shape in
   let bs =
@@ -104,7 +108,7 @@ let ix_make ~shape ~seg_shape =
     done;
     !p
   in
-  while total () > 8192 do
+  while total () > cap do
     let dmax = ref 0 in
     for d = 1 to r - 1 do
       if nb d > nb !dmax then dmax := d
@@ -116,7 +120,11 @@ let ix_make ~shape ~seg_shape =
   for d = r - 2 downto 0 do
     w.(d) <- w.(d + 1) * nbs.(d + 1)
   done;
-  (bs, nbs, w, Array.make (total ()) [])
+  (bs, nbs, w)
+
+let ix_make ~shape ~seg_shape =
+  let bs, nbs, w = grid_geometry ~shape ~seg_shape ~cap:8192 in
+  (bs, nbs, w, Array.make (Array.fold_left ( * ) 1 nbs) [])
 
 (* The bucket coordinate of index [v] in dimension [d], clamped into
    the bucket grid: clamping is the same monotone element-to-bucket map
@@ -197,6 +205,7 @@ let declare t ~name ~layout ~seg_shape =
       n_live = List.length segs;
       next_id = List.length segs;
       dynamic = false;
+      grown = 0;
       ent_universal = false;
       ix_bs;
       ix_nb;
@@ -237,6 +246,7 @@ let declare_universal t ~name ~shape =
       n_live = 1;
       next_id = 1;
       dynamic = false;
+      grown = 0;
       ent_universal = true;
       ix_bs;
       ix_nb;
@@ -486,6 +496,7 @@ let expect_ownership t name box =
   let id = e.next_id in
   e.next_id <- id + 1;
   e.dynamic <- true;
+  e.grown <- e.grown + 1;
   t.gen <- t.gen + 1;
   let s =
     { seg_id = id; seg_box = box; status = State.Transitional; data = None }
@@ -512,6 +523,7 @@ let accept_ownership t name box payload =
   | Some s ->
       let n = Box.count box in
       alloc t n;
+      e.grown <- e.grown + 1;
       t.gen <- t.gen + 1;
       let data =
         match payload with
@@ -640,6 +652,8 @@ let write_box t name box buf =
           else Array.blit buf src data dst len))
 
 let live_count t name = (entry t name).n_live
+let growth t name = (entry t name).grown
+let iter_live t name f = List.iter (fun s -> f s.seg_box) (entry t name).live
 
 let allocated_elements t = t.allocated
 let peak_elements t = t.peak

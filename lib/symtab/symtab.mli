@@ -197,6 +197,29 @@ val live_count : t -> string -> int
 (** Number of live (non-[Unowned]) segments of [name] — the
     descriptor-visit charge of a single covering query on it. *)
 
+val grid_geometry :
+  shape:int list -> seg_shape:int list -> cap:int -> int array * int array * int array
+(** The bucket grid of the spatial index over an array's index space:
+    per dimension, the bucket span, the bucket count and the row-major
+    bucket weight.  Spans start at the segment tile ([seg_shape], of
+    [shape]'s rank), and the dimension with the most buckets coarsens
+    until there are at most [cap] buckets.  Index [v] of dimension [d]
+    falls in bucket [(v - 1) / span], clamped into the grid. *)
+
+val growth : t -> string -> int
+(** A counter per array, bumped whenever a descriptor joins the live
+    set ({!expect_ownership}) or gains storage ({!accept_ownership}).
+    A release never bumps it: while it is unchanged the live set has
+    only shrunk, so anything derived from an earlier live set (the
+    staged engine's guard candidates) is still a superset of what an
+    intrinsic query would find now.  {!generation} bumps on releases
+    too, so keying on it would discard such answers after every send. *)
+
+val iter_live : t -> string -> (Box.t -> unit) -> unit
+(** [iter_live t name f] — [f] on the box of every live descriptor, in
+    live order.  Counts no {!descriptor_visits}: it is engine
+    bookkeeping, not a charged query. *)
+
 (** {1 Accounting} *)
 
 (** Currently allocated / high-water-mark storage, in elements. *)

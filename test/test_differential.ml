@@ -496,8 +496,19 @@ type move =
   | Copy of { src : int; dst : int; sg : sguard; rg : rguard }
       (** the value of B[src+1] goes into T[dst+1] *)
 
+(* A guard of a long run over literal sections (the dispatch
+   property below): an [iown] of a multi-element slice of A, a
+   [mypid = k + 1], or an ownership move of A[j] — the owner's [iown]
+   guard sends it and the receiver's [mypid] guard receives it, so
+   ownership grows and shrinks between two scans of the run. *)
+type wguard =
+  | W_own of { lo : int; len : int }
+  | W_pid of int
+  | W_move of { j : int; dst : int }
+
 type item =
   | Round of { phased : bool; moves : move list }
+  | Sweep of wguard list  (** consecutive guards over literal sections *)
   | Probe of { d : int; by_elem : bool }
   | Pad of int  (** that many pure guards that never hold *)
 
@@ -642,6 +653,19 @@ let scan_program c =
         List.init k (fun n ->
             (if n mod 2 = 0 then mypid =: nprocs +: i 1 else var "off" =: i 0)
             @: [ send (bsec 1) ])
+    | Sweep gs ->
+        let mine = sec "B" [ at mypid ] in
+        List.concat_map
+          (function
+            | W_own { lo; len } ->
+                [ iown (sec "A" [ slice (i lo) (i (lo + len - 1)) ]) @: [ send mine ] ]
+            | W_pid k -> [ (mypid =: i (k + 1)) @: [ send mine ] ]
+            | W_move { j; dst } ->
+                [
+                  iown (a j) @: [ send_owner_value (a j) ];
+                  (mypid =: i (dst + 1)) @: [ recv_owner_value (a j) ];
+                ])
+          gs
   in
   program ~name:"guard-scan"
     ~decls:[ one "A" (2 * p); one "B" p; one "T" p ]
@@ -690,13 +714,13 @@ let observable (r : Exec.result) arrays =
       (Digest.to_hex
          (Digest.string (Format.asprintf "%a" Xdp_sim.Trace.pp r.trace)))
 
+let scan_run ?max_steps c engine =
+  Exec.run ~engine ~cost:scan_costs.(c.s_cost) ~init:scan_init
+    ~fault:(scan_fault c) ~trace:true ?max_steps ~nprocs:c.s_nprocs
+    (scan_program c)
+
 let scan_outcome c engine =
-  let p = scan_program c in
-  let cost = scan_costs.(c.s_cost) in
-  match
-    Exec.run ~engine ~cost ~init:scan_init ~fault:(scan_fault c) ~trace:true
-      ~nprocs:c.s_nprocs p
-  with
+  match scan_run c engine with
   | r ->
       ( observable r
           [ ("A", 2 * c.s_nprocs); ("B", c.s_nprocs); ("T", c.s_nprocs) ],
@@ -731,6 +755,149 @@ let test_guard_scans_happen () =
   in
   Alcotest.(check bool) "some turns scanned several guards" true (scans > 0);
   List.iter (fun c -> Alcotest.(check bool) "agree" true (check_scfg c)) cases
+
+(* ---- guard dispatch (DESIGN.md §4d): a scan settles the guards of
+   a run that cannot hold on its processor from the run's dispatch
+   table, without evaluating them.  Generated programs are long runs
+   (16 to 40 guards) of [iown] guards over multi-element literal
+   slices of A and [mypid = k] guards at P = 1 to 8, with ownership
+   moves of A inside the runs: the receiver's run then continues
+   while a receive into A is in flight (its scans stop at the
+   licence) and, once it has posted the receive, owns more than when
+   the run's candidates were computed (they must be rebuilt).
+   A step budget, drawn as a fraction of the run's statements, runs
+   out at an arbitrary statement, most often inside a settled
+   stretch; at P >= 2 only programs that complete without it get one,
+   so the budget is their only abort.  Arrays, stats, trace and any
+   diagnostic text must match the interpreter. *)
+
+type dcfg = { d_scan : scfg; d_budget : float option }
+
+let gen_dcfg =
+  G.(
+    let* p = int_range 1 8 in
+    let* nsweeps = int_range 1 3 in
+    let* s_fault = bool in
+    let* s_cost = int_range 0 (Array.length scan_costs - 1) in
+    let* d_budget = opt (float_bound_exclusive 1.0) in
+    let owner = Array.init (2 * p) (fun j -> j / 2) in
+    let gen_guard =
+      frequency
+        [
+          ( 4,
+            let* len = int_range 2 (min 4 (2 * p)) in
+            let* lo = int_range 1 ((2 * p) - len + 1) in
+            return (W_own { lo; len }) );
+          (* [k = p] names no processor: at P = 1 these are the
+             guards a scan settles *)
+          (3, map (fun k -> W_pid k) (int_range 0 p));
+          ( (if p >= 2 then 2 else 0),
+            let* j = int_range 1 (2 * p) in
+            let src = owner.(j - 1) in
+            let* k = int_range 0 (p - 2) in
+            let dst = (src + 1 + k) mod p in
+            owner.(j - 1) <- dst;
+            return (W_move { j; dst }) );
+        ]
+    in
+    (* the ownership model is sequential state: draw guards in order *)
+    let rec guards k acc =
+      if k = 0 then return (List.rev acc)
+      else
+        let* g = gen_guard in
+        guards (k - 1) (g :: acc)
+    in
+    let rec sweeps k acc =
+      if k = 0 then return (List.rev acc)
+      else
+        let* n = int_range 16 40 in
+        let* gs = guards n [] in
+        sweeps (k - 1) (Sweep gs :: acc)
+    in
+    let* s_items = sweeps nsweeps [] in
+    return { d_scan = { s_nprocs = p; s_items; s_fault; s_cost }; d_budget })
+
+let print_dcfg c =
+  Printf.sprintf "budget=%s\n%s"
+    (match c.d_budget with None -> "none" | Some f -> string_of_float f)
+    (print_scfg c.d_scan)
+
+(* The step budget of [c]: its fraction of the statements the program
+   runs without one, if it completes (a budget of N statements aborts
+   the run after N).  At P >= 2 a program that aborts without a
+   budget gets none. *)
+let dcfg_budget c =
+  match c.d_budget with
+  | None -> None
+  | Some f -> (
+      match scan_run c.d_scan `Interp with
+      | r ->
+          let n = r.Exec.stats.Xdp_sim.Trace.statements in
+          Some (max 1 (int_of_float (f *. float_of_int n)))
+      | exception _ when c.d_scan.s_nprocs >= 2 -> None
+      | exception _ -> Some (max 1 (int_of_float (f *. 100.0))))
+
+let dispatch_outcome ?max_steps c engine =
+  let p = c.s_nprocs in
+  match scan_run ?max_steps c engine with
+  | r ->
+      ( observable r [ ("A", 2 * p); ("B", p); ("T", p) ],
+        r.Exec.fusion.Exec.settled_guards )
+  | exception e -> ("raised " ^ Printexc.to_string e, 0)
+
+let check_dcfg c =
+  let max_steps = dcfg_budget c in
+  let fused, _ = dispatch_outcome ?max_steps c.d_scan `Compiled in
+  let interp, _ = dispatch_outcome ?max_steps c.d_scan `Interp in
+  if fused <> interp then
+    QCheck.Test.fail_reportf
+      "fused compiled vs interp differ (max_steps %s):\n--- %s\n+++ %s\n%s"
+      (match max_steps with None -> "none" | Some n -> string_of_int n)
+      interp fused (print_dcfg c);
+  true
+
+let prop_guard_dispatch =
+  QCheck.Test.make
+    ~name:"guard dispatch: settled = evaluated on long literal runs"
+    ~count:200
+    (QCheck.make ~print:print_dcfg gen_dcfg)
+    check_dcfg
+
+(* The property above is only as good as its coverage: on a fixed
+   sample, scans must settle guards, budgets must abort at P = 1 and
+   at P >= 2, and runs must also complete. *)
+let test_guard_dispatch_coverage () =
+  let rand = Random.State.make [| 0xD15 |] in
+  let cases = G.generate ~rand ~n:60 gen_dcfg in
+  let settled =
+    List.fold_left
+      (fun acc c -> acc + snd (dispatch_outcome c.d_scan `Compiled))
+      0 cases
+  in
+  Alcotest.(check bool) "some guards settled" true (settled > 0);
+  let budget_aborts wide =
+    List.length
+      (List.filter
+         (fun c ->
+           (c.d_scan.s_nprocs >= 2) = wide
+           &&
+           match dcfg_budget c with
+           | None -> false
+           | Some n ->
+               String.starts_with ~prefix:"raised"
+                 (fst (dispatch_outcome ~max_steps:n c.d_scan `Interp)))
+         cases)
+  in
+  Alcotest.(check bool) "budget aborts at P = 1" true (budget_aborts false > 0);
+  Alcotest.(check bool) "budget aborts at P >= 2" true (budget_aborts true > 0);
+  Alcotest.(check bool) "some runs complete" true
+    (List.exists
+       (fun c ->
+         not
+           (String.starts_with ~prefix:"raised"
+              (fst (dispatch_outcome c.d_scan `Interp))))
+       cases);
+  List.iter (fun c -> Alcotest.(check bool) "agree" true (check_dcfg c)) cases
 
 (* ---- run-ahead (DESIGN.md §4d): a fused run or a guard scan
    executes in one turn while receives are in flight, provided none
@@ -1268,5 +1435,11 @@ let () =
           Alcotest.test_case "scans happen, engines agree" `Quick
             test_guard_scans_happen;
           QCheck_alcotest.to_alcotest prop_guard_scans;
+        ] );
+      ( "guard dispatch",
+        [
+          Alcotest.test_case "guards settled, budgets abort, engines agree"
+            `Quick test_guard_dispatch_coverage;
+          QCheck_alcotest.to_alcotest prop_guard_dispatch;
         ] );
     ]

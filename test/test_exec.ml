@@ -464,6 +464,32 @@ let test_guard_scan_tripwire () =
       scanned total
       (float_of_int scanned /. float_of_int total)
 
+(* Dispatch tripwire: on the naive all-to-all a processor's false
+   guards are settled from the run's dispatch table, not evaluated, and
+   settling is charged and counted exactly as evaluation: guard
+   evaluations, descriptor visits, makespan and the full trace equal
+   the interpreter's.  The counts are deterministic. *)
+let test_guard_dispatch_tripwire () =
+  let p = Xdp_apps.Redistflow.build ~n:64 ~nprocs:32 ~m:1 () in
+  let run engine =
+    run_config ~init:Xdp_apps.Redistflow.init ~nprocs:32 engine p
+  in
+  let r = run `Compiled and i = run `Interp in
+  let evals = r.stats.guard_evals and settled = r.fusion.settled_guards in
+  if float_of_int settled < 0.95 *. float_of_int evals then
+    Alcotest.failf "only %d of %d guard evaluations settled (%.3f, bound 0.95)"
+      settled evals
+      (float_of_int settled /. float_of_int evals);
+  let visits (r : Exec.result) =
+    Array.fold_left
+      (fun acc st -> acc + Xdp_symtab.Symtab.descriptor_visits st)
+      0 r.symtabs
+  in
+  Alcotest.(check int) "guard evaluations" i.stats.guard_evals evals;
+  Alcotest.(check int) "descriptor visits" (visits i) (visits r);
+  Alcotest.(check (float 0.0)) "makespan" i.stats.makespan r.stats.makespan;
+  Alcotest.(check string) "trace" (trace_digest i) (trace_digest r)
+
 (* Turn-count tripwire for overlap: an optimized 1-D Jacobi sweeps its
    interior while the halo receives are in flight.  The sweep touches
    neither halo array, so it must still run fused; statement by
@@ -676,7 +702,43 @@ let test_zero_alloc_tripwire () =
   Alcotest.(check (float 0.0)) "clock advanced" 1500.0 p.times.clock;
   (* the guard's whole oracle: query plus descriptor charge *)
   Alcotest.(check (float 0.0)) "Rules.iown" 0.0
-    (words (fun () -> if Rules.iown p "A" partly then failwith "owned"))
+    (words (fun () -> if Rules.iown p "A" partly then failwith "owned"));
+  (* a run of 64 guards, none of which holds on P1: finding the next
+     candidate (there is none) and settling the stretch *)
+  let module Precompile = Xdp_runtime.Precompile in
+  let module Guardrun = Xdp_runtime.Guardrun in
+  let d =
+    decl ~name:"A" ~shape:[ 256 ] ~dist:[ Xdp_dist.Dist.Block ] ~grid:(grid 4)
+      ~seg_shape:[ 1 ] ()
+  in
+  let run =
+    List.init 64 (fun k ->
+        (if k mod 2 = 0 then
+           Xdp.Build.iown (sec "A" [ slice (i (100 + k)) (i (110 + k)) ])
+         else mypid =: i 3)
+        @: [ send (sec "A" [ at (i 100) ]) ])
+  in
+  let cp =
+    Precompile.compile ~cost:p.run.cost ~kernels:Xdp.Kernels.default
+      ~scalars:[] (program ~name:"tripwire" ~decls:[ d ] run)
+  in
+  let tab =
+    match (Precompile.body cp).(0) with
+    | Precompile.U_guard { g_run = Some tab; _ } -> tab
+    | _ -> failwith "expected a guard run"
+  in
+  let cur = Precompile.run_cursor (Precompile.machine cp p) tab in
+  Alcotest.(check int) "no candidate" 64 (Guardrun.next tab cur st 0);
+  let evals = p.guard_evals and visits = Symtab.descriptor_visits st in
+  Alcotest.(check (float 0.0)) "settled stretch" 0.0
+    (words (fun () ->
+         ignore (Guardrun.next tab cur st 0 : int);
+         Guardrun.settle tab cur p 0 64));
+  Alcotest.(check int) "counted as evaluated" (evals + (1000 * 64))
+    p.guard_evals;
+  Alcotest.(check int) "visits of the 32 iown guards"
+    (visits + (1000 * 32 * 64))
+    (Symtab.descriptor_visits st)
 
 (* A range kernel allocates per loop entry, never per iteration: the
    stencil sweep over one 64-element segment allocates the same words
@@ -853,6 +915,10 @@ let () =
             `Quick test_impure_scan_past_pending_receive;
           Alcotest.test_case "guard scans >= 0.8 of statements (redist P=32)"
             `Quick test_guard_scan_tripwire;
+          Alcotest.test_case
+            "settled guards >= 0.95 of evaluations, charged exactly (redist \
+             P=32)"
+            `Quick test_guard_dispatch_tripwire;
           Alcotest.test_case
             "overlapped sweeps run fused >= 0.95 of statements (jacobi P=4)"
             `Quick test_overlap_run_ahead_tripwire;

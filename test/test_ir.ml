@@ -94,7 +94,20 @@ let test_effects_facts () =
   check "a guard's await" [ true; false; false ]
     (effects [ await (sec "A" [ all ]) @: [ setv "x" (i 1) ] ]);
   check "a kernel is no transfer" [ false; false; false ]
-    (effects [ apply "fft1D" [ sec "A" [ at iv; all ] ] ])
+    (effects [ apply "fft1D" [ sec "A" [ at iv; all ] ] ]);
+  (* a compute rule, however deep; an intrinsic outside one is none *)
+  Alcotest.(check (list bool)) "guards" [ true; false; false ]
+    (List.map
+       (fun (f : effects) -> f.guards)
+       [
+         effects
+           [
+             loop "i" (i 1) (i 2)
+               [ if_ (iown (sec "A" [ at iv ])) [ (mypid =: i 1) @: [] ] [] ];
+           ];
+         effects [ if_ (iown (sec "A" [ all ])) [ send (sec "A" [ all ]) ] [] ];
+         expr_effects (iown (sec "A" [ all ]));
+       ])
 
 let test_map_stmts_bottom_up () =
   (* rewrite drops every send; must reach nested blocks *)
