@@ -133,7 +133,7 @@ let run ?(smoke = false) () =
       ( hit_rate base >= 0.5,
         Printf.sprintf
           "staging-cache hit rate %.0f%% < 50%% on a sweep-shaped campaign — \
-           the digest key is over-splitting"
+           the cache key is over-splitting"
           (100.0 *. hit_rate base) );
       ( smoke || cores < 4 || s4 >= 3.0,
         Printf.sprintf

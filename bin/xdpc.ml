@@ -7,8 +7,8 @@
    exists, and reports statistics.
 
    [xdpc batch] runs a whole manifest of such jobs across Domain
-   workers with a digest-keyed compiled-program cache, streaming one
-   JSONL record per job (DESIGN.md §8). *)
+   workers with a per-worker program cache, streaming one JSONL record
+   per job (DESIGN.md §8). *)
 
 open Cmdliner
 module Manifest = Xdp_batch.Manifest
@@ -636,8 +636,9 @@ let batch_cmd =
               $(b,--jobs) OCaml Domains (each simulated run stays \
               deterministic and single-threaded) and streams one JSON record \
               per job to stdout in canonical job-id order — the byte stream \
-              does not depend on the worker count.  Staging is deduped by an \
-              IR-digest compiled-program cache per worker.";
+              does not depend on the worker count.  Each worker builds and \
+              stages a program once: jobs that differ only in engine, fault \
+              or transport settings reuse it.";
            `P
              "Exit status: 0 on success, 1 if any job fails (the first \
               failing job id and diagnostic go to stderr), 2 on a malformed \

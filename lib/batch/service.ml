@@ -1,5 +1,4 @@
 module Exec = Xdp_runtime.Exec
-module Precompile = Xdp_runtime.Precompile
 module J = Xdp_util.Jsonw
 
 type summary = {
@@ -14,23 +13,16 @@ type summary = {
 
 let ok_or_fail = function Ok v -> v | Error msg -> failwith msg
 
-(* Build, stage (through the worker's cache) and run one job.  Returns
-   the cache key alongside the result so the record can carry the IR
-   digest. *)
+(* Run one job on its program's cache entry: built and digested on the
+   worker's first job for that program, staged on its first compiled
+   job.  Returns the IR digest alongside the result for the record. *)
 let exec ~cache ~engine (s : Manifest.spec) =
-  let cost = ok_or_fail (Workload.cost_of_string s.cost) in
-  let w = Workload.build s in
-  let key =
-    Cache.digest ~cost ~fuse:Precompile.fuse_default ~scalars:[] w.Workload.prog
-  in
+  let e = Cache.find cache s in
+  let w = Cache.workload e and cost = Cache.cost e in
   let staged =
     match engine with
     | `Interp -> None
-    | `Compiled ->
-        Some
-          (Cache.find cache key ~compile:(fun () ->
-               Precompile.compile ~cost ~kernels:Xdp.Kernels.default ~scalars:[]
-                 w.Workload.prog))
+    | `Compiled -> Some (Cache.staged cache e)
   in
   let res =
     Exec.run ~engine ?staged ~cost ~init:w.Workload.init
@@ -38,7 +30,7 @@ let exec ~cache ~engine (s : Manifest.spec) =
       ~nic:w.Workload.nic ~redist_stages:w.Workload.redist_stages
       ~nprocs:s.procs w.Workload.prog
   in
-  (key, res)
+  (Cache.ir_digest e, res)
 
 let record_fields (job : Manifest.job) ~engine ~outcome : (string * J.t) list =
   let s = job.spec in
@@ -54,11 +46,11 @@ let record_fields (job : Manifest.job) ~engine ~outcome : (string * J.t) list =
   in
   match outcome with
   | Error msg -> base @ [ ("ok", J.Bool false); ("error", J.Str msg) ]
-  | Ok (key, (res : Exec.result)) ->
+  | Ok (ir_digest, (res : Exec.result)) ->
       base
       @ [
           ("ok", J.Bool true);
-          ("ir_digest", J.Str key);
+          ("ir_digest", J.Str ir_digest);
           ( "stats",
             J.Obj
               (List.map
@@ -128,8 +120,8 @@ let run ?(workers = 1) ?(engine = Exec.default_engine) ?(timings = false) ~write
     (jobs : Manifest.job array) =
   let t0 = Unix.gettimeofday () in
   let njobs = Array.length jobs in
-  (* one staging cache per worker slot: 0 is the inline path, 1..W the
-     spawned domains — compiled closures never cross a domain *)
+  (* one program cache per worker slot: 0 is the inline path, 1..W the
+     spawned domains — staged closures never cross a domain *)
   let caches = Array.init (Int.max workers 1 + 1) (fun _ -> Cache.create ()) in
   let diags = Array.make njobs None in
   let sink = Sink.create ~total:njobs ~write in

@@ -1,10 +1,13 @@
 (** The batch execution service behind [xdpc batch] (DESIGN.md §8).
 
     Executes an expanded job list across Domain workers
-    ({!Pool}), dedupes staging through per-worker compiled-program
-    caches ({!Cache}) and streams one JSONL record per job through the
-    ordered {!Sink}.  The default record stream is strictly
-    deterministic — identical bytes for any [workers] — because every
+    ({!Pool}) and streams one JSONL record per job through the ordered
+    {!Sink}.  Each worker keeps a program cache ({!Cache}) keyed on the
+    job's program fields: jobs that differ only in their engine, fault
+    or transport settings share one build, one IR digest and one
+    staging, and pay only for their run.  A build that raises is never
+    cached.  The default record stream is strictly deterministic —
+    identical bytes for any [workers] — because every
     field is a function of the job alone: simulated statistics,
     dynamic fusion counters, the IR digest, the canonical label.
     [timings] adds a per-job ["wall_ms"] field for profiling and
@@ -23,7 +26,9 @@ type summary = {
   first_failure : (int * string * string) option;
       (** (job id, label, diagnostic) of the lowest-id failed job *)
   cache_hits : int;
-  cache_misses : int;  (** at most [workers * distinct compile keys] *)
+      (** staging lookups answered from the cache (compiled jobs only) *)
+  cache_misses : int;
+      (** programs staged: at most [workers * distinct program keys] *)
   compile_seconds : float;  (** staging wall paid across all workers *)
   wall_seconds : float;  (** whole-campaign wall clock *)
 }

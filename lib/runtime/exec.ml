@@ -696,7 +696,9 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
               machine has %d"
              d.arr_name np nprocs))
     p.decls;
-  Xdp.Wf.check_exn p;
+  (match staged with
+  | Some cp -> Precompile.check_wf cp p
+  | None -> Xdp.Wf.check_exn p);
   let tr = Trace.create ~enabled:trace in
   let board = Board.create cost in
   (* The network stack, the same on every run: the board at the
@@ -747,7 +749,8 @@ let run ?(engine = default_engine) ?staged ?(cost = Costmodel.message_passing)
            same program many times (the batch service) passes the
            staged [cprog] back in via [?staged] — it must have been
            compiled from this program with the same cost model, which
-           the batch cache guarantees by keying on a digest of both. *)
+           the batch cache guarantees by staging each cached program
+           under the cost model its key names. *)
         let cp =
           match staged with
           | Some cp -> cp

@@ -125,12 +125,14 @@ val run :
     (default {!default_engine}) selects the staged engine or the
     reference interpreter; [staged] skips the one-time
     {!Precompile.compile} and reuses an already-staged program — the
-    compile-once/run-many seam the batch service's digest-keyed cache
-    drives.  Both engines run with the default kernel registry
-    ({!Xdp.Kernels.default}) and no scalar preload, so the caller's
-    coherence obligation is: same program, same cost.  The [cprog]
-    must have been compiled from this very program with this [cost]
-    (the cache keys on a digest of both), and must only be shared
+    compile-once/run-many seam the batch service's program cache
+    drives — and checks [p]'s well-formedness only on the first run
+    that passes it ({!Precompile.check_wf}).  Both engines run with
+    the default kernel registry ({!Xdp.Kernels.default}) and no scalar
+    preload, so the caller's coherence obligation is: same program,
+    same cost.  The [cprog] must have been compiled from this very
+    program with this [cost] (the cache stages each program under the
+    cost its key names), and must only be shared
     {e within} a domain — per-processor mutable state lives in the
     {!Precompile.machine}s built here, but cross-domain reuse is not
     part of the contract.  Supplying [staged] with [engine = `Interp]

@@ -1839,9 +1839,19 @@ type cprog = {
   c_nruns : int;
   c_seed : (slot * Value.t) list;
   c_fstats : fusion_stats;
+  mutable c_wf_ok : program option;
+      (* the program a well-formedness check last passed for *)
 }
 
 let body cp = cp.c_body
+
+let check_wf cp p =
+  match cp.c_wf_ok with
+  | Some q when q == p -> ()
+  | _ ->
+      Xdp.Wf.check_exn p;
+      cp.c_wf_ok <- Some p
+
 let fusion_stats cp = cp.c_fstats
 
 let fusion_digest cp =
@@ -1929,6 +1939,7 @@ let compile ~cost ~kernels ~scalars (p : program) =
         fs_inlined_kernels = ctx.fs_kernels;
         fs_blockers = List.sort compare ctx.fs_blockers;
       };
+    c_wf_ok = None;
   }
 
 let machine cp (p : Rules.proc) =

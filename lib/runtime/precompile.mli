@@ -182,6 +182,12 @@ val compile :
 
 val body : cprog -> units
 
+val check_wf : cprog -> Xdp.Ir.program -> unit
+(** [check_wf cp p] — {!Xdp.Wf.check_exn} [p], unless [cp] already
+    recorded a passing check of this very program (physical equality):
+    a staged program run many times is checked once.  A failing check
+    records nothing, so an ill-formed program raises on every run. *)
+
 (** Static statistics of the superinstruction pass, accumulated at
     compile time. *)
 type fusion_stats = {

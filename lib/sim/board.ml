@@ -138,6 +138,8 @@ let next_seq t =
   t.seq <- s + 1;
   s
 
+(* A name's queues are created when something is first enqueued under
+   it; a lookup that finds no partner leaves the tables alone. *)
 let send_queue t name =
   match Hashtbl.find_opt t.sends name with
   | Some q -> q
@@ -273,8 +275,12 @@ let post_one_send t ~time ~src ~name ~kind ~payload ~dst =
       s_payload = payload; s_dst = dst }
   in
   occ_add t src (send_bytes t.cost ~kind ~payload ~dst);
-  let rq = recv_queue t name in
-  match take_recv rq ~dst with
+  let partner =
+    match Hashtbl.find t.recvs name with
+    | rq -> take_recv rq ~dst
+    | exception Not_found -> None
+  in
+  match partner with
   | Some r -> make_delivery t ~name s r
   | None ->
       let sq = send_queue t name in
@@ -298,8 +304,12 @@ let post_recv t ~time ~dst ~name ~kind ~token =
     { r_seq = next_seq t; r_time = time; r_dst = dst; r_kind = kind;
       r_token = token }
   in
-  let sq = send_queue t name in
-  match take_send sq ~dst with
+  let partner =
+    match Hashtbl.find t.sends name with
+    | sq -> take_send sq ~dst
+    | exception Not_found -> None
+  in
+  match partner with
   | Some s -> make_delivery t ~name s r
   | None -> push_recv (recv_queue t name) r
 

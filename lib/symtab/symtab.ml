@@ -7,15 +7,22 @@ type seg = {
   mutable data : float array option;
 }
 
+(* Fills the unused tail of a live array. *)
+let vacant =
+  { seg_id = -1; seg_box = Box.of_shape [ 1 ]; status = State.Unowned; data = None }
+
 type entry = {
   name : string;
   rank : int;
   global_shape : int list;
-  partitioning : string;
+  layout : Xdp_dist.Layout.t option;
+      (* [None] for a universal array; rendered only by [pp_table] *)
   seg_shape : int list;
-  mutable live : seg list;
-      (* the non-[Unowned] descriptors, ascending seg_id — the scan
-         path of every intrinsic query.  Queries skip unowned
+  mutable live : seg array;
+      (* [live.(0 .. n_live-1)] are the non-[Unowned] descriptors,
+         ascending seg_id — the scan path of every intrinsic query.
+         Releases compact it in place and [expect_ownership] appends,
+         so ownership churn copies no list.  Queries skip unowned
          descriptors anyway (and charge no visit for them), so keeping
          retired descriptors out of here changes no observable result
          or charge; it only stops ownership churn from growing the
@@ -27,7 +34,7 @@ type entry = {
          transfer-history residue; retired descriptors stay registered
          in the bucket index (queries skip them by status), which lets
          the purge find overlaps from the incoming box's buckets alone. *)
-  mutable n_live : int; (* List.length live, kept incrementally *)
+  mutable n_live : int;
   mutable next_id : int;
   mutable dynamic : bool; (* ownership has moved since declaration *)
   mutable grown : int;
@@ -198,9 +205,9 @@ let declare t ~name ~layout ~seg_shape =
       name;
       rank = Xdp_dist.Layout.rank layout;
       global_shape = shape;
-      partitioning = Xdp_dist.Layout.to_string layout;
+      layout = Some layout;
       seg_shape;
-      live = segs;
+      live = Array.of_list segs;
       dead = Hashtbl.create 8;
       n_live = List.length segs;
       next_id = List.length segs;
@@ -239,9 +246,9 @@ let declare_universal t ~name ~shape =
       name;
       rank = List.length shape;
       global_shape = shape;
-      partitioning = "(universal)";
+      layout = None;
       seg_shape = shape;
-      live = segs;
+      live = Array.of_list segs;
       dead = Hashtbl.create 1;
       n_live = 1;
       next_id = 1;
@@ -276,7 +283,10 @@ let seg_shape t name = (entry t name).seg_shape
 let all_segs e =
   List.sort
     (fun a b -> Int.compare a.seg_id b.seg_id)
-    (Hashtbl.fold (fun _ s acc -> s :: acc) e.dead e.live)
+    (Hashtbl.fold
+       (fun _ s acc -> s :: acc)
+       e.dead
+       (Array.to_list (Array.sub e.live 0 e.n_live)))
 
 let segments t name = all_segs (entry t name)
 
@@ -287,19 +297,18 @@ let segments t name = all_segs (entry t name)
    form (it keeps iown() linear in the number of *live* segments even
    after a full redistribution has retired the original ones). *)
 let charge_query t e box =
-  match e.live with
-  | [] -> ()
-  | s0 :: _ ->
-      if Box.rank box <> e.rank then begin
-        (* the linear scan charged one visit before the rank-mismatch
-           intersection raised; reproduce that exactly *)
-        t.visits <- t.visits + 1;
-        ignore (Box.disjoint s0.seg_box box);
-        assert false
-      end;
-      (* the paper's query visits every live descriptor; the bucket
-         index only changes who does the intersecting, not the cost *)
-      t.visits <- t.visits + e.n_live
+  if e.n_live > 0 then begin
+    if Box.rank box <> e.rank then begin
+      (* the linear scan charged one visit before the rank-mismatch
+         intersection raised; reproduce that exactly *)
+      t.visits <- t.visits + 1;
+      ignore (Box.disjoint e.live.(0).seg_box box);
+      assert false
+    end;
+    (* the paper's query visits every live descriptor; the bucket
+       index only changes who does the intersecting, not the cost *)
+    t.visits <- t.visits + e.n_live
+  end
 
 let segments_covering t name box =
   let e = entry t name in
@@ -413,6 +422,30 @@ let mark_recv_complete t name box =
     (fun s -> if s.status = State.Transitional then s.status <- State.Accessible)
     (segments_covering t name box)
 
+(* Drop the descriptors a release retired from the live prefix, in
+   place and in order; vacated slots stop referencing them. *)
+let compact_live e =
+  let live = e.live and kept = ref 0 in
+  for i = 0 to e.n_live - 1 do
+    let s = live.(i) in
+    if s.status <> State.Unowned then begin
+      live.(!kept) <- s;
+      incr kept
+    end
+  done;
+  Array.fill live !kept (e.n_live - !kept) vacant;
+  e.n_live <- !kept
+
+let append_live e s =
+  let cap = Array.length e.live in
+  if e.n_live = cap then begin
+    let grown = Array.make (Int.max 4 (2 * cap)) vacant in
+    Array.blit e.live 0 grown 0 cap;
+    e.live <- grown
+  end;
+  e.live.(e.n_live) <- s;
+  e.n_live <- e.n_live + 1
+
 let release t name box =
   reject_universal t name "release";
   let e = entry t name in
@@ -457,11 +490,12 @@ let release t name box =
         free t (Box.count s.seg_box);
         s.data <- None
       end;
-      (s.seg_box, Array.copy payload))
+      (* a freed chunk is no longer the table's, so it travels
+         uncopied; a kept one (no storage reuse) stays the table's *)
+      (s.seg_box, if s.data = None then payload else Array.copy payload))
     touching
   |> fun released ->
-  e.live <- List.filter (fun s -> s.status <> State.Unowned) e.live;
-  e.n_live <- e.n_live - List.length released;
+  compact_live e;
   released
 
 let expect_ownership t name box =
@@ -501,8 +535,7 @@ let expect_ownership t name box =
   let s =
     { seg_id = id; seg_box = box; status = State.Transitional; data = None }
   in
-  e.live <- e.live @ [ s ];
-  e.n_live <- e.n_live + 1;
+  append_live e s;
   ix_add e s
 
 let accept_ownership t name box payload =
@@ -580,11 +613,10 @@ let set t name idx v =
    unowned overlaps), so the first live segment containing the index
    is the only one. *)
 
-let rec owned_in idx = function
-  | [] -> false
-  | s :: rest ->
-      (s.status <> State.Unowned && Box.mem_arr idx s.seg_box)
-      || owned_in idx rest
+let rec owned_in idx live i n =
+  i < n
+  && ((live.(i).status <> State.Unowned && Box.mem_arr idx live.(i).seg_box)
+     || owned_in idx live (i + 1) n)
 
 (* Equivalent to [iown t name (Box.point idx)] for a single element
    (disjointness makes covered-by degenerate to exists); raises the
@@ -592,7 +624,8 @@ let rec owned_in idx = function
    the list-path diagnostics. *)
 let owned_element t name idx =
   if Array.length idx = 0 then invalid_arg "Box.make: rank 0";
-  owned_in idx (entry t name).live
+  let e = entry t name in
+  owned_in idx e.live 0 e.n_live
 
 (* First segment with storage containing [idx] — the cacheable result
    of a [get_a]/[set_a] lookup; [None] when the element has no backing
@@ -653,7 +686,11 @@ let write_box t name box buf =
 
 let live_count t name = (entry t name).n_live
 let growth t name = (entry t name).grown
-let iter_live t name f = List.iter (fun s -> f s.seg_box) (entry t name).live
+let iter_live t name f =
+  let e = entry t name in
+  for i = 0 to e.n_live - 1 do
+    f e.live.(i).seg_box
+  done
 
 let allocated_elements t = t.allocated
 let peak_elements t = t.peak
@@ -669,9 +706,14 @@ let pp_table ppf t =
     (fun i name ->
       let e = entry t name in
       let shp l = "(" ^ String.concat "," (List.map string_of_int l) ^ ")" in
+      let partitioning =
+        match e.layout with
+        | Some l -> Xdp_dist.Layout.to_string l
+        | None -> "(universal)"
+      in
       Format.fprintf ppf "%-5d %-8s %-4d %-12s %-28s %-10s %-6d@." (i + 1)
         e.name e.rank (shp e.global_shape)
-        (e.partitioning ^ if e.dynamic then " [dynamic]" else "")
+        (partitioning ^ if e.dynamic then " [dynamic]" else "")
         (shp e.seg_shape)
         (List.length (all_segs e));
       List.iter

@@ -116,7 +116,9 @@ val mark_recv_complete : t -> string -> Box.t -> unit
     must be exactly the union of whole owned segments (ownership moves
     at segment granularity, §3.1); their payloads are extracted and
     returned (in box row-major order per segment), the segments become
-    [Unowned], and their chunks are freed when [free_on_release].
+    [Unowned], and their chunks are freed when [free_on_release].  A
+    freed chunk is returned as it is, since the table no longer holds
+    it; a kept one is copied.
     @raise Invalid_argument if the cover is not exact or a segment is
     not accessible. *)
 val release : t -> string -> Box.t -> (Box.t * float array) list

@@ -1,9 +1,12 @@
 (* The batch execution service (DESIGN.md §8): manifest parsing and
-   expansion, the ordered sink, the digest-keyed staging cache, and
-   the service's two load-bearing guarantees —
+   expansion, the ordered sink, the per-worker program cache, and the
+   service's load-bearing guarantees —
 
    - a cache-hit run is bit-identical to a fresh-staged run, across
      cost models, engines and fault plans (qcheck property);
+   - two specs share a program-cache entry exactly when they differ
+     only in run-only fields, and sharing changes no record (qcheck
+     property);
    - the JSONL stream is byte-identical at --jobs 1 and --jobs 4
      (qcheck property over random campaigns).
 
@@ -441,6 +444,35 @@ let test_service_failure () =
   Alcotest.(check int) "2 records" 2
     (List.length (String.split_on_char '\n' (String.trim out)))
 
+(* A build that raises is never cached: each job that names it
+   rebuilds, fails and reports the same diagnostic. *)
+let test_service_build_failure () =
+  let bad =
+    { Manifest.default_spec with app = "vecadd"; stage = "bogus"; n = 8; procs = 2 }
+  in
+  let diag = "app vecadd: unknown stage 'bogus' (known: naive, elim, localized, bound)" in
+  let summary, out =
+    run_service ~engine:`Compiled
+      [ bad; { bad with fault_seed = 2 }; { bad with fault_seed = 3 } ]
+  in
+  Alcotest.(check int) "all three failed" 3 summary.failed;
+  Alcotest.(check int) "nothing staged" 0 (summary.cache_hits + summary.cache_misses);
+  List.iter
+    (fun line ->
+      match Json.parse line with
+      | Jsonw.Obj kvs ->
+          Alcotest.(check bool) "diagnostic" true
+            (List.assoc "error" kvs = Jsonw.Str diag)
+      | _ -> Alcotest.fail "record is not an object")
+    (String.split_on_char '\n' (String.trim out));
+  let cache = Cache.create () in
+  for _ = 1 to 3 do
+    match Cache.find cache bad with
+    | _ -> Alcotest.fail "the build should raise"
+    | exception Failure msg -> Alcotest.(check string) "raised again" diag msg
+  done;
+  Alcotest.(check int) "no entry" 0 (Cache.size cache)
+
 (* One mapping from abort exceptions to diagnostics, shared by batch
    records and [xdpc run]; anything else is not a run diagnosis. *)
 let test_service_diagnose () =
@@ -590,32 +622,137 @@ let prop_cache_hit_identical =
     ~count:40
     (QCheck.make ~print:print_pcfg gen_pcfg)
     (fun c ->
-      let w = Workload.build c.spec in
+      let fresh_w = Workload.build c.spec in
+      let fresh =
+        run_with
+          ~staged:
+            (Some
+               (Precompile.compile ~cost:c.cost ~kernels:Xdp.Kernels.default
+                  ~scalars:[] fresh_w.prog))
+          ~cost:c.cost c fresh_w
+      in
       let cache = Cache.create () in
-      let key =
-        Cache.digest ~cost:c.cost ~fuse:Precompile.fuse_default ~scalars:[]
-          w.prog
+      let e = Cache.find cache c.spec in
+      let _warm =
+        run_with ~staged:(Some (Cache.staged cache e)) ~cost:c.cost c
+          (Cache.workload e)
       in
-      let compile () =
-        Precompile.compile ~cost:c.cost ~kernels:Xdp.Kernels.default
-          ~scalars:[] w.prog
+      (* another fault seed is the same program: the lookup must return
+         the same entry, and its (reused, already-run) staged code must
+         still reproduce the fresh run bit for bit *)
+      let e' =
+        Cache.find cache
+          { c.spec with fault_seed = c.spec.Manifest.fault_seed + 1 }
       in
-      let fresh = run_with ~staged:(Some (compile ())) ~cost:c.cost c w in
-      let first = Cache.find cache key ~compile in
-      let _warm = run_with ~staged:(Some first) ~cost:c.cost c w in
-      (* second lookup must hit, and its (reused, already-run) cprog
-         must still reproduce the fresh run bit for bit *)
-      let hit =
-        Cache.find cache key ~compile:(fun () ->
-            QCheck.Test.fail_report "second lookup missed the cache")
+      if e' != e then QCheck.Test.fail_report "second lookup missed the cache";
+      let cached =
+        run_with ~staged:(Some (Cache.staged cache e')) ~cost:c.cost c
+          (Cache.workload e')
       in
-      let cached = run_with ~staged:(Some hit) ~cost:c.cost c w in
       if Cache.hits cache <> 1 || Cache.misses cache <> 1 then
         QCheck.Test.fail_reportf "hit/miss counts off: %d/%d"
           (Cache.hits cache) (Cache.misses cache);
       if not (results_identical fresh cached) then
         QCheck.Test.fail_reportf "cache-hit run diverged on %s"
           (print_pcfg c);
+      true)
+
+(* ---- property: one changed field shares an entry iff it is run-only ----
+
+   Every spec field, each with a change that still builds: the run-only
+   ones (engine, fault plan, transport) must land on the base spec's
+   entry, every other one on an entry of its own, even where the app
+   ignores the field and the IR comes out the same. *)
+
+let field_changes :
+    (string * bool * (Manifest.spec -> Manifest.spec G.t)) list =
+  let set f (s : Manifest.spec) = G.return (f s) in
+  let draw g f (s : Manifest.spec) = G.map (f s) g in
+  [
+    ("engine", true, set (fun s -> { s with engine = Some "interp" }));
+    ("drop", true, draw (G.float_range 0.05 0.3) (fun s x -> { s with drop = x }));
+    ("dup", true, draw (G.float_range 0.05 0.2) (fun s x -> { s with dup = x }));
+    ("jitter", true, draw (G.float_range 0.1 0.5) (fun s x -> { s with jitter = x }));
+    ( "fault_seed", true,
+      draw (G.int_range 1 50) (fun s k -> { s with fault_seed = s.fault_seed + k }) );
+    ( "timeout", true,
+      draw (G.float_range 5000.0 20000.0) (fun s x -> { s with timeout = Some x }) );
+    ( "max_retries", true,
+      draw (G.int_range 25 40) (fun s r -> { s with max_retries = Some r }) );
+    ( "app", false,
+      set (fun s ->
+          let app = if s.app = "jacobi" then "vecadd" else "jacobi" in
+          { s with app; stage = "naive" }) );
+    ( "stage", false,
+      set (fun s -> { s with stage = (if s.stage = "naive" then "elim" else "naive") }) );
+    ("n", false, set (fun s -> { s with n = 2 * s.n }));
+    ("procs", false, set (fun s -> { s with procs = 4 }));
+    ("sweeps", false, set (fun s -> { s with sweeps = s.sweeps + 1 }));
+    ("seg", false, set (fun s -> { s with seg = Some 2 }));
+    ("misaligned", false, set (fun s -> { s with misaligned = not s.misaligned }));
+    ("cost", false, set (fun s -> { s with cost = "shared_address" }));
+    ("nic_arity", false, set (fun s -> { s with nic_arity = s.nic_arity + 1 }));
+    ("redist", false, set (fun s -> { s with redist = "collectives" }));
+    ("redist_budget", false, set (fun s -> { s with redist_budget = 600 }));
+    ("placement", false, set (fun s -> { s with placement = "hand" }));
+    ("shard", false, set (fun s -> { s with shard = "row" }));
+    ("wshard", false, set (fun s -> { s with wshard = "repl" }));
+    ("layers", false, set (fun s -> { s with layers = s.layers + 1 }));
+    ("dim", false, set (fun s -> { s with dim = s.dim + 1 }));
+  ]
+
+let gen_field_pair =
+  G.(
+    let* app, stage =
+      oneofl [ ("vecadd", "naive"); ("jacobi", "elim"); ("jacobi", "naive") ]
+    in
+    let* faulty = bool in
+    let* fault_seed = int_range 1 99 in
+    let base =
+      {
+        Manifest.default_spec with
+        app;
+        stage;
+        n = 16;
+        procs = 2;
+        sweeps = 2;
+        drop = (if faulty then 0.1 else 0.0);
+        fault_seed;
+      }
+    in
+    let* field, run_only, change = oneofl field_changes in
+    let+ changed = change base in
+    (field, run_only, base, changed))
+
+let print_field_pair (field, _, a, b) =
+  Printf.sprintf "%s: %s | %s" field (Manifest.label_of_spec a)
+    (Manifest.label_of_spec b)
+
+let prop_run_only_fields_share =
+  QCheck.Test.make
+    ~name:"two specs share a cache entry iff they differ in a run-only field"
+    ~count:60
+    (QCheck.make ~print:print_field_pair gen_field_pair)
+    (fun (field, run_only, a, b) ->
+      let cache = Cache.create () in
+      let ea = Cache.find cache a and eb = Cache.find cache b in
+      if (ea == eb) <> run_only then
+        QCheck.Test.fail_reportf "field %s: %s one entry" field
+          (if run_only then "expected" else "did not expect");
+      if Cache.size cache <> if run_only then 1 else 2 then
+        QCheck.Test.fail_reportf "field %s: %d entries" field (Cache.size cache);
+      (* the shared-table run reproduces two independent services *)
+      let job id spec = { Manifest.id; label = Manifest.label_of_spec spec; spec } in
+      let stream jobs =
+        let buf = Buffer.create 1024 in
+        ignore (Service.run ~write:(Buffer.add_string buf) (Array.of_list jobs));
+        Buffer.contents buf
+      in
+      let together = stream [ job 0 a; job 1 b ] in
+      let apart = stream [ job 0 a ] ^ stream [ job 1 b ] in
+      if together <> apart then
+        QCheck.Test.fail_reportf "field %s: records differ from separate runs"
+          field;
       true)
 
 (* ---- property: batch output byte-identical at 1 and 4 workers ---- *)
@@ -665,12 +802,15 @@ let () =
         [
           Alcotest.test_case "records" `Quick test_service_records;
           Alcotest.test_case "failure" `Quick test_service_failure;
+          Alcotest.test_case "build failure not cached" `Quick
+            test_service_build_failure;
           Alcotest.test_case "diagnose" `Quick test_service_diagnose;
           Alcotest.test_case "stats golden" `Quick test_stats_golden;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_cache_hit_identical;
+          QCheck_alcotest.to_alcotest prop_run_only_fields_share;
           QCheck_alcotest.to_alcotest prop_workers_deterministic;
         ] );
     ]

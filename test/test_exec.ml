@@ -877,6 +877,32 @@ let test_inlined_fft_parity () =
         (visits c))
     cases
 
+(* A staged program records a passing well-formedness check and skips
+   it on later runs of the same program; a failing check records
+   nothing, so an ill-formed program raises on every run. *)
+let test_staged_wf_every_run () =
+  let module Precompile = Xdp_runtime.Precompile in
+  let stage p =
+    Precompile.compile ~cost:Xdp_sim.Costmodel.message_passing
+      ~kernels:Xdp.Kernels.default ~scalars:[] p
+  in
+  let bad = prog [ setv "x" (mylb (sec "A" [ all ]) 2) ] in
+  let cp = stage bad in
+  for run = 1 to 3 do
+    match Exec.run ~engine:`Compiled ~staged:cp ~nprocs:2 bad with
+    | _ -> Alcotest.failf "run %d of an ill-formed program did not raise" run
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "run %d names the check" run)
+          true
+          (String.starts_with ~prefix:"Wf.check failed" msg)
+  done;
+  let good = prog [ iown (sec "A" [ at (i 1) ]) @: [ set "A" [ i 1 ] (f 2.0) ] ] in
+  let cp = stage good in
+  let first = Exec.run ~engine:`Compiled ~staged:cp ~nprocs:2 good in
+  let again = Exec.run ~engine:`Compiled ~staged:cp ~nprocs:2 good in
+  Alcotest.(check bool) "reruns agree" true (first.stats = again.stats)
+
 let () =
   Alcotest.run "exec"
     [
@@ -923,6 +949,8 @@ let () =
             "overlapped sweeps run fused >= 0.95 of statements (jacobi P=4)"
             `Quick test_overlap_run_ahead_tripwire;
           Alcotest.test_case "engine names" `Quick test_engine_names;
+          Alcotest.test_case "staged program: ill-formed raises every run"
+            `Quick test_staged_wf_every_run;
           Alcotest.test_case "false iown and charge allocate nothing" `Quick
             test_zero_alloc_tripwire;
           Alcotest.test_case "batched loop misuse: interpreter's clock" `Quick

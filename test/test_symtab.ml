@@ -199,6 +199,7 @@ let test_mylb_myub () =
 
 let test_fig2_rendering () =
   let st = mk_fig2 0 in
+  Symtab.declare_universal st ~name:"U" ~shape:[ 4 ];
   let s = Format.asprintf "%a" Symtab.pp_table st in
   let contains sub =
     let n = String.length s and m = String.length sub in
@@ -208,7 +209,10 @@ let test_fig2_rendering () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("contains " ^ needle) true (contains needle))
-    [ "A"; "B"; "(4,8)"; "(16,16)"; "BLOCK"; "CYCLIC"; "segdesc"; "accessible" ]
+    [
+      "A"; "B"; "(4,8)"; "(16,16)"; "BLOCK"; "CYCLIC"; "segdesc"; "accessible";
+      "(universal)";
+    ]
 
 (* Property: after any sequence of whole-segment releases, iown agrees
    with a model set of owned elements. *)
